@@ -17,9 +17,8 @@ use crate::medium::SlotStats;
 use nss_model::faults::{hash_unit, Capability, FaultPlan};
 use nss_model::rng::splitmix64;
 
-/// Per-slot fault context handed to [`crate::medium::Medium::resolve_slot`]
-/// (crate::medium::Medium::resolve_slot): a liveness mask plus the link-loss
-/// coin for this `(phase, slot)`.
+/// Per-slot fault context handed to [`crate::medium::Medium::resolve_slot`]:
+/// a liveness mask plus the link-loss coin for this `(phase, slot)`.
 #[derive(Debug)]
 pub struct SlotFaults<'a> {
     /// Effective *hearing* mask this phase: dead receivers hear nothing,

@@ -18,6 +18,15 @@
 //! summed over every other transmitter within `κ·r` of `v`. The sum is
 //! accumulated per receiver in the spatial grid's canonical iteration
 //! order, so results are bit-identical under any engine or thread count.
+//!
+//! Each rule is written once, here, as a crate-private pure function that
+//! both engines call — [`Medium::resolve_slot`] with plain counters, and
+//! the sharded engine's pass A / pass B with relaxed atomics:
+//!
+//! * `expose` — which nodes one transmission reaches, and how;
+//! * `classify` — Assumption 6 / Appendix A at one receiver;
+//! * `sinr_decode` — the SINR threshold test at one receiver;
+//! * `gate` — the fault plan's hearing mask and link-loss coin.
 
 use crate::bits::BitSet;
 use crate::faults::SlotFaults;
@@ -53,6 +62,21 @@ impl MediumScratch {
             self.cs_count[v as usize] = 0;
         }
         self.touched.clear();
+    }
+
+    /// Accumulates one [`expose`] visit: transmitter `t` reaches `v`.
+    fn note(&mut self, v: u32, t: u32, reach: Reach) {
+        let vi = v as usize;
+        if self.rx_count[vi] == 0 && self.cs_count[vi] == 0 {
+            self.touched.push(v);
+        }
+        match reach {
+            Reach::InRange => {
+                self.rx_count[vi] += 1;
+                self.last_tx[vi] = t;
+            }
+            Reach::Annulus => self.cs_count[vi] += 1,
+        }
     }
 }
 
@@ -160,169 +184,254 @@ impl Medium {
         if transmitters.is_empty() {
             return stats;
         }
-        // Gate one arbitration-clean delivery through the fault plan.
-        let mut deliver = |stats: &mut SlotStats, rx: u32, tx: u32| {
-            if let Some(f) = faults {
-                if !f.alive.get(rx as usize) {
-                    stats.dead_drops += 1;
-                    return;
-                }
-                if !f.link_delivers(tx, rx) {
-                    stats.losses += 1;
-                    return;
-                }
+        let mut deliver = |stats: &mut SlotStats, tx: u32, rx: u32| {
+            if gate(stats, faults, tx, rx) {
+                on_delivery(NodeId(rx), NodeId(tx));
             }
-            stats.deliveries += 1;
-            on_delivery(NodeId(rx), NodeId(tx));
         };
-        match self.model {
-            CommunicationModel::Cfm => {
-                // Reliable: every neighbor hears every transmission.
+        let rule = Rule::of(self.model, self.backend);
+        if let Rule::Cfm = rule {
+            // Reliable: every neighbor hears every transmission.
+            for &t in transmitters {
+                expose(topo, t, None, |v, _| deliver(&mut stats, t, v));
+            }
+        } else {
+            let sinr = matches!(rule, Rule::Sinr(_));
+            scratch.reset();
+            for &t in transmitters {
+                expose(topo, t, rule.cs_factor(), |v, reach| {
+                    scratch.note(v, t, reach)
+                });
+                if sinr {
+                    scratch.tx_bits.set(t as usize);
+                }
+            }
+            for &v in &scratch.touched {
+                let vi = v as usize;
+                let heard = if let Rule::Sinr(params) = rule {
+                    sinr_decode(topo, v, &params, &scratch.tx_bits, &mut stats)
+                } else {
+                    let rx = u32::from(scratch.rx_count[vi]);
+                    let cs = u32::from(scratch.cs_count[vi]);
+                    classify(rx, cs, || scratch.last_tx[vi], &mut stats)
+                };
+                if let Some(t) = heard {
+                    deliver(&mut stats, t, v);
+                }
+            }
+            if sinr {
                 for &t in transmitters {
-                    for &v in topo.neighbors(NodeId(t)) {
-                        deliver(&mut stats, v, t);
-                    }
-                }
-            }
-            CommunicationModel::Cam(_) if self.backend.is_sinr() => {
-                if let MediumBackend::Sinr(params) = self.backend {
-                    resolve_sinr(topo, transmitters, scratch, &params, &mut stats, deliver);
-                }
-            }
-            CommunicationModel::Cam(rule) => {
-                scratch.reset();
-                for &t in transmitters {
-                    for &v in topo.neighbors(NodeId(t)) {
-                        if scratch.rx_count[v as usize] == 0 && scratch.cs_count[v as usize] == 0 {
-                            scratch.touched.push(v);
-                        }
-                        scratch.rx_count[v as usize] += 1;
-                        scratch.last_tx[v as usize] = t;
-                    }
-                    if let CollisionRule::CarrierSense { factor } = rule {
-                        let pos = topo.position(NodeId(t));
-                        let r = topo.comm_radius();
-                        let r2 = r * r;
-                        topo.for_each_within(&pos, factor * r, |v| {
-                            if v.0 == t {
-                                return;
-                            }
-                            let d2 = topo.position(v).dist_sq(&pos);
-                            if d2 > r2 {
-                                if scratch.rx_count[v.index()] == 0
-                                    && scratch.cs_count[v.index()] == 0
-                                {
-                                    scratch.touched.push(v.0);
-                                }
-                                scratch.cs_count[v.index()] += 1;
-                            }
-                        });
-                    }
-                }
-                for &v in &scratch.touched {
-                    let rx = scratch.rx_count[v as usize];
-                    if rx == 1 && scratch.cs_count[v as usize] == 0 {
-                        deliver(&mut stats, v, scratch.last_tx[v as usize]);
-                    } else if rx > 1 {
-                        stats.collisions += 1;
-                    } else if rx == 1 {
-                        stats.cs_deferrals += 1;
-                    }
+                    scratch.tx_bits.clear_bit(t as usize);
                 }
             }
         }
-        nss_obs::counter!("sim.deliveries").add(stats.deliveries);
-        nss_obs::counter!("sim.collisions").add(stats.collisions);
-        nss_obs::counter!("sim.cs_deferrals").add(stats.cs_deferrals);
-        if self.backend.is_sinr() {
-            nss_obs::counter!("sim.sinr.rejects").add(stats.sinr_rejects);
-            nss_obs::counter!("sim.sinr.captures").add(stats.sinr_captures);
-        }
-        if faults.is_some() {
-            crate::faults::record_fault_obs(&stats);
-        }
+        record_obs(&stats, self.backend.is_sinr(), faults.is_some());
         stats
     }
 }
 
-/// Resolves one CAM slot under the SINR backend.
-///
-/// Two passes: pass 1 walks each transmitter's neighbor list to collect the
-/// set of *touched* receivers (nodes with ≥ 1 in-range transmitter — only
-/// they can possibly decode, since normalized power is < 1 beyond `r` and
-/// β ≥ weakest-link power is required for the model to deliver anything at
-/// unit range). Pass 2 sweeps the spatial grid once per touched receiver,
-/// accumulating the interference sum over every transmitter within `κ·r`
-/// in the grid's canonical order and tracking the strongest in-range
-/// candidate (ties broken toward the lower node id). The candidate decodes
-/// iff `p / (noise + Σ others) ≥ β`.
-pub(crate) fn resolve_sinr(
-    topo: &Topology,
-    transmitters: &[u32],
-    scratch: &mut MediumScratch,
-    params: &SinrParams,
-    stats: &mut SlotStats,
-    mut deliver: impl FnMut(&mut SlotStats, u32, u32),
-) {
-    scratch.reset();
-    for &t in transmitters {
-        scratch.tx_bits.set(t as usize);
+/// Publishes a resolved slot's (or phase's) accounting to `nss-obs`; the
+/// SINR and fault counters only when that layer is active.
+pub(crate) fn record_obs(stats: &SlotStats, sinr: bool, faults: bool) {
+    nss_obs::counter!("sim.deliveries").add(stats.deliveries);
+    nss_obs::counter!("sim.collisions").add(stats.collisions);
+    nss_obs::counter!("sim.cs_deferrals").add(stats.cs_deferrals);
+    if sinr {
+        nss_obs::counter!("sim.sinr.rejects").add(stats.sinr_rejects);
+        nss_obs::counter!("sim.sinr.captures").add(stats.sinr_captures);
     }
-    for &t in transmitters {
-        for &v in topo.neighbors(NodeId(t)) {
-            if scratch.rx_count[v as usize] == 0 {
-                scratch.touched.push(v);
-            }
-            scratch.rx_count[v as usize] += 1;
+    if faults {
+        crate::faults::record_fault_obs(stats);
+    }
+}
+
+/// The reception rule a `(model, backend)` pair selects. Both engines
+/// dispatch on this one value, so they can never disagree about which
+/// rule applies.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rule {
+    /// CFM: every transmission reaches every neighbor.
+    Cfm,
+    /// CAM under the unit-disk backend, with the Appendix-A carrier-sense
+    /// factor `f` when the collision rule has one.
+    Cam {
+        /// Carrier-sense range as a multiple of `r`.
+        cs_factor: Option<f64>,
+    },
+    /// CAM under the SINR backend (the collision rule is subsumed).
+    Sinr(SinrParams),
+}
+
+impl Rule {
+    /// The rule a medium applies; CFM ignores the physical layer.
+    pub(crate) fn of(model: CommunicationModel, backend: MediumBackend) -> Self {
+        match (model, backend) {
+            (CommunicationModel::Cfm, _) => Rule::Cfm,
+            (CommunicationModel::Cam(_), MediumBackend::Sinr(params)) => Rule::Sinr(params),
+            (CommunicationModel::Cam(rule), MediumBackend::UnitDisk) => Rule::Cam {
+                cs_factor: match rule {
+                    CollisionRule::TransmissionRange => None,
+                    CollisionRule::CarrierSense { factor } => Some(factor),
+                },
+            },
         }
     }
+
+    /// The carrier-sense factor [`expose`] walks the annulus with.
+    pub(crate) fn cs_factor(self) -> Option<f64> {
+        match self {
+            Rule::Cam { cs_factor } => cs_factor,
+            Rule::Cfm | Rule::Sinr(_) => None,
+        }
+    }
+}
+
+/// How a transmission reaches a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reach {
+    /// Within the transmission range `r`.
+    InRange,
+    /// In the carrier-sense annulus `(r, f·r]`.
+    Annulus,
+}
+
+/// Exposure walk for transmitter `t`: visits its in-range neighbors in
+/// adjacency order, then — with a carrier-sense factor `f` — every node of
+/// the annulus `(r, f·r]` in the grid's canonical order.
+#[inline]
+pub(crate) fn expose(
+    topo: &Topology,
+    t: u32,
+    cs_factor: Option<f64>,
+    mut visit: impl FnMut(u32, Reach),
+) {
+    for &v in topo.neighbors(NodeId(t)) {
+        visit(v, Reach::InRange);
+    }
+    if let Some(factor) = cs_factor {
+        let pos = topo.position(NodeId(t));
+        let r = topo.comm_radius();
+        let r2 = r * r;
+        topo.for_each_within(&pos, factor * r, |v| {
+            if v.0 != t && topo.position(v).dist_sq(&pos) > r2 {
+                visit(v.0, Reach::Annulus);
+            }
+        });
+    }
+}
+
+/// Unit-disk classification at one receiver that `rx` in-range and `cs`
+/// annulus transmitters reached: Assumption 6 garbles every reception
+/// when `rx ≥ 2`; Appendix A defers a single clean one when `cs ≥ 1`.
+/// Returns the transmitter heard (`last_tx`, read only for a clean
+/// reception) and tallies collisions and deferrals into `stats`.
+#[inline]
+pub(crate) fn classify(
+    rx: u32,
+    cs: u32,
+    last_tx: impl FnOnce() -> u32,
+    stats: &mut SlotStats,
+) -> Option<u32> {
+    match (rx, cs) {
+        (0, _) => None,
+        (1, 0) => Some(last_tx()),
+        (1, _) => {
+            stats.cs_deferrals += 1;
+            None
+        }
+        _ => {
+            stats.collisions += 1;
+            None
+        }
+    }
+}
+
+/// SINR decode at receiver `v`, given the slot's transmitter set.
+///
+/// One sweep of the spatial grid around `v` accumulates the interference
+/// sum over every transmitter within `κ·r` in the grid's canonical order
+/// (so the sum is bit-identical under any engine or thread count), tracks
+/// the strongest in-range candidate (ties broken toward the lower node id)
+/// and counts the candidates. The candidate decodes iff
+/// `p / (noise + Σ others) ≥ β`. Returns the decoded transmitter and
+/// tallies captures (decoded despite ≥ 2 candidates), collisions and
+/// rejects into `stats`.
+pub(crate) fn sinr_decode(
+    topo: &Topology,
+    v: u32,
+    params: &SinrParams,
+    tx_bits: &BitSet,
+    stats: &mut SlotStats,
+) -> Option<u32> {
     let r = topo.comm_radius();
     let r2 = r * r;
     // Floor d² at a tiny fraction of r² so co-located nodes don't produce
     // an infinite power (the result stays finite and deterministic).
     let d2_floor = r2 * 1e-12;
-    for &v in &scratch.touched {
-        let pos = topo.position(NodeId(v));
-        let mut total = 0.0f64;
-        let mut best_p = -1.0f64;
-        let mut best_tx = u32::MAX;
-        topo.for_each_within(&pos, params.interference_factor * r, |u| {
-            if u.0 == v || !scratch.tx_bits.get(u.index()) {
-                return;
-            }
-            let d2 = topo.position(u).dist_sq(&pos).max(d2_floor);
-            let p = (r2 / d2).powf(params.alpha * 0.5);
-            total += p;
-            if d2 <= r2 && (p > best_p || (p == best_p && u.0 < best_tx)) {
+    let pos = topo.position(NodeId(v));
+    let mut total = 0.0f64;
+    let mut best_p = -1.0f64;
+    let mut best_tx = u32::MAX;
+    let mut candidates = 0u32;
+    topo.for_each_within(&pos, params.interference_factor * r, |u| {
+        if u.0 == v || !tx_bits.get(u.index()) {
+            return;
+        }
+        let d2 = topo.position(u).dist_sq(&pos).max(d2_floor);
+        let p = (r2 / d2).powf(params.alpha * 0.5);
+        total += p;
+        if d2 <= r2 {
+            candidates += 1;
+            if p > best_p || (p == best_p && u.0 < best_tx) {
                 best_p = p;
                 best_tx = u.0;
             }
-        });
-        if best_tx == u32::MAX {
-            continue; // touched implies an in-range candidate; defensive
         }
-        let denom = params.noise + (total - best_p).max(0.0);
-        let decodes = if denom <= 0.0 {
-            // No noise and no interference: SINR is unbounded.
-            true
-        } else {
-            best_p / denom >= params.beta
-        };
-        let candidates = scratch.rx_count[v as usize];
-        if decodes {
-            if candidates > 1 {
-                stats.sinr_captures += 1;
-            }
-            deliver(stats, v, best_tx);
-        } else if candidates > 1 {
+    });
+    if best_tx == u32::MAX {
+        return None; // only in-range receivers are asked; defensive
+    }
+    let denom = params.noise + (total - best_p).max(0.0);
+    // No noise and no interference: SINR is unbounded.
+    if denom <= 0.0 || best_p / denom >= params.beta {
+        if candidates > 1 {
+            stats.sinr_captures += 1;
+        }
+        Some(best_tx)
+    } else {
+        if candidates > 1 {
             stats.collisions += 1;
         } else {
             stats.sinr_rejects += 1;
         }
+        None
     }
-    for &t in transmitters {
-        scratch.tx_bits.assign(t as usize, false);
+}
+
+/// Fault gate for one arbitration-clean reception `tx → rx`: the receiver
+/// must be in the hearing mask, then the packet must survive the link-loss
+/// coin. Tallies the outcome (`dead_drops`, `losses` or `deliveries`) and
+/// returns whether the packet is delivered. Without a fault context every
+/// clean reception is delivered.
+#[inline]
+pub(crate) fn gate(
+    stats: &mut SlotStats,
+    faults: Option<&SlotFaults<'_>>,
+    tx: u32,
+    rx: u32,
+) -> bool {
+    if let Some(f) = faults {
+        if !f.alive.get(rx as usize) {
+            stats.dead_drops += 1;
+            return false;
+        }
+        if !f.link_delivers(tx, rx) {
+            stats.losses += 1;
+            return false;
+        }
     }
+    stats.deliveries += 1;
+    true
 }
 
 #[cfg(test)]

@@ -16,14 +16,11 @@
 //! redundant transmissions in dense regions adaptively — the same goal the
 //! optimal PB_CAM probability pursues, but density-aware for free.
 
-use crate::bits::BitSet;
-use crate::medium::{Medium, MediumScratch, SlotStats};
+use crate::slotted::{run_gossip_with, GossipConfig, Rebroadcast};
 use crate::trace::SimTrace;
 use nss_model::comm::CommunicationModel;
 use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a counter-based broadcast execution.
@@ -52,88 +49,44 @@ impl CounterConfig {
     }
 }
 
+/// Counter suppression as a policy on the PB_CAM phase loop: flood with
+/// `p = 1`, but transmit at the scheduled slot only while fewer than
+/// `threshold` duplicates have been overheard.
+struct CounterSuppression {
+    threshold: u32,
+    dups: Vec<u32>,
+}
+
+impl Rebroadcast for CounterSuppression {
+    // The counter is consulted at transmission time (slot granularity):
+    // duplicates overheard in earlier slots — including earlier slots of
+    // this very phase — suppress the pending rebroadcast.
+    fn transmits(&self, u: u32) -> bool {
+        self.dups[u as usize] < self.threshold
+    }
+
+    fn heard(&mut self, _topo: &Topology, rx: NodeId, _tx: NodeId, dup: bool) {
+        if dup {
+            self.dups[rx.index()] += 1;
+        }
+    }
+}
+
 /// Runs one counter-based broadcast execution.
 pub fn run_counter_broadcast(topo: &Topology, cfg: &CounterConfig, seed: u64) -> SimTrace {
     assert!(cfg.s >= 1, "need at least one slot");
     assert!(cfg.threshold >= 1, "threshold 0 would suppress everything");
-    let n = topo.len();
-    let mut trace = SimTrace::new(n);
-    if n == 0 {
-        return trace;
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let medium = Medium::new(cfg.model);
-    let mut scratch = MediumScratch::new(n);
-
-    let mut informed = BitSet::new(n);
-    informed.set(NodeId::SOURCE.index());
-    let mut dup_count = vec![0u32; n];
-
-    // (node, slot) pairs scheduled for the upcoming phase.
-    let mut scheduled: Vec<(u32, u32)> = vec![(NodeId::SOURCE.0, 0)];
-    let mut slots: Vec<Vec<u32>> = vec![Vec::new(); cfg.s as usize];
-
-    for phase in 1..=cfg.max_phases as u32 {
-        for sl in &mut slots {
-            sl.clear();
-        }
-        for &(u, sl) in &scheduled {
-            slots[sl as usize].push(u);
-        }
-
-        // The counter is consulted at transmission time (slot granularity):
-        // duplicates overheard in earlier slots — including earlier slots
-        // of this very phase — suppress the pending rebroadcast. The
-        // source's phase-1 transmission is unconditional.
-        let mut tx_count = 0u32;
-        let mut newly: Vec<u32> = Vec::new();
-        let mut deliveries = 0u64;
-        let mut phase_stats = SlotStats::default();
-        let mut transmitters: Vec<u32> = Vec::new();
-        for sl in &slots {
-            transmitters.clear();
-            transmitters.extend(
-                sl.iter()
-                    .copied()
-                    .filter(|&u| phase == 1 || dup_count[u as usize] < cfg.threshold),
-            );
-            tx_count += transmitters.len() as u32;
-            phase_stats.absorb(medium.resolve_slot(
-                topo,
-                &transmitters,
-                &mut scratch,
-                None,
-                |rx, _tx| {
-                    deliveries += 1;
-                    let rxi = rx.index();
-                    if informed.get(rxi) {
-                        dup_count[rxi] += 1;
-                    } else {
-                        informed.set(rxi);
-                        trace.first_rx_phase[rxi] = phase;
-                        newly.push(rx.0);
-                    }
-                },
-            ));
-        }
-        trace.broadcasts_by_phase.push(tx_count);
-        trace.deliveries_by_phase.push(deliveries);
-        trace.collisions_by_phase.push(phase_stats.collisions);
-        trace.cs_deferrals_by_phase.push(phase_stats.cs_deferrals);
-        nss_obs::counter!("sim.broadcasts").add(u64::from(tx_count));
-
-        scheduled = newly
-            .into_iter()
-            .map(|v| (v, rng.random_range(0..cfg.s)))
-            .collect();
-        if scheduled.is_empty() && tx_count == 0 {
-            break;
-        }
-        if scheduled.is_empty() {
-            break;
-        }
-    }
-    trace
+    let gossip = GossipConfig {
+        s: cfg.s,
+        model: cfg.model,
+        max_phases: cfg.max_phases,
+        ..GossipConfig::flooding_cam()
+    };
+    let policy = CounterSuppression {
+        threshold: cfg.threshold,
+        dups: vec![0; topo.len()],
+    };
+    run_gossip_with(topo, &gossip, policy, seed, None)
 }
 
 #[cfg(test)]

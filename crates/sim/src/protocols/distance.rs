@@ -13,14 +13,11 @@
 //! (the standard assumption in the cited work); the simulator reads it
 //! from ground-truth positions.
 
-use crate::bits::BitSet;
-use crate::medium::{Medium, MediumScratch, SlotStats};
+use crate::slotted::{run_gossip_with, GossipConfig, Rebroadcast};
 use crate::trace::SimTrace;
 use nss_model::comm::CommunicationModel;
 use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a distance-based broadcast execution.
@@ -49,6 +46,29 @@ impl DistanceConfig {
     }
 }
 
+/// Distance suppression as a policy on the PB_CAM phase loop: flood with
+/// `p = 1`, but transmit at the scheduled slot only if every sender heard
+/// so far was farther than `suppress_r`.
+struct DistanceSuppression {
+    suppress_r: f64,
+    /// Closest distance at which each node has heard the packet so far.
+    closest: Vec<f64>,
+}
+
+impl Rebroadcast for DistanceSuppression {
+    fn transmits(&self, u: u32) -> bool {
+        self.closest[u as usize] > self.suppress_r
+    }
+
+    fn heard(&mut self, topo: &Topology, rx: NodeId, tx: NodeId, _dup: bool) {
+        let d = topo.position(rx).dist(&topo.position(tx));
+        let closest = &mut self.closest[rx.index()];
+        if d < *closest {
+            *closest = d;
+        }
+    }
+}
+
 /// Runs one distance-based broadcast execution.
 pub fn run_distance_broadcast(topo: &Topology, cfg: &DistanceConfig, seed: u64) -> SimTrace {
     assert!(cfg.s >= 1, "need at least one slot");
@@ -56,80 +76,17 @@ pub fn run_distance_broadcast(topo: &Topology, cfg: &DistanceConfig, seed: u64) 
         (0.0..=1.0).contains(&cfg.threshold),
         "threshold must be a fraction of r"
     );
-    let n = topo.len();
-    let mut trace = SimTrace::new(n);
-    if n == 0 {
-        return trace;
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let medium = Medium::new(cfg.model);
-    let mut scratch = MediumScratch::new(n);
-    let suppress_r = cfg.threshold * topo.comm_radius();
-
-    let mut informed = BitSet::new(n);
-    informed.set(NodeId::SOURCE.index());
-    // Closest distance at which each node has heard the packet so far.
-    let mut closest = vec![f64::INFINITY; n];
-
-    let mut scheduled: Vec<(u32, u32)> = vec![(NodeId::SOURCE.0, 0)];
-    let mut slots: Vec<Vec<u32>> = vec![Vec::new(); cfg.s as usize];
-
-    for phase in 1..=cfg.max_phases as u32 {
-        for sl in &mut slots {
-            sl.clear();
-        }
-        for &(u, sl) in &scheduled {
-            slots[sl as usize].push(u);
-        }
-
-        let mut tx_count = 0u32;
-        let mut newly: Vec<u32> = Vec::new();
-        let mut deliveries = 0u64;
-        let mut phase_stats = SlotStats::default();
-        let mut transmitters: Vec<u32> = Vec::new();
-        for sl in &slots {
-            transmitters.clear();
-            transmitters.extend(
-                sl.iter()
-                    .copied()
-                    .filter(|&u| phase == 1 || closest[u as usize] > suppress_r),
-            );
-            tx_count += transmitters.len() as u32;
-            phase_stats.absorb(medium.resolve_slot(
-                topo,
-                &transmitters,
-                &mut scratch,
-                None,
-                |rx, tx| {
-                    deliveries += 1;
-                    let rxi = rx.index();
-                    let d = topo.position(rx).dist(&topo.position(tx));
-                    if d < closest[rxi] {
-                        closest[rxi] = d;
-                    }
-                    if !informed.get(rxi) {
-                        informed.set(rxi);
-                        trace.first_rx_phase[rxi] = phase;
-                        newly.push(rx.0);
-                    }
-                },
-            ));
-        }
-        trace.broadcasts_by_phase.push(tx_count);
-        trace.deliveries_by_phase.push(deliveries);
-        trace.collisions_by_phase.push(phase_stats.collisions);
-        trace.cs_deferrals_by_phase.push(phase_stats.cs_deferrals);
-        nss_obs::counter!("sim.broadcasts").add(u64::from(tx_count));
-
-        scheduled = newly
-            .into_iter()
-            .map(|v| (v, rng.random_range(0..cfg.s)))
-            .collect();
-        if scheduled.is_empty() {
-            break;
-        }
-    }
-    trace
+    let gossip = GossipConfig {
+        s: cfg.s,
+        model: cfg.model,
+        max_phases: cfg.max_phases,
+        ..GossipConfig::flooding_cam()
+    };
+    let policy = DistanceSuppression {
+        suppress_r: cfg.threshold * topo.comm_radius(),
+        closest: vec![f64::INFINITY; topo.len()],
+    };
+    run_gossip_with(topo, &gossip, policy, seed, None)
 }
 
 #[cfg(test)]

@@ -12,29 +12,33 @@
 //!    jitter — is a pure hash of `(seed, phase, node)` (the same
 //!    counter-based discipline [`crate::faults`] uses for link-loss coins),
 //!    so any shard layout computes identical decisions.
-//! 2. **Atomic-claim contention.** Per-slot CAM arbitration accumulates
-//!    `rx_count`/`cs_count` with relaxed atomic adds (commutative, so
-//!    thread order cannot matter) and elects exactly one discoverer per
-//!    touched receiver through an [`AtomicBitSet`] claim; classification
-//!    then re-walks the touched set, each receiver owned by exactly one
-//!    worker. The claim protocol is modelled in `tests/loom_claim.rs`.
+//! 2. **Atomic-claim contention.** `Arbiter::resolve_slot` holds the claim
+//!    protocol. Pass A walks each transmitter's exposure
+//!    (`medium::expose`), accumulates `rx_count`/`cs_count` with relaxed
+//!    atomic adds (commutative, so thread order cannot matter) and elects
+//!    exactly one discoverer per touched receiver through an
+//!    [`AtomicBitSet`] claim; pass B then re-walks the touched set, each
+//!    receiver owned by exactly one worker, which drains its counters and
+//!    applies `medium::classify` (or `medium::sinr_decode`) and
+//!    `medium::gate`. The claim protocol is modelled in
+//!    `tests/loom_claim.rs`.
 //! 3. **Canonical merges.** Per-worker partial outputs (newly informed
 //!    nodes, slot statistics) are merged in shard order and sorted where
 //!    order is observable, collapsing every schedule to one trace.
 //!
-//! The engine intentionally reuses the sequential executor's *semantics*
-//! (Assumption 6 arbitration, fault gating order, phase/slot structure) but
-//! not its RNG stream: the sequential and sharded engines produce
-//! different — individually reproducible — traces. Under CFM with `p = 1`
-//! the randomness is immaterial and the two engines agree exactly, which
-//! the tests pin down.
+//! The reception rules themselves are the sequential medium's — the same
+//! functions, called in the same order — so the two engines agree slot for
+//! slot (a property test pins this for random fields and transmitter
+//! sets). Only the accumulator differs: plain counters there, atomics and
+//! claims here. The RNG stream differs too, so whole traces agree only
+//! where randomness is immaterial (CFM or single-slot SINR flooding with
+//! `p = 1`), which the tests pin down.
 
 use crate::bits::{AtomicBitSet, BitSet};
 use crate::faults::{FaultState, SlotFaults};
-use crate::medium::SlotStats;
+use crate::medium::{classify, expose, gate, record_obs, sinr_decode, Reach, Rule, SlotStats};
 use crate::slotted::GossipConfig;
 use crate::trace::SimTrace;
-use nss_model::comm::{CollisionRule, CommunicationModel, MediumBackend, SinrParams};
 use nss_model::error::ConfigError;
 use nss_model::faults::{hash_unit, FaultPlan};
 use nss_model::ids::NodeId;
@@ -196,57 +200,19 @@ pub(crate) fn run_sharded_with(
     }
     let workers = resolve_workers(threads, n);
     let s = cfg.s as usize;
-    let is_cfm = matches!(cfg.model, CommunicationModel::Cfm);
-    // The SINR backend replaces CAM arbitration (CFM ignores the physical
-    // layer entirely, mirroring the sequential medium).
-    let sinr = match cfg.backend {
-        MediumBackend::Sinr(params) if !is_cfm => Some(params),
-        _ => None,
-    };
-    let cs_rule = match cfg.model {
-        CommunicationModel::Cam(CollisionRule::CarrierSense { factor }) if sinr.is_none() => {
-            Some(factor)
-        }
-        _ => None,
-    };
+    let rule = Rule::of(cfg.model, cfg.backend);
 
     let mut fault_state = faults.map(|(plan, fseed)| FaultState::new(plan, fseed, n));
     let mut informed = BitSet::new(n);
     informed.set(NodeId::SOURCE.index());
     let mut pending: Vec<u32> = vec![NodeId::SOURCE.0];
-
-    // CAM arbitration scratch: relaxed atomics accumulated in pass A, read
-    // and reset by the (single) owner of each touched receiver in pass B.
-    // The SINR backend needs neither — its pass B recomputes exposure from
-    // the transmitter bitset in the grid's canonical order.
-    let rx_count: Vec<AtomicU32> = if is_cfm || sinr.is_some() {
-        Vec::new()
-    } else {
-        (0..n).map(|_| AtomicU32::new(0)).collect()
-    };
-    let cs_count: Vec<AtomicU32> = if cs_rule.is_some() {
-        (0..n).map(|_| AtomicU32::new(0)).collect()
-    } else {
-        Vec::new()
-    };
-    let last_tx: Vec<AtomicU32> = if is_cfm || sinr.is_some() {
-        Vec::new()
-    } else {
-        (0..n).map(|_| AtomicU32::new(0)).collect()
-    };
-    let mut touched_claim = AtomicBitSet::new(if is_cfm { 0 } else { n });
-    // Per-slot transmitter membership for SINR interference sweeps, built
-    // and cleared by the coordinator between slots.
-    let mut tx_bits = BitSet::new(if sinr.is_some() { n } else { 0 });
+    let mut arbiter = Arbiter::new(rule, n);
 
     // Memory-footprint gauges: protocol bitsets vs. CAM arbitration
     // scratch, so a scrape of a live million-node run shows where the
     // resident bytes are.
-    nss_obs::gauge!("sim.bitset.bytes").set((informed.bytes() + touched_claim.bytes()) as f64);
-    nss_obs::gauge!("sim.scratch.bytes").set(
-        ((rx_count.len() + cs_count.len() + last_tx.len()) * std::mem::size_of::<AtomicU32>())
-            as f64,
-    );
+    nss_obs::gauge!("sim.bitset.bytes").set((informed.bytes() + arbiter.claim.bytes()) as f64);
+    nss_obs::gauge!("sim.scratch.bytes").set(arbiter.scratch_bytes() as f64);
 
     for phase in 1..=cfg.max_phases as u32 {
         // Per-phase wall-clock histogram (`sim.phase.seconds`), surfaced in
@@ -309,43 +275,8 @@ pub(crate) fn run_sharded_with(
                 continue;
             }
             let sf = fault_state.as_ref().map(|fs| fs.slot(phase, si as u32));
-            let (stats, mut newly) = if is_cfm {
-                resolve_slot_cfm(topo, txs, &informed, sf.as_ref(), workers)
-            } else if let Some(params) = sinr {
-                for &t in txs {
-                    tx_bits.set(t as usize);
-                }
-                let out = resolve_slot_sinr(
-                    topo,
-                    txs,
-                    &informed,
-                    sf.as_ref(),
-                    &params,
-                    &tx_bits,
-                    &touched_claim,
-                    workers,
-                );
-                for &t in txs {
-                    tx_bits.clear_bit(t as usize);
-                }
-                out
-            } else {
-                resolve_slot_cam(
-                    topo,
-                    txs,
-                    &informed,
-                    sf.as_ref(),
-                    cs_rule,
-                    &rx_count,
-                    &cs_count,
-                    &last_tx,
-                    &touched_claim,
-                    workers,
-                )
-            };
-            if !is_cfm {
-                touched_claim.clear_all();
-            }
+            let (stats, mut newly) =
+                arbiter.resolve_slot(topo, txs, &informed, sf.as_ref(), workers);
             phase_stats.absorb(stats);
             // Canonical order: ascending within the slot. Receivers informed
             // here are visible as duplicates to later slots of this phase.
@@ -358,22 +289,18 @@ pub(crate) fn run_sharded_with(
             phase_newly.append(&mut newly);
         }
 
+        let sinr = matches!(rule, Rule::Sinr(_));
+        record_obs(&phase_stats, sinr, fault_state.is_some());
         trace.deliveries_by_phase.push(phase_stats.deliveries);
         trace.collisions_by_phase.push(phase_stats.collisions);
         trace.cs_deferrals_by_phase.push(phase_stats.cs_deferrals);
-        nss_obs::counter!("sim.deliveries").add(phase_stats.deliveries);
-        nss_obs::counter!("sim.collisions").add(phase_stats.collisions);
-        nss_obs::counter!("sim.cs_deferrals").add(phase_stats.cs_deferrals);
-        if sinr.is_some() {
+        if sinr {
             trace.sinr_rejects_by_phase.push(phase_stats.sinr_rejects);
-            nss_obs::counter!("sim.sinr.rejects").add(phase_stats.sinr_rejects);
-            nss_obs::counter!("sim.sinr.captures").add(phase_stats.sinr_captures);
         }
         if let Some(fs) = fault_state.as_ref() {
             trace.losses_by_phase.push(phase_stats.losses);
             trace.dead_drops_by_phase.push(phase_stats.dead_drops);
             trace.alive_by_phase.push(fs.alive_count());
-            crate::faults::record_fault_obs(&phase_stats);
         }
 
         pending = phase_newly;
@@ -384,255 +311,166 @@ pub(crate) fn run_sharded_with(
     trace
 }
 
-/// CFM slot: every transmission reaches every neighbor (fault-gated);
-/// deliveries are per `(tx, rx)` pair, so no arbitration state is needed.
-fn resolve_slot_cfm(
-    topo: &Topology,
-    txs: &[u32],
-    informed: &BitSet,
-    sf: Option<&SlotFaults<'_>>,
-    workers: usize,
-) -> (SlotStats, Vec<u32>) {
-    let partials = map_chunks("sim.slot.cfm", txs, workers, |chunk| {
-        let mut st = SlotStats::default();
-        let mut newly: Vec<u32> = Vec::new();
-        for &t in chunk {
-            for &v in topo.neighbors(NodeId(t)) {
-                if let Some(f) = sf {
-                    if !f.alive.get(v as usize) {
-                        st.dead_drops += 1;
-                        continue;
-                    }
-                    if !f.link_delivers(t, v) {
-                        st.losses += 1;
-                        continue;
-                    }
-                }
-                st.deliveries += 1;
-                if !informed.get(v as usize) {
-                    newly.push(v);
-                }
-            }
-        }
-        (st, newly)
-    });
-    merge_partials(partials)
+/// The sharded engine's arbitration state: the [`Rule`] plus the scratch
+/// its two passes share.
+///
+/// Unit-disk CAM accumulates `rx_count`/`cs_count`/`last_tx` with relaxed
+/// atomics in pass A; each touched receiver's single owner (elected
+/// through `claim`) drains them in pass B. SINR needs no counters — pass B
+/// recomputes exposure from the per-slot transmitter set `tx_bits` — and
+/// CFM needs no state at all.
+struct Arbiter {
+    rule: Rule,
+    rx_count: Vec<AtomicU32>,
+    cs_count: Vec<AtomicU32>,
+    last_tx: Vec<AtomicU32>,
+    claim: AtomicBitSet,
+    tx_bits: BitSet,
 }
 
-/// CAM slot under atomic-claim contention.
-///
-/// Pass A shards the transmitters: relaxed `fetch_add` accumulates
-/// in-range (`rx_count`) and annulus (`cs_count`) exposure per receiver,
-/// and the first worker to touch a receiver claims it into its local
-/// `touched` list. Pass B shards the touched set: the claiming discipline
-/// guarantees each receiver appears exactly once, so its owner can read,
-/// classify (Assumption 6 / Appendix A / fault gates — same order as
-/// [`crate::medium::Medium::resolve_slot`]), and reset its counters
-/// without further synchronization.
-#[allow(clippy::too_many_arguments)]
-fn resolve_slot_cam(
-    topo: &Topology,
-    txs: &[u32],
-    informed: &BitSet,
-    sf: Option<&SlotFaults<'_>>,
-    cs_rule: Option<f64>,
-    rx_count: &[AtomicU32],
-    cs_count: &[AtomicU32],
-    last_tx: &[AtomicU32],
-    touched_claim: &AtomicBitSet,
-    workers: usize,
-) -> (SlotStats, Vec<u32>) {
-    // Pass A: accumulate exposure. The per-chunk `lost` tally counts claim
-    // elections this worker lost (bit already set) — the contention the
-    // atomic-claim protocol absorbs; the `enabled()` guards const-fold the
-    // bookkeeping away in uninstrumented builds.
-    let touched_parts = map_chunks("sim.slot.expose", txs, workers, |chunk| {
-        let mut touched: Vec<u32> = Vec::new();
-        let mut lost: u64 = 0;
-        for &t in chunk {
-            for &v in topo.neighbors(NodeId(t)) {
-                if touched_claim.claim(v as usize) {
-                    touched.push(v);
-                } else if nss_obs::enabled() {
-                    lost += 1;
+impl Arbiter {
+    /// Sizes each buffer for an `n`-node topology, or empty when `rule`
+    /// never touches it.
+    fn new(rule: Rule, n: usize) -> Self {
+        let atomics = |len: usize| (0..len).map(|_| AtomicU32::new(0)).collect::<Vec<_>>();
+        let unit_disk = if let Rule::Cam { .. } = rule { n } else { 0 };
+        Arbiter {
+            rule,
+            rx_count: atomics(unit_disk),
+            cs_count: atomics(if rule.cs_factor().is_some() { n } else { 0 }),
+            last_tx: atomics(unit_disk),
+            claim: AtomicBitSet::new(if let Rule::Cfm = rule { 0 } else { n }),
+            tx_bits: BitSet::new(if let Rule::Sinr(_) = rule { n } else { 0 }),
+        }
+    }
+
+    /// Bytes held by the exposure counters.
+    fn scratch_bytes(&self) -> usize {
+        (self.rx_count.len() + self.cs_count.len() + self.last_tx.len())
+            * std::mem::size_of::<AtomicU32>()
+    }
+
+    /// Resolves one slot: returns its statistics and the receivers that
+    /// got a delivery while not yet `informed` (unsorted, possibly with
+    /// duplicates under CFM).
+    ///
+    /// CFM shards the transmitters and gates every `(tx, rx)` pair. CAM
+    /// runs two passes. Pass A shards the transmitters over [`expose`]:
+    /// the first worker to reach a receiver claims it into its local
+    /// `touched` list, and unit-disk CAM also accumulates the exposure
+    /// counters. Pass B shards the touched set: the claim guarantees each
+    /// receiver appears exactly once, so its owner can drain the counters
+    /// and run [`classify`] (or [`sinr_decode`]) and [`gate`] without
+    /// further synchronization — the same functions, in the same order, as
+    /// [`crate::medium::Medium::resolve_slot`].
+    fn resolve_slot(
+        &mut self,
+        topo: &Topology,
+        txs: &[u32],
+        informed: &BitSet,
+        sf: Option<&SlotFaults<'_>>,
+        workers: usize,
+    ) -> (SlotStats, Vec<u32>) {
+        let rule = self.rule;
+        if let Rule::Cfm = rule {
+            let partials = map_chunks("sim.slot.cfm", txs, workers, |chunk| {
+                let mut st = SlotStats::default();
+                let mut newly: Vec<u32> = Vec::new();
+                for &t in chunk {
+                    expose(topo, t, None, |v, _| {
+                        if gate(&mut st, sf, t, v) && !informed.get(v as usize) {
+                            newly.push(v);
+                        }
+                    });
                 }
-                rx_count[v as usize].fetch_add(1, Relaxed);
-                last_tx[v as usize].store(t, Relaxed);
+                (st, newly)
+            });
+            return merge_partials(partials);
+        }
+        if let Rule::Sinr(_) = rule {
+            for &t in txs {
+                self.tx_bits.set(t as usize);
             }
-            if let Some(factor) = cs_rule {
-                let pos = topo.position(NodeId(t));
-                let r = topo.comm_radius();
-                let r2 = r * r;
-                topo.for_each_within(&pos, factor * r, |v| {
-                    if v.0 == t {
+        }
+        let this = &*self;
+        let counting = matches!(rule, Rule::Cam { .. });
+
+        // Pass A: claim touched receivers and accumulate exposure. The
+        // per-chunk `lost` tally counts claim elections this worker lost
+        // (bit already set) — the contention the atomic-claim protocol
+        // absorbs; the `enabled()` guards const-fold the bookkeeping away
+        // in uninstrumented builds.
+        let touched_parts = map_chunks("sim.slot.expose", txs, workers, |chunk| {
+            let mut touched: Vec<u32> = Vec::new();
+            let mut lost: u64 = 0;
+            for &t in chunk {
+                expose(topo, t, rule.cs_factor(), |v, reach| {
+                    let vi = v as usize;
+                    if this.claim.claim(vi) {
+                        touched.push(v);
+                    } else if nss_obs::enabled() {
+                        lost += 1;
+                    }
+                    if !counting {
                         return;
                     }
-                    if topo.position(v).dist_sq(&pos) > r2 {
-                        if touched_claim.claim(v.index()) {
-                            touched.push(v.0);
-                        } else if nss_obs::enabled() {
-                            lost += 1;
+                    match reach {
+                        Reach::InRange => {
+                            this.rx_count[vi].fetch_add(1, Relaxed);
+                            this.last_tx[vi].store(t, Relaxed);
                         }
-                        cs_count[v.index()].fetch_add(1, Relaxed);
+                        Reach::Annulus => {
+                            this.cs_count[vi].fetch_add(1, Relaxed);
+                        }
                     }
                 });
             }
-        }
-        (touched, lost)
-    });
-    let mut touched: Vec<u32> = Vec::new();
-    let mut lost_total: u64 = 0;
-    for (mut part, lost) in touched_parts {
-        touched.append(&mut part);
-        lost_total += lost;
-    }
-    nss_obs::counter!("sim.claim.won").add(touched.len() as u64);
-    nss_obs::counter!("sim.claim.contended").add(lost_total);
-
-    // Pass B: classify and reset, each receiver owned by one worker.
-    let partials = map_chunks("sim.slot.classify", &touched, workers, |chunk| {
-        let mut st = SlotStats::default();
-        let mut newly: Vec<u32> = Vec::new();
-        for &v in chunk {
-            let vi = v as usize;
-            // nss-lint: allow(atomic-protocol) — drain-and-reset after the phase barrier: joining pass A's scope already ordered every fetch_add before these swaps
-            let rx = rx_count[vi].swap(0, Relaxed);
-            let cs = if cs_rule.is_some() {
-                // nss-lint: allow(atomic-protocol) — same barrier argument as the rx_count drain above
-                cs_count[vi].swap(0, Relaxed)
-            } else {
-                0
-            };
-            if rx == 1 && cs == 0 {
-                let t = last_tx[vi].load(Relaxed);
-                if let Some(f) = sf {
-                    if !f.alive.get(vi) {
-                        st.dead_drops += 1;
-                        continue;
-                    }
-                    if !f.link_delivers(t, v) {
-                        st.losses += 1;
-                        continue;
-                    }
-                }
-                st.deliveries += 1;
-                if !informed.get(vi) {
-                    newly.push(v);
-                }
-            } else if rx > 1 {
-                st.collisions += 1;
-            } else if rx == 1 {
-                st.cs_deferrals += 1;
-            }
-        }
-        (st, newly)
-    });
-    merge_partials(partials)
-}
-
-/// SINR slot under atomic-claim contention.
-///
-/// Pass A shards the transmitters and only *claims* touched receivers —
-/// no exposure counters, because pass B recomputes everything it needs by
-/// sweeping the spatial grid around each receiver in the grid's canonical
-/// order (the exact loop [`crate::medium`]'s sequential SINR resolver
-/// runs), so the per-receiver interference sum is bit-identical under any
-/// thread count. Classification order (capture accounting before fault
-/// gating) matches the sequential medium exactly.
-#[allow(clippy::too_many_arguments)]
-fn resolve_slot_sinr(
-    topo: &Topology,
-    txs: &[u32],
-    informed: &BitSet,
-    sf: Option<&SlotFaults<'_>>,
-    params: &SinrParams,
-    tx_bits: &BitSet,
-    touched_claim: &AtomicBitSet,
-    workers: usize,
-) -> (SlotStats, Vec<u32>) {
-    let touched_parts = map_chunks("sim.slot.expose", txs, workers, |chunk| {
+            (touched, lost)
+        });
         let mut touched: Vec<u32> = Vec::new();
-        let mut lost: u64 = 0;
-        for &t in chunk {
-            for &v in topo.neighbors(NodeId(t)) {
-                if touched_claim.claim(v as usize) {
-                    touched.push(v);
-                } else if nss_obs::enabled() {
-                    lost += 1;
-                }
-            }
+        let mut lost_total: u64 = 0;
+        for (mut part, lost) in touched_parts {
+            touched.append(&mut part);
+            lost_total += lost;
         }
-        (touched, lost)
-    });
-    let mut touched: Vec<u32> = Vec::new();
-    let mut lost_total: u64 = 0;
-    for (mut part, lost) in touched_parts {
-        touched.append(&mut part);
-        lost_total += lost;
-    }
-    nss_obs::counter!("sim.claim.won").add(touched.len() as u64);
-    nss_obs::counter!("sim.claim.contended").add(lost_total);
+        nss_obs::counter!("sim.claim.won").add(touched.len() as u64);
+        nss_obs::counter!("sim.claim.contended").add(lost_total);
 
-    let r = topo.comm_radius();
-    let r2 = r * r;
-    let d2_floor = r2 * 1e-12;
-    let partials = map_chunks("sim.slot.classify", &touched, workers, |chunk| {
-        let mut st = SlotStats::default();
-        let mut newly: Vec<u32> = Vec::new();
-        for &v in chunk {
-            let vi = v as usize;
-            let pos = topo.position(NodeId(v));
-            let mut total = 0.0f64;
-            let mut best_p = -1.0f64;
-            let mut best_tx = u32::MAX;
-            let mut candidates = 0u32;
-            topo.for_each_within(&pos, params.interference_factor * r, |u| {
-                if u.0 == v || !tx_bits.get(u.index()) {
-                    return;
-                }
-                let d2 = topo.position(u).dist_sq(&pos).max(d2_floor);
-                let p = (r2 / d2).powf(params.alpha * 0.5);
-                total += p;
-                if d2 <= r2 {
-                    candidates += 1;
-                    if p > best_p || (p == best_p && u.0 < best_tx) {
-                        best_p = p;
-                        best_tx = u.0;
+        // Pass B: decide and gate, each receiver owned by one worker.
+        let partials = map_chunks("sim.slot.classify", &touched, workers, |chunk| {
+            let mut st = SlotStats::default();
+            let mut newly: Vec<u32> = Vec::new();
+            for &v in chunk {
+                let vi = v as usize;
+                let heard = if let Rule::Sinr(params) = rule {
+                    sinr_decode(topo, v, &params, &this.tx_bits, &mut st)
+                } else {
+                    // nss-lint: allow(atomic-protocol) — drain-and-reset after the phase barrier: joining pass A's scope already ordered every fetch_add before these swaps
+                    let rx = this.rx_count[vi].swap(0, Relaxed);
+                    let cs = if rule.cs_factor().is_some() {
+                        // nss-lint: allow(atomic-protocol) — same barrier argument as the rx_count drain above
+                        this.cs_count[vi].swap(0, Relaxed)
+                    } else {
+                        0
+                    };
+                    classify(rx, cs, || this.last_tx[vi].load(Relaxed), &mut st)
+                };
+                if let Some(t) = heard {
+                    if gate(&mut st, sf, t, v) && !informed.get(vi) {
+                        newly.push(v);
                     }
                 }
-            });
-            if best_tx == u32::MAX {
-                continue; // touched implies an in-range candidate; defensive
             }
-            let denom = params.noise + (total - best_p).max(0.0);
-            let decodes = denom <= 0.0 || best_p / denom >= params.beta;
-            if decodes {
-                if candidates > 1 {
-                    st.sinr_captures += 1;
-                }
-                if let Some(f) = sf {
-                    if !f.alive.get(vi) {
-                        st.dead_drops += 1;
-                        continue;
-                    }
-                    if !f.link_delivers(best_tx, v) {
-                        st.losses += 1;
-                        continue;
-                    }
-                }
-                st.deliveries += 1;
-                if !informed.get(vi) {
-                    newly.push(v);
-                }
-            } else if candidates > 1 {
-                st.collisions += 1;
-            } else {
-                st.sinr_rejects += 1;
+            (st, newly)
+        });
+        self.claim.clear_all();
+        if let Rule::Sinr(_) = rule {
+            for &t in txs {
+                self.tx_bits.clear_bit(t as usize);
             }
         }
-        (st, newly)
-    });
-    merge_partials(partials)
+        merge_partials(partials)
+    }
 }
 
 /// Folds per-worker `(stats, newly)` partials; both merges commute, so the
@@ -651,8 +489,12 @@ fn merge_partials(partials: Vec<(SlotStats, Vec<u32>)>) -> (SlotStats, Vec<u32>)
 mod tests {
     use super::*;
     use crate::executor::Executor;
+    use crate::medium::{Medium, MediumScratch};
+    use nss_model::comm::{CollisionRule, CommunicationModel, MediumBackend, SinrParams};
     use nss_model::deployment::{DeployedNetwork, Deployment};
     use nss_model::geometry::Point2;
+    use proptest::prelude::*;
+    use proptest::{collection, option};
 
     // The former free-function entry points, reconstructed on top of the
     // `Executor` builder: every trace below exercises the public API.
@@ -997,5 +839,77 @@ mod tests {
         // schedule (just the source) is identical.
         let c = run_gossip_sharded_faulty(&topo, &cfg, &plan, 2, 21, 3);
         assert_eq!(a.broadcasts_by_phase[0], c.broadcasts_by_phase[0]);
+    }
+
+    /// Resolves one slot through the sequential medium: its statistics and
+    /// the sorted set of receivers that got a delivery.
+    fn sequential_slot(
+        medium: &Medium,
+        topo: &Topology,
+        txs: &[u32],
+        sf: Option<&SlotFaults<'_>>,
+    ) -> (SlotStats, Vec<u32>) {
+        let mut scratch = MediumScratch::new(topo.len());
+        let mut heard = Vec::new();
+        let stats = medium.resolve_slot(topo, txs, &mut scratch, sf, |rx, _| heard.push(rx.0));
+        heard.sort_unstable();
+        heard.dedup();
+        (stats, heard)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Per-slot engine agreement: on random fields and transmitter
+        /// sets, under every reception rule, with and without a fault
+        /// context, the sharded resolver at 1, 2 and 3 workers reports
+        /// the same `SlotStats` and delivered-receiver set as the
+        /// sequential medium. One arbiter serves all three runs, so its
+        /// scratch must also come back clean after every slot.
+        #[test]
+        fn slot_resolution_matches_sequential_medium(
+            nodes in collection::vec((0.0f64..1.0, 0.0f64..1.0, 0u32..4), 1..200),
+            side in 1.0f64..12.0,
+            kind in 0u32..4,
+            cs_factor in 1.0f64..3.0,
+            sinr in (1.5f64..5.0, 0.05f64..3.0, (0.0f64..0.5, 1.0f64..4.0)),
+            faults in option::of((0.0f64..1.0, 0u64..1_000)),
+        ) {
+            // Flag bit 0: transmits this slot; bit 1: cannot hear (only
+            // consulted when a fault context is drawn).
+            let pts = nodes.iter().map(|&(x, y, _)| Point2::new(x * side, y * side)).collect();
+            let topo = Topology::build(&DeployedNetwork::from_positions(pts, 1.0));
+            let txs: Vec<u32> = (0..nodes.len() as u32)
+                .filter(|&u| nodes[u as usize].2 & 1 == 1)
+                .collect();
+            let hearing = BitSet::from_bools(
+                &nodes.iter().map(|&(_, _, f)| f & 2 == 0).collect::<Vec<_>>(),
+            );
+            let (alpha, beta, (noise, interference_factor)) = sinr;
+            let (model, backend) = match kind {
+                0 => (CommunicationModel::Cfm, MediumBackend::UnitDisk),
+                1 => (CommunicationModel::CAM, MediumBackend::UnitDisk),
+                2 => (
+                    CommunicationModel::Cam(CollisionRule::CarrierSense { factor: cs_factor }),
+                    MediumBackend::UnitDisk,
+                ),
+                _ => (
+                    CommunicationModel::CAM,
+                    MediumBackend::Sinr(SinrParams { alpha, beta, noise, interference_factor }),
+                ),
+            };
+            let sf = faults.map(|(loss, seed)| SlotFaults::new(&hearing, loss, seed, 3, 1));
+            let medium = Medium::with_backend(model, backend);
+            let expect = sequential_slot(&medium, &topo, &txs, sf.as_ref());
+            let mut arbiter = Arbiter::new(Rule::of(model, backend), topo.len());
+            let nobody = BitSet::new(topo.len());
+            for workers in 1..=3 {
+                let (stats, mut heard) =
+                    arbiter.resolve_slot(&topo, &txs, &nobody, sf.as_ref(), workers);
+                heard.sort_unstable();
+                heard.dedup();
+                prop_assert_eq!((stats, heard), expect.clone(), "rule {kind}, {workers} workers");
+            }
+        }
     }
 }

@@ -8,10 +8,12 @@
 //!
 //! The executor is model-agnostic: plugging a CFM [`Medium`] gives the
 //! collision-free execution the paper uses as a motivating contrast, and a
-//! CAM medium gives PB_CAM proper (with either collision rule).
+//! CAM medium gives PB_CAM proper (with either collision rule). It is
+//! scheme-agnostic too: who rebroadcasts is a `Rebroadcast` policy, so the
+//! counter- and distance-based schemes run on this same loop.
 
 use crate::bits::BitSet;
-use crate::faults::FaultState;
+use crate::faults::{FaultState, SlotFaults};
 use crate::medium::{Medium, MediumScratch, SlotStats};
 use crate::trace::SimTrace;
 use nss_model::comm::{CommunicationModel, MediumBackend};
@@ -120,13 +122,46 @@ impl GossipConfig {
     }
 }
 
-/// Core sequential gossip loop: probability axis, seed, and optional
+/// A per-node rebroadcast policy on the phase loop.
+///
+/// Every scheme the loop runs is a policy: PB_CAM's coin (any
+/// `Fn(usize) -> f64` giving each node's rebroadcast probability) and the
+/// counter- and distance-based suppression schemes of
+/// [`crate::protocols`], which flood with `p = 1` and veto a scheduled
+/// transmission on what the node overheard before its slot.
+pub(crate) trait Rebroadcast {
+    /// Probability that node `u`, informed last phase, schedules its
+    /// rebroadcast (default: always, as in flooding).
+    fn prob(&self, _u: usize) -> f64 {
+        1.0
+    }
+
+    /// Transmit-time check at `u`'s scheduled slot, after every earlier
+    /// slot of the phase has resolved. The source's phase-1 broadcast is
+    /// unconditional.
+    fn transmits(&self, _u: u32) -> bool {
+        true
+    }
+
+    /// One delivery `tx → rx`; `dup` is true when `rx` was already
+    /// informed.
+    fn heard(&mut self, _topo: &Topology, _rx: NodeId, _tx: NodeId, _dup: bool) {}
+}
+
+/// The PB_CAM coin: a per-node rebroadcast probability.
+impl<F: Fn(usize) -> f64> Rebroadcast for F {
+    fn prob(&self, u: usize) -> f64 {
+        self(u)
+    }
+}
+
+/// Core sequential gossip loop: rebroadcast policy, seed, and optional
 /// faults. Public entry is the [`crate::executor::Executor`] builder; the
 /// builder's bitwise-equality tests pin this seam directly.
 pub(crate) fn run_gossip_with(
     topo: &Topology,
     cfg: &GossipConfig,
-    prob_of: impl Fn(usize) -> f64,
+    mut policy: impl Rebroadcast,
     seed: u64,
     faults: Option<(&FaultPlan, u64)>,
 ) -> SimTrace {
@@ -149,6 +184,12 @@ pub(crate) fn run_gossip_with(
     // Fault interpretation is only instantiated for non-empty plans; the
     // `None` path below is byte-for-byte the pre-fault executor.
     let mut fault_state = faults.map(|(plan, fseed)| FaultState::new(plan, fseed, n));
+    let (link_loss, faults_seed) = faults.map_or((0.0, 0), |(plan, fseed)| (plan.link_loss, fseed));
+    // Legacy per-phase deaths narrow the reception mask the medium's fault
+    // gate checks, so a dead radio's missed packet is a dead drop there.
+    // With a plan too, the mask is the plan's hearing mask ∧ legacy-alive.
+    let legacy = cfg.node_failure_per_phase > 0.0;
+    let mut hearing = BitSet::new(if legacy && faults.is_some() { n } else { 0 });
 
     // Nodes informed in the previous phase, pending their (single)
     // rebroadcast decision.
@@ -167,18 +208,21 @@ pub(crate) fn run_gossip_with(
         }
         // Failure injection: each alive non-source node dies independently
         // at the start of the phase.
-        if cfg.node_failure_per_phase > 0.0 {
+        if legacy {
             for u in 1..n {
                 if alive.get(u) && rng.random::<f64>() < cfg.node_failure_per_phase {
                     alive.clear_bit(u);
                 }
             }
+            if let Some(fs) = fault_state.as_ref() {
+                for u in 0..n {
+                    hearing.assign(u, alive.get(u) && fs.can_hear(u));
+                }
+            }
         }
-        let mut tx_count = 0u32;
         if phase == 1 {
             // The source's initial broadcast: unconditional, uncontended.
             slots[0].push(NodeId::SOURCE.0);
-            tx_count = 1;
         } else {
             for &u in &pending {
                 if !alive.get(u as usize) {
@@ -191,37 +235,38 @@ pub(crate) fn run_gossip_with(
                         continue;
                     }
                 }
-                let p_u = prob_of(u as usize);
+                let p_u = policy.prob(u as usize);
                 if p_u >= 1.0 || rng.random::<f64>() < p_u {
                     let sl = rng.random_range(0..cfg.s) as usize;
                     slots[sl].push(u);
-                    tx_count += 1;
-                    if let Some(fs) = fault_state.as_mut() {
-                        fs.note_broadcast(u);
-                    }
                 }
             }
         }
-        trace.broadcasts_by_phase.push(tx_count);
-        nss_obs::counter!("sim.broadcasts").add(u64::from(tx_count));
 
+        let reception_mask = match (fault_state.as_ref(), legacy) {
+            (Some(fs), false) => Some(fs.hearing()),
+            (Some(_), true) => Some(&hearing),
+            (None, true) => Some(&alive),
+            (None, false) => None,
+        };
         let mut newly: Vec<u32> = Vec::new();
-        let mut deliveries = 0u64;
         let mut phase_stats = SlotStats::default();
-        for (si, sl) in slots.iter().enumerate() {
-            let sf = fault_state.as_ref().map(|fs| fs.slot(phase, si as u32));
+        for (si, sl) in slots.iter_mut().enumerate() {
+            if phase > 1 {
+                sl.retain(|&u| policy.transmits(u));
+            }
+            let sf = reception_mask
+                .map(|mask| SlotFaults::new(mask, link_loss, faults_seed, phase, si as u32));
             phase_stats.absorb(medium.resolve_slot(
                 topo,
                 sl,
                 &mut scratch,
                 sf.as_ref(),
                 |rx, tx| {
-                    if !alive.get(rx.index()) {
-                        return; // dead radios hear nothing
-                    }
-                    deliveries += 1;
                     delivered[tx.index()] += 1;
-                    if !informed.get(rx.index()) {
+                    let dup = informed.get(rx.index());
+                    policy.heard(topo, rx, tx, dup);
+                    if !dup {
                         informed.set(rx.index());
                         trace.first_rx_phase[rx.index()] = phase;
                         newly.push(rx.0);
@@ -229,7 +274,15 @@ pub(crate) fn run_gossip_with(
                 },
             ));
         }
-        trace.deliveries_by_phase.push(deliveries);
+        let tx_count: u32 = slots.iter().map(|sl| sl.len() as u32).sum();
+        if let Some(fs) = fault_state.as_mut() {
+            for &u in slots.iter().flatten() {
+                fs.note_broadcast(u);
+            }
+        }
+        trace.broadcasts_by_phase.push(tx_count);
+        nss_obs::counter!("sim.broadcasts").add(u64::from(tx_count));
+        trace.deliveries_by_phase.push(phase_stats.deliveries);
         trace.collisions_by_phase.push(phase_stats.collisions);
         trace.cs_deferrals_by_phase.push(phase_stats.cs_deferrals);
         if cfg.backend.is_sinr() {
@@ -247,23 +300,17 @@ pub(crate) fn run_gossip_with(
         if cfg.track_success_rate {
             let mut rate_sum = 0.0f64;
             let mut count = 0u32;
-            for sl in &slots {
-                for &t in sl {
-                    let deg = topo.degree(NodeId(t));
-                    if deg > 0 {
-                        rate_sum += f64::from(delivered[t as usize]) / deg as f64;
-                        count += 1;
-                    }
-                    delivered[t as usize] = 0;
+            for &t in slots.iter().flatten() {
+                let deg = topo.degree(NodeId(t));
+                if deg > 0 {
+                    rate_sum += f64::from(delivered[t as usize]) / deg as f64;
+                    count += 1;
                 }
             }
             trace.success_rate_by_phase.push((rate_sum, count));
-        } else {
-            for sl in &slots {
-                for &t in sl {
-                    delivered[t as usize] = 0;
-                }
-            }
+        }
+        for &t in slots.iter().flatten() {
+            delivered[t as usize] = 0;
         }
 
         pending = newly;

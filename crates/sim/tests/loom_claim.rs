@@ -1,8 +1,8 @@
 //! Exhaustive-interleaving model of the sharded engine's atomic-claim
-//! contention discipline (`resolve_slot_cam` in `src/sharded.rs`).
+//! contention discipline (`Arbiter::resolve_slot` in `src/sharded.rs`).
 //!
-//! Pass A of the sharded CAM slot resolver runs this protocol per
-//! transmitter worker:
+//! Pass A of `Arbiter::resolve_slot` runs this protocol per transmitter
+//! worker, inside the `visit` callback of `medium::expose`:
 //!
 //! ```text
 //! for v in neighbors(tx):
@@ -11,10 +11,11 @@
 //!     rx_count[v].fetch_add(1)                         # exposure accumulates
 //! ```
 //!
-//! Pass B's safety — each touched receiver read, classified, and reset by
-//! exactly one worker, with no further synchronization — rests on two
-//! claims about pass A, checked here for **every** schedule with the
-//! vendored `loom` shim:
+//! Pass B's safety — each touched receiver drained (`swap(0)`), run
+//! through `medium::classify` and `medium::gate`, and reset by exactly one
+//! worker, with no further synchronization — rests on two claims about
+//! pass A, checked here for **every** schedule with the vendored `loom`
+//! shim:
 //!
 //! 1. every receiver touched by any worker lands in exactly one worker's
 //!    `touched` list (the claim is an exclusive election), and
@@ -36,7 +37,7 @@ const NEIGHBORS: [&[u64]; 2] = [&[0, 1], &[1, 2]];
 const RECEIVERS: usize = 3;
 
 /// One pass-A worker: claim-then-count over its receiver list, exactly as
-/// `resolve_slot_cam` does per transmitter chunk.
+/// `Arbiter::resolve_slot` does per transmitter chunk.
 fn pass_a_worker(word: &AtomicU64, rx_count: &[AtomicU32], neighbors: &[u64]) -> Vec<u64> {
     let mut touched = Vec::new();
     for &v in neighbors {

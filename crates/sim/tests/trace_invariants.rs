@@ -23,6 +23,14 @@ use nss_sim::protocols::{
 };
 use nss_sim::slotted::GossipConfig;
 use nss_sim::trace::{SimTrace, NEVER};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes every simulation in this binary: with `obs` on, the counter
+/// tests read global-counter deltas that a concurrent run would inflate.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn disk(n_avg: u32, diameter: f64, seed: u64) -> Topology {
     Topology::build(&Deployment::disk(n_avg, 1.0, diameter).sample(seed))
@@ -140,6 +148,7 @@ fn check_first_rx(name: &str, t: &SimTrace) {
 
 #[test]
 fn slotted_protocols_satisfy_trace_invariants() {
+    let _serial = serial();
     for seed in 0..4u64 {
         let topo = disk(4, 40.0, seed + 100);
         for (name, t) in slotted_traces(&topo, seed) {
@@ -151,6 +160,7 @@ fn slotted_protocols_satisfy_trace_invariants() {
 
 #[test]
 fn cfm_never_records_collisions_or_deferrals() {
+    let _serial = serial();
     let topo = disk(5, 40.0, 9);
     let t = Executor::new(&topo)
         .gossip(GossipConfig::gossip_cfm(1.0))
@@ -162,6 +172,7 @@ fn cfm_never_records_collisions_or_deferrals() {
 
 #[test]
 fn transmission_range_rule_never_defers() {
+    let _serial = serial();
     for seed in 0..3u64 {
         let topo = disk(6, 30.0, seed + 7);
         let t = Executor::new(&topo)
@@ -177,6 +188,7 @@ fn transmission_range_rule_never_defers() {
 
 #[test]
 fn dense_cam_flooding_records_collisions() {
+    let _serial = serial();
     // A dense disk under CAM flooding must lose some receptions; the new
     // collision channel should see them.
     let topo = disk(8, 20.0, 3);
@@ -193,6 +205,7 @@ fn dense_cam_flooding_records_collisions() {
 
 #[test]
 fn async_gossip_totals_are_consistent() {
+    let _serial = serial();
     for seed in 0..4u64 {
         let topo = disk(4, 30.0, seed + 50);
         let n = topo.len() as u64;
@@ -214,57 +227,76 @@ fn async_gossip_totals_are_consistent() {
 #[cfg(feature = "obs")]
 mod obs_counters {
     use super::*;
-    use std::sync::Mutex;
+    use nss_model::faults::FaultPlan;
 
-    /// Serializes tests that read global-counter deltas.
-    static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+    const NAMES: [&str; 6] = [
+        "sim.broadcasts",
+        "sim.deliveries",
+        "sim.collisions",
+        "sim.cs_deferrals",
+        "sim.losses",
+        "sim.dead_drops",
+    ];
 
-    fn counter(name: &str) -> u64 {
-        nss_obs::registry::Registry::global().counter(name).get()
+    /// Runs `run` alone and returns its trace with the deltas of [`NAMES`].
+    fn counted(run: impl FnOnce() -> SimTrace) -> (SimTrace, [u64; 6]) {
+        let _serial = serial();
+        let read = || NAMES.map(|name| nss_obs::registry::Registry::global().counter(name).get());
+        let before = read();
+        let t = run();
+        let after = read();
+        (t, std::array::from_fn(|i| after[i] - before[i]))
+    }
+
+    fn assert_arbitration_counters(t: &SimTrace, d: &[u64; 6]) {
+        assert_eq!(d[0], t.total_broadcasts(), "sim.broadcasts");
+        assert_eq!(d[1], t.total_deliveries(), "sim.deliveries");
+        assert_eq!(d[2], t.total_collisions(), "sim.collisions");
+        assert_eq!(d[3], t.total_cs_deferrals(), "sim.cs_deferrals");
     }
 
     #[test]
     fn gossip_counters_match_trace_totals() {
-        let _guard = COUNTER_LOCK.lock().unwrap();
         let topo = disk(5, 30.0, 11);
-        let before = (
-            counter("sim.broadcasts"),
-            counter("sim.deliveries"),
-            counter("sim.collisions"),
-            counter("sim.cs_deferrals"),
-        );
-        let t = Executor::new(&topo)
-            .gossip(GossipConfig::flooding_cam())
-            .run(4);
-        let after = (
-            counter("sim.broadcasts"),
-            counter("sim.deliveries"),
-            counter("sim.collisions"),
-            counter("sim.cs_deferrals"),
-        );
-        assert_eq!(after.0 - before.0, t.total_broadcasts());
-        assert_eq!(after.1 - before.1, t.total_deliveries());
-        assert_eq!(after.2 - before.2, t.total_collisions());
-        assert_eq!(after.3 - before.3, t.total_cs_deferrals());
+        let (t, d) = counted(|| {
+            Executor::new(&topo)
+                .gossip(GossipConfig::flooding_cam())
+                .run(4)
+        });
+        assert_arbitration_counters(&t, &d);
+    }
+
+    /// Receptions a legacy-dead radio misses are dead drops at the medium's
+    /// fault gate, never deliveries — alone and combined with a fault plan.
+    #[test]
+    fn failing_gossip_counters_match_trace_totals() {
+        let topo = disk(5, 30.0, 11);
+        let mut cfg = GossipConfig::pb_cam(0.8);
+        cfg.node_failure_per_phase = 0.15;
+        let (t, d) = counted(|| Executor::new(&topo).gossip(cfg).run(4));
+        assert_arbitration_counters(&t, &d);
+        assert!(d[5] > 0, "legacy deaths must surface as dead drops");
+
+        let plan = FaultPlan::lossy(0.2);
+        let (t, d) = counted(|| {
+            Executor::new(&topo)
+                .gossip(cfg)
+                .faults(plan)
+                .faults_seed(9)
+                .run(4)
+        });
+        assert_arbitration_counters(&t, &d);
+        assert_eq!(d[4], t.total_losses(), "sim.losses");
+        assert_eq!(d[5], t.total_dead_drops(), "sim.dead_drops");
+        assert!(t.total_losses() > 0 && t.total_dead_drops() > 0);
     }
 
     #[test]
     fn async_counters_match_trace_totals() {
-        let _guard = COUNTER_LOCK.lock().unwrap();
         let topo = disk(4, 30.0, 21);
-        let before = (
-            counter("sim.broadcasts"),
-            counter("sim.deliveries"),
-            counter("sim.collisions"),
-        );
-        let t = run_async_gossip(&topo, &AsyncGossipConfig::paper(1.0), 5);
-        let after = (
-            counter("sim.broadcasts"),
-            counter("sim.deliveries"),
-            counter("sim.collisions"),
-        );
-        assert_eq!(after.0 - before.0, t.total_broadcasts());
-        assert_eq!(after.1 - before.1, t.total_deliveries());
-        assert_eq!(after.2 - before.2, t.total_collisions());
+        let (t, d) = counted(|| run_async_gossip(&topo, &AsyncGossipConfig::paper(1.0), 5));
+        assert_eq!(d[0], t.total_broadcasts());
+        assert_eq!(d[1], t.total_deliveries());
+        assert_eq!(d[2], t.total_collisions());
     }
 }

@@ -3,10 +3,13 @@
 //! count — the property that makes recorded experiment seeds meaningful.
 
 use nss::analysis::prelude::*;
+use nss::model::comm::{MediumBackend, SinrParams};
 use nss::model::prelude::*;
 use nss::sim::prelude::*;
+use nss_obs::manifest::fnv64;
 use nss_sim::protocols::async_gossip::{run_async_gossip, AsyncGossipConfig};
 use nss_sim::protocols::counter::{run_counter_broadcast, CounterConfig};
+use nss_sim::protocols::distance::{run_distance_broadcast, DistanceConfig};
 
 #[test]
 fn deployments_replay_exactly() {
@@ -78,6 +81,179 @@ fn protocol_variants_replay_exactly() {
     let a = run_counter_broadcast(&topo, &CounterConfig::paper(3), 17);
     let b = run_counter_broadcast(&topo, &CounterConfig::paper(3), 17);
     assert_eq!(a.first_rx_phase, b.first_rx_phase);
+}
+
+/// FNV-1a digest over `first_rx_phase` and every per-phase series of a
+/// trace, each length-prefixed so series boundaries are part of the hash.
+fn trace_digest(t: &SimTrace) -> u64 {
+    let mut bytes = Vec::new();
+    let mut series = |words: &mut dyn Iterator<Item = u64>| {
+        let start = bytes.len();
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        let mut len = 0u64;
+        for w in words {
+            bytes.extend_from_slice(&w.to_le_bytes());
+            len += 1;
+        }
+        bytes[start..start + 8].copy_from_slice(&len.to_le_bytes());
+    };
+    series(&mut t.first_rx_phase.iter().map(|&x| u64::from(x)));
+    series(&mut t.broadcasts_by_phase.iter().map(|&x| u64::from(x)));
+    series(&mut t.deliveries_by_phase.iter().copied());
+    series(&mut t.collisions_by_phase.iter().copied());
+    series(&mut t.cs_deferrals_by_phase.iter().copied());
+    series(
+        &mut t
+            .success_rate_by_phase
+            .iter()
+            .flat_map(|&(sum, count)| [sum.to_bits(), u64::from(count)]),
+    );
+    series(&mut t.losses_by_phase.iter().copied());
+    series(&mut t.dead_drops_by_phase.iter().copied());
+    series(&mut t.alive_by_phase.iter().map(|&x| u64::from(x)));
+    series(&mut t.sinr_rejects_by_phase.iter().copied());
+    fnv64(&bytes)
+}
+
+/// Digests of reference executions, recorded before the sequential and
+/// sharded arbitration paths were folded onto one set of rule functions.
+/// Any change to reception semantics, RNG consumption order, or fault
+/// gating shows up here as a changed digest.
+const RECORDED_DIGESTS: &[(&str, u64)] = &[
+    ("seq/tr", 0x6af188e8108bc4cf),
+    ("seq/cs", 0xa8ebbab8935b5bc3),
+    ("seq/sinr", 0xcfaad84c15f971c1),
+    ("seq/faults", 0xf391ae1287a612b9),
+    ("seq/sinr-faults", 0xbcd2f932bb7224ae),
+    ("seq/node-failure", 0x58197f0080d65f9e),
+    ("sharded1/cfm", 0xe58fd4ea1d23bfeb),
+    ("sharded2/cfm", 0xe58fd4ea1d23bfeb),
+    ("sharded1/tr", 0x577dea9c6bc647af),
+    ("sharded2/tr", 0x577dea9c6bc647af),
+    ("sharded1/cs", 0xe9ffa0ec9ef23431),
+    ("sharded2/cs", 0xe9ffa0ec9ef23431),
+    ("sharded1/sinr", 0xd6a948c71e617636),
+    ("sharded2/sinr", 0xd6a948c71e617636),
+    ("sharded1/faults", 0xd37bf9f36963bc68),
+    ("sharded2/faults", 0xd37bf9f36963bc68),
+    ("counter/cam", 0xeb047c9e6f6623ce),
+    ("counter/cfm", 0x1cc015ad06956571),
+    ("counter/cs", 0x401412f5147ba6b0),
+    ("distance/cam", 0x72201870c9b210bc),
+    ("distance/cfm", 0x80db993d2881d744),
+];
+
+fn reference_digests() -> Vec<(String, u64)> {
+    let topo = Topology::build(&Deployment::disk(4, 1.0, 40.0).sample(11));
+    let cs = CommunicationModel::Cam(CollisionRule::CARRIER_SENSE_2R);
+    let sinr = MediumBackend::Sinr(SinrParams {
+        alpha: 3.0,
+        beta: 0.5,
+        noise: 0.05,
+        interference_factor: 3.0,
+    });
+    let plan = FaultPlan {
+        link_loss: 0.2,
+        dead_frac: 0.1,
+        tx_only_frac: 0.1,
+        energy_budget: Some(2),
+        ..FaultPlan::default()
+    };
+    let tr = GossipConfig::pb_cam(0.5);
+    let cs_cfg = GossipConfig {
+        model: cs,
+        ..GossipConfig::pb_cam(0.6)
+    };
+    let sinr_cfg = GossipConfig::pb_cam(0.5).with_backend(sinr);
+    let mut failing = GossipConfig::pb_cam(0.7);
+    failing.node_failure_per_phase = 0.05;
+    failing.track_success_rate = true;
+    let cfm = GossipConfig::gossip_cfm(0.4);
+
+    let seq = |cfg: GossipConfig| Executor::new(&topo).gossip(cfg).run(42);
+    let faulty = |cfg: GossipConfig| {
+        Executor::new(&topo)
+            .gossip(cfg)
+            .faults(plan.clone())
+            .faults_seed(7)
+    };
+    let sharded = |cfg: GossipConfig, threads| Executor::new(&topo).gossip(cfg).sharded(threads);
+
+    let mut out: Vec<(String, SimTrace)> = vec![
+        ("seq/tr".into(), seq(tr)),
+        ("seq/cs".into(), seq(cs_cfg)),
+        ("seq/sinr".into(), seq(sinr_cfg)),
+        ("seq/faults".into(), faulty(tr).run(42)),
+        ("seq/sinr-faults".into(), faulty(sinr_cfg).run(42)),
+        ("seq/node-failure".into(), seq(failing)),
+    ];
+    for (name, cfg) in [("cfm", cfm), ("tr", tr), ("cs", cs_cfg), ("sinr", sinr_cfg)] {
+        for threads in [1, 2] {
+            out.push((
+                format!("sharded{threads}/{name}"),
+                sharded(cfg, threads).run(42),
+            ));
+        }
+    }
+    for threads in [1, 2] {
+        out.push((
+            format!("sharded{threads}/faults"),
+            faulty(tr).sharded(threads).run(42),
+        ));
+    }
+    let counter = CounterConfig::paper(3);
+    let distance = DistanceConfig::paper(0.4);
+    let counter_cfm = CounterConfig {
+        model: CommunicationModel::Cfm,
+        ..counter
+    };
+    let counter_cs = CounterConfig {
+        model: cs,
+        ..counter
+    };
+    let distance_cfm = DistanceConfig {
+        model: CommunicationModel::Cfm,
+        ..distance
+    };
+    out.extend([
+        (
+            "counter/cam".into(),
+            run_counter_broadcast(&topo, &counter, 42),
+        ),
+        (
+            "counter/cfm".into(),
+            run_counter_broadcast(&topo, &counter_cfm, 42),
+        ),
+        (
+            "counter/cs".into(),
+            run_counter_broadcast(&topo, &counter_cs, 42),
+        ),
+        (
+            "distance/cam".into(),
+            run_distance_broadcast(&topo, &distance, 42),
+        ),
+        (
+            "distance/cfm".into(),
+            run_distance_broadcast(&topo, &distance_cfm, 42),
+        ),
+    ]);
+    out.into_iter()
+        .map(|(name, t)| (name, trace_digest(&t)))
+        .collect()
+}
+
+#[test]
+fn traces_match_recorded_digests() {
+    let actual = reference_digests();
+    let table: String = actual
+        .iter()
+        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    let actual: Vec<(&str, u64)> = actual.iter().map(|(n, d)| (n.as_str(), *d)).collect();
+    assert_eq!(
+        actual, RECORDED_DIGESTS,
+        "trace digests moved; current table:\n{table}"
+    );
 }
 
 #[test]
