@@ -34,7 +34,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod cfm_cost;
 pub mod combinatorics;

@@ -50,7 +50,10 @@ pub fn adaptive_simpson(f: impl Fn(f64) -> f64 + Copy, a: f64, b: f64, eps: f64)
     adaptive_rec(f, a, b, fa, fb, fm, whole, eps, 50)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the recursion carries the cached endpoint and midpoint values"
+)]
 fn adaptive_rec(
     f: impl Fn(f64) -> f64 + Copy,
     a: f64,

@@ -248,9 +248,13 @@ impl RingModel {
     /// Builds a private kernel; prefer [`RingModel::cached`] when evaluating
     /// many configurations that differ only in `ρ` or `prob`.
     pub fn new(config: RingModelConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: constructors panic on invalid configs; `validate()` is the fallible path"
+        )]
         config
             .validate()
-            .unwrap_or_else(|e| panic!("invalid RingModelConfig: {e}")); // nss-lint: allow(panic-hygiene) — documented contract: constructors panic on invalid configs; `validate()` is the fallible path
+            .unwrap_or_else(|e| panic!("invalid RingModelConfig: {e}"));
         RingModel {
             config,
             kernel: Arc::new(SharedKernel::build(&config)),
@@ -263,9 +267,13 @@ impl RingModel {
     /// cs_factor)` fingerprint builds the tables, every later call — from
     /// any thread — reuses them.
     pub fn cached(config: RingModelConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: constructors panic on invalid configs; `validate()` is the fallible path"
+        )]
         config
             .validate()
-            .unwrap_or_else(|e| panic!("invalid RingModelConfig: {e}")); // nss-lint: allow(panic-hygiene) — documented contract: constructors panic on invalid configs; `validate()` is the fallible path
+            .unwrap_or_else(|e| panic!("invalid RingModelConfig: {e}"));
         RingModel {
             config,
             kernel: KernelCache::global().get(&config),
@@ -277,9 +285,13 @@ impl RingModel {
     /// [`KernelCache::get`] handed to every worker of a sweep). Panics if
     /// the kernel was built for a different fingerprint.
     pub fn with_kernel(config: RingModelConfig, kernel: Arc<SharedKernel>) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: constructors panic on invalid configs; `validate()` is the fallible path"
+        )]
         config
             .validate()
-            .unwrap_or_else(|e| panic!("invalid RingModelConfig: {e}")); // nss-lint: allow(panic-hygiene) — documented contract: constructors panic on invalid configs; `validate()` is the fallible path
+            .unwrap_or_else(|e| panic!("invalid RingModelConfig: {e}"));
         assert!(
             kernel.matches(&config),
             "kernel fingerprint {:?} does not serve this configuration",
@@ -358,7 +370,11 @@ impl RingModel {
         }
 
         for _phase in 2..=cfg.max_phases {
-            let prev = new_by_phase.last().expect("at least phase 1 exists"); // nss-lint: allow(panic-hygiene) — loop starts at phase 2, so phase 1 was pushed unconditionally above
+            #[expect(
+                clippy::expect_used,
+                reason = "loop starts at phase 2, so phase 1 was pushed unconditionally above"
+            )]
+            let prev = new_by_phase.last().expect("at least phase 1 exists");
             let prev_total: f64 = prev.iter().sum();
             // Transmitters this phase: last phase's newly informed, thinned
             // by the broadcast probability.

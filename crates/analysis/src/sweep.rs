@@ -107,8 +107,11 @@ impl DensitySweep {
         let mut grid: Vec<Vec<PhaseSeries>> = Vec::with_capacity(rhos.len());
         let mut it = results.into_iter();
         for _ in 0..rhos.len() {
+            #[expect(
+                clippy::expect_used,
+                reason = "the cursor protocol claims every index exactly once (exhaustively checked by tests/loom_sweep.rs), so a missing cell is unreachable"
+            )]
             let row: Vec<PhaseSeries> = (0..probs.len())
-                // nss-lint: allow(panic-hygiene) — the cursor protocol claims every index exactly once (exhaustively checked by tests/loom_sweep.rs), so a missing cell is unreachable
                 .map(|_| it.next().flatten().expect("sweep cell missing"))
                 .collect();
             grid.push(row);

@@ -27,6 +27,11 @@
 //! `Ordering` typo away from — must be caught by some schedule, proving
 //! the checker actually explores the racy interleavings.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] bodies; a failed step must fail the test"
+)]
+
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
 

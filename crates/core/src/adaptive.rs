@@ -122,8 +122,12 @@ pub fn evaluate_adaptive(
     replications: u32,
     master_seed: u64,
 ) -> AdaptiveOutcome {
-    let Deployment::Disk(d) = model.deployment else {
-        // nss-lint: allow(panic-hygiene) — documented precondition of the adaptive experiment; only the disk deployment defines a true density
+    #[expect(
+        clippy::panic,
+        reason = "documented precondition of the adaptive experiment; only the disk deployment defines a true density"
+    )]
+    let Deployment::Disk(d) = model.deployment
+    else {
         panic!("adaptive evaluation requires the disk deployment");
     };
     let factory = SeedFactory::new(master_seed);
@@ -133,11 +137,15 @@ pub fn evaluate_adaptive(
     ring.p = d.p_factor;
     ring.s = model.slots;
     ring.r = d.comm_radius;
+    #[expect(
+        clippy::expect_used,
+        reason = "MaxReachAtLatency is total over a non-empty grid, so an optimum always exists"
+    )]
     let oracle = ProbabilitySweep::run(ring, &ProbabilitySweep::paper_grid())
         .optimum(Objective::MaxReachAtLatency {
             phases: latency_phases,
         })
-        .expect("max objective always feasible"); // nss-lint: allow(panic-hygiene) — MaxReachAtLatency is total over a non-empty grid, so an optimum always exists
+        .expect("max objective always feasible");
 
     // Probe + run on fresh deployments per replication.
     let mut sr_total = 0.0;

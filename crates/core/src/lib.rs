@@ -30,7 +30,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod adaptive;
 pub mod algorithm;

@@ -19,7 +19,10 @@
 //! duration), `--trace-out FILE` (flight-recorder dump, Chrome
 //! `trace_event` JSON). The last two carry data only with `--features obs`.
 
-#![allow(clippy::needless_range_loop)] // tabular row/column code reads better indexed
+#![expect(
+    clippy::needless_range_loop,
+    reason = "tabular row/column code reads better indexed"
+)]
 #![forbid(unsafe_code)]
 
 mod common;

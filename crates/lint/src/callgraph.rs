@@ -1,4 +1,4 @@
-//! Cross-crate call graph over the [`parser`](crate::parser) item model.
+//! Cross-crate call graph over the [`parser`] item model.
 //!
 //! Resolution is name-based and deliberately conservative about *shape*:
 //! a bare `f(…)` resolves only to free functions (or the enclosing
@@ -261,7 +261,6 @@ impl Workspace {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn resolve(
     site: &CallSite,
     caller: &FnItem,
@@ -352,7 +351,7 @@ mod tests {
         Workspace::build(
             files
                 .iter()
-                .map(|(path, krate, src)| SourceFile::parse(path, krate, FileKind::LibSrc, src))
+                .map(|(path, krate, src)| SourceFile::parse(path, krate, FileKind::Src, src))
                 .collect(),
         )
     }

@@ -76,7 +76,7 @@ mod tests {
             violations: vec![Violation {
                 path: "a.rs".into(),
                 line: 3,
-                rule: "panic-hygiene",
+                rule: "rng-discipline",
                 message: "say \"no\" to\npanics".into(),
             }],
         };

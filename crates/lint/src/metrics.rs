@@ -14,7 +14,7 @@
 //! and `#[cfg(test)]` regions are skipped (test-only metric names are not
 //! part of the exported surface).
 
-use crate::{FileKind, SourceFile, LIB_CRATES};
+use crate::{FileKind, SourceFile};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -141,9 +141,9 @@ fn line_of(src: &str, offset: usize) -> u32 {
 }
 
 /// Scans one comment-stripped source for metric emissions.
-fn scan_file(rel: &str, crate_name: &str, kind: FileKind, src: &str, out: &mut Vec<MetricRow>) {
+fn scan_file(rel: &str, crate_name: &str, src: &str, out: &mut Vec<MetricRow>) {
     let stripped = strip_comments(src);
-    let file = SourceFile::parse(rel, crate_name, kind, src);
+    let file = SourceFile::parse(rel, crate_name, FileKind::Src, src);
     let bytes = stripped.as_bytes();
 
     let mut push = |name: String, kind: &'static str, dynamic: bool| {
@@ -247,7 +247,7 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<MetricRow>, String> {
     // Same first-party set as the lint pass, but `src/` only: metrics
     // emitted by tests and benches are not part of the exported surface.
     let mut files: Vec<(PathBuf, String, FileKind)> = Vec::new();
-    crate::collect_rs(&root.join("src"), &mut files, "nss", FileKind::LibSrc)?;
+    crate::collect_rs(&root.join("src"), &mut files, "nss", FileKind::Src)?;
     let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
         .map_err(|e| format!("reading crates/: {e}"))?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -266,16 +266,11 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<MetricRow>, String> {
         if name == "lint" || name == "obs" {
             continue;
         }
-        let kind = if LIB_CRATES.contains(&name.as_str()) {
-            FileKind::LibSrc
-        } else {
-            FileKind::BinSrc
-        };
-        crate::collect_rs(&dir.join("src"), &mut files, &name, kind)?;
+        crate::collect_rs(&dir.join("src"), &mut files, &name, FileKind::Src)?;
     }
 
     let mut rows = Vec::new();
-    for (path, crate_name, kind) in files {
+    for (path, crate_name, _) in files {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
@@ -283,7 +278,7 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<MetricRow>, String> {
             .replace('\\', "/");
         let src = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        scan_file(&rel, &crate_name, kind, &src, &mut rows);
+        scan_file(&rel, &crate_name, &src, &mut rows);
     }
 
     // Merge duplicate (name, kind) rows, unioning sites.
@@ -352,7 +347,7 @@ fn f() {
 }
 "#;
         let mut rows = Vec::new();
-        scan_file("x.rs", "model", FileKind::LibSrc, src, &mut rows);
+        scan_file("x.rs", "model", src, &mut rows);
         let names: Vec<(&str, &str)> = rows.iter().map(|r| (r.name.as_str(), r.kind)).collect();
         assert!(names.contains(&("a.requests", "counter")), "{names:?}");
         assert!(names.contains(&("a.bytes", "gauge")), "{names:?}");
@@ -378,7 +373,7 @@ mod tests {
 }
 "#;
         let mut rows = Vec::new();
-        scan_file("x.rs", "model", FileKind::LibSrc, src, &mut rows);
+        scan_file("x.rs", "model", src, &mut rows);
         assert!(rows.is_empty(), "{rows:?}");
     }
 
@@ -393,7 +388,7 @@ fn f(stage: &str) {
 }
 "#;
         let mut rows = Vec::new();
-        scan_file("x.rs", "sim", FileKind::LibSrc, src, &mut rows);
+        scan_file("x.rs", "sim", src, &mut rows);
         let names: Vec<(&str, bool)> = rows.iter().map(|r| (r.name.as_str(), r.dynamic)).collect();
         assert!(
             names.contains(&("{stage}.shard.seconds", true)),

@@ -366,7 +366,7 @@ mod tests {
     use crate::FileKind;
 
     fn parse(src: &str) -> (SourceFile, Vec<FnItem>) {
-        let f = SourceFile::parse("x.rs", "model", FileKind::LibSrc, src);
+        let f = SourceFile::parse("x.rs", "model", FileKind::Src, src);
         let fns = parse_fns(0, &f);
         (f, fns)
     }
@@ -434,7 +434,7 @@ mod tests {
         let f = SourceFile::parse(
             "x.rs",
             "serve",
-            FileKind::LibSrc,
+            FileKind::Src,
             "use nss_analysis::sharded::ShardedCache;\nuse nss_obs::http::Router;\nuse crate::QueryService;\nuse std::sync::Arc;\n",
         );
         let imp = imported_crates(&f);

@@ -85,7 +85,7 @@ fn parse_one(line: u32, body: &str, known_rules: &[&str]) -> Pragma {
 mod tests {
     use super::*;
 
-    const RULES: &[&str] = &["rng-discipline", "panic-hygiene"];
+    const RULES: &[&str] = &["rng-discipline", "float-safety"];
 
     fn parse(text: &str) -> Pragma {
         let c = [LineComment {
@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn multiple_rules_and_ascii_separator() {
-        let p = parse(" nss-lint: allow(rng-discipline, panic-hygiene) -- both fine here");
+        let p = parse(" nss-lint: allow(rng-discipline, float-safety) -- both fine here");
         assert!(p.error.is_none());
         assert_eq!(p.rules.len(), 2);
     }

@@ -107,7 +107,7 @@ mod tests {
     use crate::{lint_source, FileKind};
 
     fn lint(src: &str) -> Vec<Violation> {
-        lint_source("crates/sim/src/x.rs", "sim", FileKind::LibSrc, src)
+        lint_source("crates/sim/src/x.rs", "sim", FileKind::Src, src)
             .into_iter()
             .filter(|v| v.rule == "atomic-protocol")
             .collect()

@@ -136,7 +136,7 @@ mod tests {
         let ws = Workspace::build(vec![SourceFile::parse(
             "crates/serve/src/lib.rs",
             "serve",
-            FileKind::LibSrc,
+            FileKind::Src,
             src,
         )]);
         let mut out = Vec::new();

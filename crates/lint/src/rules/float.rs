@@ -167,15 +167,10 @@ mod tests {
     use crate::{lint_source, FileKind};
 
     fn lint(src: &str) -> Vec<Violation> {
-        lint_source(
-            "crates/analysis/src/x.rs",
-            "analysis",
-            FileKind::LibSrc,
-            src,
-        )
-        .into_iter()
-        .filter(|v| v.rule == "float-safety")
-        .collect()
+        lint_source("crates/analysis/src/x.rs", "analysis", FileKind::Src, src)
+            .into_iter()
+            .filter(|v| v.rule == "float-safety")
+            .collect()
     }
 
     #[test]
@@ -220,7 +215,7 @@ mod tests {
         let vs = lint_source(
             "crates/sim/src/x.rs",
             "sim",
-            FileKind::LibSrc,
+            FileKind::Src,
             "fn f(x: f64) -> bool { x == 0.3 }\n",
         );
         assert!(vs.iter().all(|v| v.rule != "float-safety"));

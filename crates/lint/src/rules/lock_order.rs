@@ -520,7 +520,7 @@ mod tests {
         let ws = Workspace::build(
             files
                 .iter()
-                .map(|(p, c, s)| SourceFile::parse(p, c, FileKind::LibSrc, s))
+                .map(|(p, c, s)| SourceFile::parse(p, c, FileKind::Src, s))
                 .collect(),
         );
         let mut out = Vec::new();

@@ -14,14 +14,11 @@ use crate::{SourceFile, Violation};
 
 mod atomic;
 mod blocking;
-pub(crate) mod determinism;
 mod float;
 mod lock_order;
 mod obs;
-mod panic;
 mod rng;
 mod taint;
-mod unsafe_hygiene;
 
 /// A single per-file lint rule.
 pub trait Rule {
@@ -47,12 +44,9 @@ pub trait WorkspaceRule {
 pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(rng::RngDiscipline),
-        Box::new(determinism::Determinism),
-        Box::new(panic::PanicHygiene),
         Box::new(float::FloatSafety),
         Box::new(obs::FeatureHygiene),
         Box::new(atomic::AtomicProtocol),
-        Box::new(unsafe_hygiene::UnsafeHygiene),
     ]
 }
 

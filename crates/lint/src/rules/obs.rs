@@ -173,7 +173,7 @@ mod tests {
     use crate::{lint_source, FileKind};
 
     fn lint(src: &str) -> Vec<Violation> {
-        lint_source("crates/sim/src/x.rs", "sim", FileKind::LibSrc, src)
+        lint_source("crates/sim/src/x.rs", "sim", FileKind::Src, src)
             .into_iter()
             .filter(|v| v.rule == "feature-hygiene")
             .collect()
@@ -207,7 +207,7 @@ mod tests {
         let vs = lint_source(
             "crates/obs/src/lib.rs",
             "obs",
-            FileKind::LibSrc,
+            FileKind::Src,
             "fn demo() { counter!(\"x\"); }\n",
         );
         assert!(vs.iter().all(|v| v.rule != "feature-hygiene"));
@@ -275,7 +275,7 @@ mod tests {
         let vs = lint_source(
             "crates/experiments/src/x.rs",
             "experiments",
-            FileKind::LibSrc,
+            FileKind::Src,
             "fn f() { for fig in REGISTRY { let _s = nss_obs::span!(\"fig\"); } }\n",
         );
         assert!(vs.iter().all(|v| v.rule != "feature-hygiene"), "{vs:?}");

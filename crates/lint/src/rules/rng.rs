@@ -1,25 +1,18 @@
-//! `rng-discipline` — every RNG originates from a labeled `Stream`.
+//! `rng-discipline` — no literal seeds outside tests.
 //!
-//! Thread-count-invariant replication (PR 3) depends on all randomness
-//! flowing through `nss_model::rng::SeedFactory` / `derive_seed` with a
-//! `Stream` enum label. Three lexical hazards break that:
-//!
-//! 1. Entropy-seeded generators (`thread_rng`, `from_entropy`, `OsRng`,
-//!    `ThreadRng`) — nondeterministic by construction, banned everywhere
-//!    including tests.
-//! 2. `SmallRng::seed_from_u64(<integer literal>)` in non-test code — a
-//!    hard-coded seed is an unlabeled ad-hoc stream that collides with
-//!    nothing by luck only. (Tests pin seeds deliberately; allowed there.)
-//! 3. `derive_seed(master, "raw string", …)` outside `nss-model::rng` — a
-//!    string label bypasses the `Stream` enum, so a typo silently forks or
-//!    collides a stream.
+//! Thread-count-invariant replication depends on all randomness flowing
+//! through `nss_model::rng::SeedFactory` / `derive_seed`, which take a
+//! `Stream` enum label. The type system and the vendored `rand` already
+//! close the other holes: `derive_seed` accepts no raw string label, and no
+//! entropy-seeded generator (`thread_rng`, `from_entropy`, `OsRng`) exists
+//! to call. What remains is `SmallRng::seed_from_u64(<integer literal>)` in
+//! non-test code — a hard-coded seed is an unlabeled ad-hoc stream that
+//! collides with nothing by luck only. (Tests pin seeds deliberately;
+//! allowed there.)
 
 use super::{violation, Rule};
 use crate::lexer::TokKind;
 use crate::{SourceFile, Violation};
-
-/// The entropy-source identifiers banned outright.
-const ENTROPY: &[&str] = &["thread_rng", "from_entropy", "ThreadRng", "OsRng"];
 
 pub struct RngDiscipline;
 
@@ -29,81 +22,31 @@ impl Rule for RngDiscipline {
     }
 
     fn describe(&self) -> &'static str {
-        "RNGs must come from labeled Streams: no entropy seeding, no literal seeds \
-         outside tests, no raw string labels in derive_seed"
+        "no literal seed_from_u64 seeds outside tests; derive every seed from a labeled Stream"
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Violation>) {
-        // The stream-derivation module itself defines the primitives.
-        if file.path.ends_with("model/src/rng.rs") {
-            return;
-        }
         let toks = &file.toks;
         for (i, t) in toks.iter().enumerate() {
-            if t.kind != TokKind::Ident {
+            if !t.is_ident("seed_from_u64")
+                || file.is_test_line(t.line)
+                || !toks.get(i + 1).is_some_and(|n| n.is_punct("("))
+            {
                 continue;
             }
-            if ENTROPY.contains(&t.text.as_str()) {
-                out.push(violation(
-                    file,
-                    t.line,
-                    self.id(),
-                    format!(
-                        "`{}` is entropy-seeded and nondeterministic; derive seeds via \
-                         nss_model::rng::SeedFactory with a Stream label",
-                        t.text
-                    ),
-                ));
-                continue;
-            }
-            if file.is_test_line(t.line) {
-                continue;
-            }
-            if t.text == "seed_from_u64" && toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-                if let Some(close) = file.match_delim(i + 1) {
-                    let args = &toks[i + 2..close];
-                    if args.len() == 1 && args[0].kind == TokKind::Int {
-                        out.push(violation(
-                            file,
-                            t.line,
-                            self.id(),
-                            format!(
-                                "literal seed `seed_from_u64({})` creates an unlabeled RNG \
-                                 stream; derive the seed from a Stream",
-                                args[0].text
-                            ),
-                        ));
-                    }
-                }
-            }
-            if t.text == "derive_seed" && toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-                if let Some(close) = file.match_delim(i + 1) {
-                    // Second top-level argument must not be a bare string.
-                    let mut depth = 0usize;
-                    let mut arg = 0usize;
-                    let mut j = i + 2;
-                    while j < close {
-                        let a = &toks[j];
-                        match a.text.as_str() {
-                            "(" | "[" | "{" => depth += 1,
-                            ")" | "]" | "}" => depth -= 1,
-                            "," if depth == 0 => arg += 1,
-                            _ => {
-                                if arg == 1 && a.kind == TokKind::Str {
-                                    out.push(violation(
-                                        file,
-                                        a.line,
-                                        self.id(),
-                                        "raw string label in derive_seed bypasses the Stream \
-                                         enum; add a Stream variant and pass its label()"
-                                            .to_string(),
-                                    ));
-                                    break;
-                                }
-                            }
-                        }
-                        j += 1;
-                    }
+            if let Some(close) = file.match_delim(i + 1) {
+                let args = &toks[i + 2..close];
+                if args.len() == 1 && args[0].kind == TokKind::Int {
+                    out.push(violation(
+                        file,
+                        t.line,
+                        self.id(),
+                        format!(
+                            "literal seed `seed_from_u64({})` creates an unlabeled RNG \
+                             stream; derive the seed from a Stream",
+                            args[0].text
+                        ),
+                    ));
                 }
             }
         }
@@ -116,17 +59,10 @@ mod tests {
     use crate::{lint_source, FileKind};
 
     fn lint(src: &str) -> Vec<Violation> {
-        lint_source("crates/sim/src/x.rs", "sim", FileKind::LibSrc, src)
+        lint_source("crates/sim/src/x.rs", "sim", FileKind::Src, src)
             .into_iter()
             .filter(|v| v.rule == "rng-discipline")
             .collect()
-    }
-
-    #[test]
-    fn entropy_sources_flagged_even_in_tests() {
-        let vs = lint("#[cfg(test)]\nmod tests {\n fn t() { let r = rand::thread_rng(); }\n}\n");
-        assert_eq!(vs.len(), 1);
-        assert!(vs[0].message.contains("thread_rng"));
     }
 
     #[test]
@@ -141,25 +77,5 @@ mod tests {
     fn derived_seed_variable_is_fine() {
         let vs = lint("fn f(seed: u64) { let r = SmallRng::seed_from_u64(seed); }\n");
         assert!(vs.is_empty(), "{vs:?}");
-    }
-
-    #[test]
-    fn raw_string_label_flagged() {
-        let vs = lint("fn f(m: u64) { let s = derive_seed(m, \"adhoc\", 0); }\n");
-        assert_eq!(vs.len(), 1);
-        assert!(vs[0].message.contains("Stream"));
-        let ok = lint("fn f(m: u64) { let s = derive_seed(m, Stream::Probe.label(), 0); }\n");
-        assert!(ok.is_empty(), "{ok:?}");
-    }
-
-    #[test]
-    fn rng_module_itself_exempt() {
-        let vs = lint_source(
-            "crates/model/src/rng.rs",
-            "model",
-            FileKind::LibSrc,
-            "pub fn derive_seed(m: u64, label: &str, i: u64) -> u64 { m }\n",
-        );
-        assert!(vs.is_empty());
     }
 }

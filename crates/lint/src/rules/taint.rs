@@ -10,7 +10,10 @@
 //! **Sources** (per site): `Instant::now` / `SystemTime::now`, thread-id
 //! reads (`thread::current().id()` / `ThreadId`), pointer-as-integer
 //! (`as_ptr() as usize`), and iteration over hash-ordered collections
-//! (shared detection with the per-file `determinism` rule).
+//! through a postfix chain (`self.map.read().values()`, `audible[v].iter()`).
+//! Clippy bans those iterations outright (`disallowed-methods` in
+//! `clippy.toml`); this rule still tracks them so a suppressed one cannot
+//! reach a pinned artifact.
 //!
 //! **Sinks** (per function): anything `csv` in its name (`write_csv`,
 //! `csv_to_markdown`), and simulation entry points returning `SimTrace` /
@@ -27,7 +30,7 @@
 //! the pragma is for, and the live workspace's clock reads carry pragmas
 //! saying so.
 
-use super::{determinism, Violation, WorkspaceRule};
+use super::{Violation, WorkspaceRule};
 use crate::callgraph::Workspace;
 use crate::lexer::TokKind;
 use crate::SourceFile;
@@ -35,6 +38,21 @@ use std::collections::{BTreeSet, VecDeque};
 
 /// Return-type names that mark a function as a determinism sink.
 const SINK_RETURNS: &[&str] = &["SimTrace", "TdmaOutcome", "ReplicatedTraces"];
+
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
+const ITER_METHODS: &[&str] = &[
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "keys",
+    "into_keys",
+    "values",
+    "values_mut",
+    "into_values",
+    "drain",
+    "retain",
+    "extract_if",
+];
 
 pub struct NondeterminismTaint;
 
@@ -181,7 +199,7 @@ fn is_sink(f: &crate::parser::FnItem) -> bool {
 fn find_sources(file: &SourceFile, body: (usize, usize)) -> Vec<Source> {
     let toks = &file.toks;
     let mut out = Vec::new();
-    let hash_names = determinism::hash_bound_names(file);
+    let hash_names = hash_bound_names(file);
     for i in body.0 + 1..body.1 {
         let t = &toks[i];
         if t.kind != TokKind::Ident || file.is_test_line(t.line) {
@@ -228,9 +246,9 @@ fn find_sources(file: &SourceFile, body: (usize, usize)) -> Vec<Source> {
                 detail: format!("{} as {}", t.text, toks[i + 4].text),
             });
         }
-        // Hash-ordered iteration (same detection as the determinism rule).
+        // Hash-ordered iteration.
         if hash_names.contains(&t.text) {
-            if let Some((line, method)) = determinism::chain_iteration(file, i) {
+            if let Some((line, method)) = chain_iteration(file, i) {
                 out.push(Source {
                     line,
                     what: "hash-ordered iteration",
@@ -242,6 +260,83 @@ fn find_sources(file: &SourceFile, body: (usize, usize)) -> Vec<Source> {
     out
 }
 
+/// Identifiers in this file that are (or contain) hash collections: type
+/// ascriptions whose type mentions `HashMap`/`HashSet`, and `let`-bindings
+/// initialized from `HashMap::new()`-style constructors.
+fn hash_bound_names(file: &SourceFile) -> Vec<String> {
+    let toks = &file.toks;
+    let mut names: Vec<String> = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind != TokKind::Ident || !HASH_TYPES.contains(&t.text.as_str()) {
+            continue;
+        }
+        // Walk back over the type expression to the `:` or `=` that binds
+        // it, then take the identifier before that. Bounded lookback keeps
+        // this linear in practice.
+        let lo = i.saturating_sub(24);
+        let mut j = i;
+        while j > lo {
+            j -= 1;
+            let p = &toks[j];
+            if p.is_punct(":") || p.is_punct("=") {
+                if j > 0 && toks[j - 1].kind == TokKind::Ident {
+                    let name = &toks[j - 1].text;
+                    if name != "mut" && !names.contains(name) {
+                        names.push(name.clone());
+                    }
+                }
+                break;
+            }
+            // A statement boundary or arrow before the binder means this
+            // mention is a return type / standalone path — no binder.
+            if p.is_punct(";") || p.is_punct("{") || p.is_punct("}") || p.is_punct("->") {
+                break;
+            }
+        }
+    }
+    names
+}
+
+/// If the postfix chain rooted at token `i` reaches an iteration method,
+/// returns `(line, method)`. The chain follows field projections, index
+/// groups, and intermediate calls (`self.map.read().values()`).
+fn chain_iteration(file: &SourceFile, i: usize) -> Option<(u32, String)> {
+    let toks = &file.toks;
+    let mut j = i + 1;
+    let mut hops = 0usize;
+    while j < toks.len() && hops < 8 {
+        let t = &toks[j];
+        if t.is_punct("[") {
+            j = file.match_delim(j)? + 1;
+            continue;
+        }
+        if !t.is_punct(".") {
+            return None;
+        }
+        let m = toks.get(j + 1)?;
+        if m.kind != TokKind::Ident {
+            return None;
+        }
+        if ITER_METHODS.contains(&m.text.as_str())
+            && toks.get(j + 2).is_some_and(|n| n.is_punct("("))
+        {
+            return Some((m.line, m.text.clone()));
+        }
+        match toks.get(j + 2) {
+            Some(n) if n.is_punct("(") => {
+                // Intermediate call (e.g. `.read()`); continue after it.
+                j = file.match_delim(j + 2)? + 1;
+            }
+            _ => {
+                // Field projection; continue after the field.
+                j += 2;
+            }
+        }
+        hops += 1;
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,7 +346,7 @@ mod tests {
         let ws = Workspace::build(
             files
                 .iter()
-                .map(|(p, c, s)| SourceFile::parse(p, c, FileKind::LibSrc, s))
+                .map(|(p, c, s)| SourceFile::parse(p, c, FileKind::Src, s))
                 .collect(),
         );
         let mut out = Vec::new();
@@ -318,6 +413,35 @@ mod tests {
                 .any(|v| v.message.contains("hash-ordered") && v.message.contains("emit")),
             "{vs:?}"
         );
+    }
+
+    #[test]
+    fn hash_iteration_shapes() {
+        // (source, iterates a hash collection)
+        let cases = [
+            ("fn f(m: HashMap<u32, f64>) { m.iter(); }", true),
+            (
+                "struct C { map: RwLock<HashMap<K, V>> }\n\
+                 impl C { fn b(&self) { self.map.read().values(); } }",
+                true,
+            ),
+            (
+                "fn f(a: Vec<HashMap<u32, bool>>, v: usize) { a[v].values_mut(); }",
+                true,
+            ),
+            (
+                "fn f(m: &mut HashMap<u64, f64>) { m.get(&1); m.insert(1, 0.5); }",
+                false,
+            ),
+            ("fn f(m: BTreeMap<u32, f64>) { m.iter(); }", false),
+        ];
+        for (src, want) in cases {
+            let f = SourceFile::parse("x.rs", "sim", FileKind::Src, src);
+            let names = hash_bound_names(&f);
+            let hit = (0..f.toks.len())
+                .any(|i| names.contains(&f.toks[i].text) && chain_iteration(&f, i).is_some());
+            assert_eq!(hit, want, "{src}");
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Fixture: pragma misuse — a reason-less allow and a stale allow.
 
-pub fn missing_reason(s: &str) -> u32 {
-    // nss-lint: allow(panic-hygiene)
-    s.parse().unwrap()
+pub fn missing_reason() -> SmallRng {
+    // nss-lint: allow(rng-discipline)
+    SmallRng::seed_from_u64(42)
 }
 
 pub fn stale_allow(x: u32) -> u32 {
-    // nss-lint: allow(panic-hygiene) — nothing on the next line can panic
+    // nss-lint: allow(rng-discipline) — nothing on the next line seeds an RNG
     x + 1
 }

@@ -1,15 +1,5 @@
-//! Fixture: every way to violate `rng-discipline`.
-
-pub fn ambient_entropy() -> u64 {
-    let mut rng = rand::thread_rng(); // entropy source: not reproducible
-    let _ = SmallRng::from_entropy(); // ditto
-    rng.random()
-}
+//! Fixture: an `rng-discipline` violation — a literal seed outside a test.
 
 pub fn raw_literal_seed() -> SmallRng {
     SmallRng::seed_from_u64(42) // raw literal seed outside a test
-}
-
-pub fn ad_hoc_label(master: u64) -> u64 {
-    derive_seed(master, "ad-hoc", 0) // raw string label bypasses Stream
 }

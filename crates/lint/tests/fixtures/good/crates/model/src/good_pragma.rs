@@ -1,12 +1,7 @@
-//! Fixture: well-formed pragmas suppressing real violations — the escape
-//! hatch working as designed, with written reasons.
+//! Fixture: a well-formed pragma suppressing a real violation — the escape
+//! hatch working as designed, with a written reason.
 
 pub fn deliberate_fixed_seed() -> SmallRng {
     // nss-lint: allow(rng-discipline) — fixture: a fixed golden seed is the point here
     SmallRng::seed_from_u64(7)
-}
-
-pub fn documented_invariant(xs: &[u32]) -> u32 {
-    // nss-lint: allow(panic-hygiene) — fixture: caller guarantees xs is non-empty
-    *xs.first().expect("non-empty by contract")
 }

@@ -2,7 +2,7 @@
 //! through the labeled stream-derivation path.
 
 pub fn labeled_stream(master: u64, rep: u64) -> SmallRng {
-    SmallRng::seed_from_u64(derive_seed(master, Stream::Misc.label(), rep))
+    SmallRng::seed_from_u64(derive_seed(master, Stream::Misc, rep))
 }
 
 pub fn via_factory(factory: &SeedFactory, rep: u64) -> u64 {

@@ -341,9 +341,12 @@ impl DeployedNetwork {
     /// This is the entry point for users with surveyed or trace-derived
     /// deployments rather than synthetic ones. The recorded spec is a
     /// degenerate disk deployment, retained only so `spec()` stays total.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: entry points panic on invalid configs; try_from_positions() is the fallible path"
+    )]
     pub fn from_positions(positions: Vec<Point2>, comm_radius: f64) -> Self {
         Self::try_from_positions(positions, comm_radius)
-            // nss-lint: allow(panic-hygiene) — documented contract: entry points panic on invalid configs; try_from_positions() is the fallible path
             .unwrap_or_else(|e| panic!("invalid explicit deployment: {e}"))
     }
 

@@ -35,8 +35,11 @@ impl From<u32> for NodeId {
 }
 
 impl From<usize> for NodeId {
+    #[expect(
+        clippy::expect_used,
+        reason = "`From` cannot be fallible; deployments cap node counts far below u32::MAX, making overflow a caller bug"
+    )]
     fn from(v: usize) -> Self {
-        // nss-lint: allow(panic-hygiene) — `From` cannot be fallible; deployments cap node counts far below u32::MAX, making overflow a caller bug
         NodeId(u32::try_from(v).expect("node index exceeds u32 range"))
     }
 }

@@ -35,7 +35,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod comm;
 pub mod deployment;

@@ -21,16 +21,18 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Derives a child seed from a master seed and a stream label.
+/// Derives a child seed from a master seed and a stream.
 ///
-/// The label partitions seed space by purpose (e.g. deployment vs protocol)
+/// The stream partitions seed space by purpose (e.g. deployment vs protocol)
 /// and by replication index, so adding a new consumer never perturbs the
-/// streams of existing ones.
-pub fn derive_seed(master: u64, label: &str, index: u64) -> u64 {
-    // FNV-1a over the label, then two SplitMix64 whitening steps mixing in
-    // the master seed and the index.
+/// streams of existing ones. Taking a [`Stream`] rather than a string means
+/// every stream is a named variant: a typo is a compile error, not a silent
+/// fork or collision.
+pub fn derive_seed(master: u64, stream: Stream, index: u64) -> u64 {
+    // FNV-1a over the stream's label, then two SplitMix64 whitening steps
+    // mixing in the master seed and the index.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
+    for b in stream.label().as_bytes() {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
@@ -88,7 +90,7 @@ impl SeedFactory {
 
     /// Seed for `stream` in replication `replication`.
     pub fn seed(&self, stream: Stream, replication: u64) -> u64 {
-        derive_seed(self.master, stream.label(), replication)
+        derive_seed(self.master, stream, replication)
     }
 }
 
@@ -98,7 +100,10 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        assert_eq!(derive_seed(42, "a", 0), derive_seed(42, "a", 0));
+        assert_eq!(
+            derive_seed(42, Stream::Misc, 0),
+            derive_seed(42, Stream::Misc, 0)
+        );
         let f = SeedFactory::new(7);
         assert_eq!(f.seed(Stream::Protocol, 3), f.seed(Stream::Protocol, 3));
     }

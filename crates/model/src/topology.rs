@@ -119,9 +119,12 @@ impl Topology {
     ///
     /// Panics on invalid deployments (non-positive radius, id-space
     /// overflow); [`Topology::try_build`] is the fallible path.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: entry points panic on invalid configs; try_build() is the fallible path"
+    )]
     pub fn build(net: &DeployedNetwork) -> Self {
         Self::try_build(net)
-            // nss-lint: allow(panic-hygiene) — documented contract: entry points panic on invalid configs; try_build() is the fallible path
             .unwrap_or_else(|e| panic!("invalid deployment for Topology::build: {e}"))
     }
 
@@ -169,6 +172,10 @@ impl Topology {
             }
         };
         let pass1 = BuildStage::start("topo.count");
+        #[expect(
+            clippy::expect_used,
+            reason = "a panicking builder worker leaves the CSR half-filled; propagating is the only sound option"
+        )]
         let durs: Vec<u64> = if nworkers <= 1 {
             let t0 = BuildStage::clock();
             count_range(0, &mut degrees);
@@ -189,7 +196,6 @@ impl Topology {
                     .collect();
                 handles
                     .into_iter()
-                    // nss-lint: allow(panic-hygiene) — a panicking builder worker leaves the CSR half-filled; propagating is the only sound option
                     .map(|h| h.join().expect("CSR count worker panicked"))
                     .collect()
             })
@@ -227,6 +233,10 @@ impl Topology {
             }
         };
         let pass2 = BuildStage::start("topo.fill");
+        #[expect(
+            clippy::expect_used,
+            reason = "a panicking builder worker leaves the CSR half-filled; propagating is the only sound option"
+        )]
         let durs: Vec<u64> = if nworkers <= 1 {
             let t0 = BuildStage::clock();
             fill_range(0, n, &mut adj);
@@ -253,7 +263,6 @@ impl Topology {
                 }
                 handles
                     .into_iter()
-                    // nss-lint: allow(panic-hygiene) — a panicking builder worker leaves the CSR half-filled; propagating is the only sound option
                     .map(|h| h.join().expect("CSR fill worker panicked"))
                     .collect()
             })

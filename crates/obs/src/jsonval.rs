@@ -4,7 +4,7 @@
 //! dependency-free.
 //!
 //! Objects preserve insertion order as `Vec<(String, Json)>` (no hash-map
-//! iteration-order leaks; see the `determinism` lint rule). Numbers are
+//! iteration-order leaks; `clippy.toml` bans hash-map iteration). Numbers are
 //! `f64`, which is exact for every integer the exporters emit (counters
 //! fit 2^53 in practice) and the right type for the timing fields the
 //! regression gate compares.

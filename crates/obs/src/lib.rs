@@ -49,7 +49,6 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod console;
 pub mod export;

@@ -185,6 +185,17 @@ mod tests {
                 counter.inc();
             }
         });
+        // On a loaded host all five scrapes can finish before the writer is
+        // first scheduled; wait (bounded) for its first increment so the
+        // final `last > 0` does not depend on scheduling.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while counter.get() == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "writer thread never ran"
+            );
+            std::thread::yield_now();
+        }
         let mut last = 0u64;
         for _ in 0..5 {
             let (status, text) = http_get(addr, "/metrics").expect("scrape mid-run");

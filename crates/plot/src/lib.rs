@@ -16,7 +16,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod chart;
 pub mod scale;

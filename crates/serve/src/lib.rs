@@ -38,7 +38,6 @@
 //! `serve.cache.bytes` — see `docs/METRICS.md`.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 use std::net::SocketAddr;
 use std::sync::Arc;

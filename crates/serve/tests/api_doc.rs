@@ -2,6 +2,11 @@
 //! code the document claims is exercised against a live socket here, so
 //! the API reference cannot drift from the server.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] bodies; a failed step must fail the test"
+)]
+
 use nss_serve::{QueryServer, ServeConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

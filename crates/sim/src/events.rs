@@ -131,14 +131,22 @@ pub fn run_event_delivery(
     field: &EventField<'_>,
     seed: u64,
 ) -> EventDeliveryReport {
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: entry points panic on invalid configs; `validate()` is the fallible path"
+    )]
     field
         .plan
         .validate()
-        .unwrap_or_else(|e| panic!("invalid FaultPlan: {e}")); // nss-lint: allow(panic-hygiene) — documented contract: entry points panic on invalid configs; `validate()` is the fallible path
+        .unwrap_or_else(|e| panic!("invalid FaultPlan: {e}"));
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: entry points panic on invalid configs"
+    )]
     field
         .backend
         .validate()
-        .unwrap_or_else(|e| panic!("invalid MediumBackend: {e}")); // nss-lint: allow(panic-hygiene) — documented contract: entry points panic on invalid configs
+        .unwrap_or_else(|e| panic!("invalid MediumBackend: {e}"));
     assert!(field.rounds > 0, "need at least one round");
     assert!(field.slots > 0, "need at least one slot per round");
     assert!(

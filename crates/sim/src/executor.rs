@@ -146,9 +146,13 @@ impl<'a> Executor<'a> {
         if self.plan.is_empty() {
             None
         } else {
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: entry points panic on invalid configs; `validate()` is the fallible path"
+            )]
             self.plan
                 .validate()
-                .unwrap_or_else(|e| panic!("invalid FaultPlan: {e}")); // nss-lint: allow(panic-hygiene) — documented contract: entry points panic on invalid configs; `validate()` is the fallible path
+                .unwrap_or_else(|e| panic!("invalid FaultPlan: {e}"));
             Some((&self.plan, self.faults_seed))
         }
     }
@@ -182,8 +186,12 @@ impl<'a> Executor<'a> {
             (Engine::Sharded(threads), None) => {
                 crate::sharded::run_sharded_with(self.topo, &self.cfg, seed, faults, threads)
             }
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: entry points panic on invalid configs"
+            )]
             (Engine::Sharded(_), Some(_)) => {
-                panic!("per-node probabilities require the sequential engine") // nss-lint: allow(panic-hygiene) — documented contract: entry points panic on invalid configs
+                panic!("per-node probabilities require the sequential engine")
             }
         }
     }

@@ -29,7 +29,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod bits;
 pub mod engine;

@@ -36,11 +36,8 @@ pub fn probe_per_node_success(topo: &Topology, s: u32, rounds: u32, master_seed:
     let mut delivered = vec![0u32; n];
 
     for round in 0..rounds {
-        let mut rng = SmallRng::seed_from_u64(derive_seed(
-            master_seed,
-            Stream::Probe.label(),
-            u64::from(round),
-        ));
+        let mut rng =
+            SmallRng::seed_from_u64(derive_seed(master_seed, Stream::Probe, u64::from(round)));
         let mut informed = BitSet::new(n);
         informed.set(NodeId::SOURCE.index());
         let mut pending: Vec<u32> = vec![NodeId::SOURCE.0];

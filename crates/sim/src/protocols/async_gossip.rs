@@ -105,8 +105,12 @@ pub fn run_async_gossip_faulty(
     if plan.is_empty() {
         return run_async_with(topo, cfg, seed, None);
     }
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: entry points panic on invalid configs; `validate()` is the fallible path"
+    )]
     plan.validate()
-        .unwrap_or_else(|e| panic!("invalid FaultPlan: {e}")); // nss-lint: allow(panic-hygiene) — documented contract: entry points panic on invalid configs; `validate()` is the fallible path
+        .unwrap_or_else(|e| panic!("invalid FaultPlan: {e}"));
     run_async_with(topo, cfg, seed, Some((plan, faults_seed)))
 }
 
@@ -116,8 +120,12 @@ fn run_async_with(
     seed: u64,
     faults: Option<(&FaultPlan, u64)>,
 ) -> SimTrace {
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: entry points panic on invalid configs; `validate()` is the fallible path"
+    )]
     cfg.validate()
-        .unwrap_or_else(|e| panic!("invalid AsyncGossipConfig: {e}")); // nss-lint: allow(panic-hygiene) — documented contract: entry points panic on invalid configs; `validate()` is the fallible path
+        .unwrap_or_else(|e| panic!("invalid AsyncGossipConfig: {e}"));
     let n = topo.len();
     let mut trace = SimTrace::new(n);
     if n == 0 {

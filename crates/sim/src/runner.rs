@@ -154,9 +154,12 @@ impl Replication {
             });
         }
         ReplicatedTraces {
+            #[expect(
+                clippy::expect_used,
+                reason = "the cursor protocol claims every replication index exactly once (same protocol loom-checked in analysis/tests/loom_sweep.rs), so a missing trace is unreachable"
+            )]
             traces: traces
                 .into_iter()
-                // nss-lint: allow(panic-hygiene) — the cursor protocol claims every replication index exactly once (same protocol loom-checked in analysis/tests/loom_sweep.rs), so a missing trace is unreachable
                 .map(|t| t.expect("all runs complete"))
                 .collect(),
         }

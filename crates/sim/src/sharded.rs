@@ -112,6 +112,10 @@ where
     } else {
         0
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "a panicking worker already poisoned the replication; propagating the panic is the only sound option"
+    )]
     let timed: Vec<(T, u64)> = if nw <= 1 {
         vec![timed_chunk(items, &f)]
     } else {
@@ -123,7 +127,6 @@ where
                 .collect();
             handles
                 .into_iter()
-                // nss-lint: allow(panic-hygiene) — a panicking worker already poisoned the replication; propagating the panic is the only sound option
                 .map(|h| h.join().expect("sharded worker panicked"))
                 .collect()
         })
@@ -191,8 +194,12 @@ pub(crate) fn run_sharded_with(
     faults: Option<(&FaultPlan, u64)>,
     threads: usize,
 ) -> SimTrace {
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: entry points panic on invalid configs; `validate_sharded()` is the fallible path"
+    )]
     validate_sharded(cfg)
-        .unwrap_or_else(|e| panic!("invalid GossipConfig for sharded engine: {e}")); // nss-lint: allow(panic-hygiene) — documented contract: entry points panic on invalid configs; `validate_sharded()` is the fallible path
+        .unwrap_or_else(|e| panic!("invalid GossipConfig for sharded engine: {e}"));
     let n = topo.len();
     let mut trace = SimTrace::new(n);
     if n == 0 {

@@ -165,8 +165,12 @@ pub(crate) fn run_gossip_with(
     seed: u64,
     faults: Option<(&FaultPlan, u64)>,
 ) -> SimTrace {
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: entry points panic on invalid configs; `validate()` is the fallible path"
+    )]
     cfg.validate()
-        .unwrap_or_else(|e| panic!("invalid GossipConfig: {e}")); // nss-lint: allow(panic-hygiene) — documented contract: entry points panic on invalid configs; `validate()` is the fallible path
+        .unwrap_or_else(|e| panic!("invalid GossipConfig: {e}"));
     let n = topo.len();
     let mut trace = SimTrace::new(n);
     if n == 0 {

@@ -27,10 +27,13 @@ impl Summary {
     pub fn of(values: &[f64]) -> Summary {
         match Self::of_checked(values) {
             Ok(s) => s,
+            #[expect(
+                clippy::expect_used,
+                reason = "the slice was just filtered with `!is_nan()`, so the checked path cannot fail"
+            )]
             Err(nan_count) => {
                 nss_obs::counter!("stats.nan_rejected").add(nan_count as u64);
                 let filtered: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-                // nss-lint: allow(panic-hygiene) — the slice was just filtered with `!is_nan()`, so the checked path cannot fail
                 Self::of_checked(&filtered).expect("filtered sample has no NaN")
             }
         }

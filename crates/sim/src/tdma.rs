@@ -81,10 +81,14 @@ impl TdmaSchedule {
                     }
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "`used` is sized `max_degree + 2`, so a free slot always exists past the neighbors' claims"
+            )]
             let slot = used
                 .iter()
                 .position(|&b| !b)
-                .expect("bitmap always has a free trailing slot") as u32; // nss-lint: allow(panic-hygiene) — `used` is sized `max_degree + 2`, so a free slot always exists past the neighbors' claims
+                .expect("bitmap always has a free trailing slot") as u32;
             slot_of[u as usize] = slot;
             frame_len = frame_len.max(slot + 1);
         }

@@ -14,6 +14,11 @@
 //! * with the `obs` feature on, the global counters agree exactly with
 //!   the trace totals.
 
+#![expect(
+    clippy::panic,
+    reason = "test helpers outside #[test] bodies; a failed step must fail the test"
+)]
+
 use nss_model::deployment::Deployment;
 use nss_model::topology::Topology;
 use nss_sim::executor::Executor;

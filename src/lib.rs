@@ -12,6 +12,16 @@
 //! paper-vs-measured record.
 
 #![forbid(unsafe_code)]
+// The workspace's library panic policy (`[workspace.lints]` in Cargo.toml),
+// as crate attributes: opting the package in would also hold its
+// examples, which print, to the library print ban.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub use nss_analysis as analysis;
 pub use nss_core as core;
