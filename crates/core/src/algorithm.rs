@@ -78,7 +78,6 @@ impl BroadcastAlgorithm {
                 model,
                 max_phases: 10_000,
                 track_success_rate: false,
-                node_failure_per_phase: 0.0,
                 backend: MediumBackend::UnitDisk,
             }),
             BroadcastAlgorithm::ProbabilityBased { prob } => Some(GossipConfig {
@@ -87,7 +86,6 @@ impl BroadcastAlgorithm {
                 model,
                 max_phases: 10_000,
                 track_success_rate: false,
-                node_failure_per_phase: 0.0,
                 backend: MediumBackend::UnitDisk,
             }),
             BroadcastAlgorithm::CounterBased { .. } => None,

@@ -95,7 +95,6 @@ impl DesignOptimizer {
             model: self.model.comm,
             max_phases: 10_000,
             track_success_rate: false,
-            node_failure_per_phase: 0.0,
             backend: MediumBackend::UnitDisk,
         };
         Replication::paper(self.model.deployment, gossip, master_seed)

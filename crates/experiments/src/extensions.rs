@@ -13,6 +13,7 @@ use nss_core::network::NetworkModel;
 use nss_core::prediction::flooding_gap;
 use nss_model::comm::CollisionRule;
 use nss_model::deployment::{Deployment, GridDeployment};
+use nss_model::faults::FaultPlan;
 use nss_model::rng::{SeedFactory, Stream};
 use nss_model::topology::Topology;
 use nss_sim::executor::Executor;
@@ -544,7 +545,9 @@ pub fn ext_convergecast(ctx: &Ctx) {
 }
 
 /// Ext L — failure injection: PB_CAM reachability under per-phase node
-/// deaths (sensitivity to the paper's stable-snapshot Assumption 5).
+/// deaths (sensitivity to the paper's stable-snapshot Assumption 5). A
+/// per-phase hazard `q` is a fault plan of permanent crashes at geometric
+/// times ([`FaultPlan::per_phase_crashes`]), so it runs on any engine.
 pub fn ext_failures(ctx: &Ctx) {
     heading("Ext L: PB_CAM under per-phase node failures");
     nss_obs::status!(
@@ -567,10 +570,13 @@ pub fn ext_failures(ctx: &Ctx) {
                 let topo = Topology::build(
                     &Deployment::disk(5, 1.0, rho).sample(factory.seed(Stream::Deployment, rep)),
                 );
-                let mut cfg = GossipConfig::pb_cam(p);
-                cfg.node_failure_per_phase = q;
+                let faults_seed = factory.seed(Stream::Faults, rep);
+                let plan = FaultPlan::per_phase_crashes(topo.len(), q, faults_seed)
+                    .expect("hazards in the sweep are probabilities");
                 total += Executor::new(&topo)
-                    .gossip(cfg)
+                    .gossip(GossipConfig::pb_cam(p))
+                    .faults(plan)
+                    .faults_seed(faults_seed)
                     .run(factory.seed(Stream::Protocol, rep))
                     .final_reachability();
             }

@@ -180,6 +180,48 @@ impl FaultPlan {
         FaultPlan::capability(Capability::TransmitOnly, frac)
     }
 
+    /// A plan of permanent crashes under a per-phase death hazard `q`:
+    /// each non-source node independently crashes at the start of phase
+    /// `T ~ Geometric(q)`, so `P(T ≤ k) = 1 − (1 − q)^k` — the node is
+    /// dead in phase `k` with the probability it would have by then under
+    /// an independent coin per phase. `T` is an inverse-CDF draw from a
+    /// stateless hash of `(faults_seed, node)`, so the plan is a pure
+    /// function of its arguments. `q = 0` gives the empty plan; crash
+    /// phases beyond `u32::MAX` are omitted (the node never crashes).
+    ///
+    /// ```
+    /// use nss_model::faults::FaultPlan;
+    ///
+    /// let plan = FaultPlan::per_phase_crashes(100, 1.0, 7).unwrap();
+    /// assert_eq!(plan.outages.len(), 99); // every non-source node, phase 1
+    /// assert!(plan.outages.iter().all(|o| o.node != 0 && o.from_phase == 1));
+    /// assert!(FaultPlan::per_phase_crashes(100, 0.0, 7).unwrap().is_empty());
+    /// assert!(FaultPlan::per_phase_crashes(100, 1.5, 7).is_err());
+    /// ```
+    pub fn per_phase_crashes(n: usize, q: f64, faults_seed: u64) -> Result<Self, ConfigError> {
+        if !(0.0..=1.0).contains(&q) {
+            return Err(ConfigError::OutOfUnitRange {
+                field: "per-phase crash probability",
+                value: q,
+            });
+        }
+        let mut plan = FaultPlan::none();
+        if q == 0.0 {
+            return Ok(plan);
+        }
+        // ln(1 − q); −∞ at q = 1, which puts every crash at phase 1.
+        let log_survive = (-q).ln_1p();
+        // Node ids are `u32`; a field can never hold more nodes than that.
+        for node in (1..n).map_while(|u| u32::try_from(u).ok()) {
+            let u = hash_unit(faults_seed ^ CRASH_SALT, u64::from(node));
+            let phase = ((-u).ln_1p() / log_survive).floor() + 1.0;
+            if phase <= f64::from(u32::MAX) {
+                plan.outages.push(NodeOutage::crash(node, phase as u32));
+            }
+        }
+        Ok(plan)
+    }
+
     /// True when the plan injects nothing; executors take the exact
     /// fault-free code path in that case.
     pub fn is_empty(&self) -> bool {
@@ -445,6 +487,10 @@ impl FaultPlan {
     }
 }
 
+/// Salt keying [`FaultPlan::per_phase_crashes`]'s draws apart from the
+/// thinning/capability draw (`0xD1E5_F00D`) on the same faults seed.
+const CRASH_SALT: u64 = 0xC7A5_4ED0;
+
 /// Stateless uniform draw in `[0, 1)` from `(seed, payload)` via SplitMix64
 /// whitening. The top 53 bits give a dyadic rational, so results are exact
 /// and platform-independent.
@@ -698,6 +744,74 @@ mod tests {
         // Old specs (no txonly key) still parse to tx_only_frac = 0.
         let legacy = FaultPlan::parse_spec("loss=0.2,dead=0.1").unwrap();
         assert_eq!(legacy.tx_only_frac, 0.0);
+    }
+
+    #[test]
+    fn per_phase_crashes_never_list_the_source() {
+        for seed in 0..20 {
+            let plan = FaultPlan::per_phase_crashes(50, 0.3, seed).unwrap();
+            assert!(plan.outages.iter().all(|o| o.node != 0), "seed {seed}");
+            assert_eq!(
+                plan.outages.len(),
+                49,
+                "q = 0.3 crashes every node eventually"
+            );
+        }
+        let all = FaultPlan::per_phase_crashes(10, 1.0, 3).unwrap();
+        let nodes: Vec<u32> = all.outages.iter().map(|o| o.node).collect();
+        assert_eq!(nodes, (1..10).collect::<Vec<_>>());
+        assert!(all
+            .outages
+            .iter()
+            .all(|o| *o == NodeOutage::crash(o.node, 1)));
+        assert!(FaultPlan::per_phase_crashes(1, 1.0, 3).unwrap().is_empty());
+        assert!(FaultPlan::per_phase_crashes(0, 1.0, 3).unwrap().is_empty());
+    }
+
+    #[test]
+    fn per_phase_crash_times_are_geometric() {
+        let n = 20_001;
+        for q in [0.02, 0.1, 0.5] {
+            let plan = FaultPlan::per_phase_crashes(n, q, 11).unwrap();
+            let crashes: Vec<u32> = plan.outages.iter().map(|o| o.from_phase).collect();
+            for k in [1u32, 2, 5, 10, 30] {
+                let empirical = crashes.iter().filter(|&&t| t <= k).count() as f64 / (n - 1) as f64;
+                let expected = 1.0 - (1.0 - q).powi(k as i32);
+                assert!(
+                    (empirical - expected).abs() < 0.015,
+                    "q {q}, k {k}: P(T ≤ k) {empirical} vs {expected}"
+                );
+            }
+        }
+        // Deterministic per seed; a different seed picks different times.
+        let a = FaultPlan::per_phase_crashes(500, 0.1, 5).unwrap();
+        assert_eq!(a, FaultPlan::per_phase_crashes(500, 0.1, 5).unwrap());
+        assert_ne!(a, FaultPlan::per_phase_crashes(500, 0.1, 6).unwrap());
+        // A vanishing hazard puts crash times past u32::MAX: omitted.
+        assert!(FaultPlan::per_phase_crashes(500, 1e-300, 5)
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn per_phase_crashes_reject_bad_hazards() {
+        for q in [-0.1, 1.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    FaultPlan::per_phase_crashes(10, q, 0),
+                    Err(ConfigError::OutOfUnitRange { .. })
+                ),
+                "q {q}"
+            );
+        }
+        assert!(FaultPlan::per_phase_crashes(10, 0.0, 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn per_phase_crashes_roundtrip_through_spec() {
+        let plan = FaultPlan::per_phase_crashes(300, 0.05, 9).unwrap();
+        assert!(plan.validate().is_ok());
+        assert_eq!(FaultPlan::parse_spec(&plan.to_spec()).unwrap(), plan);
     }
 
     #[test]

@@ -163,8 +163,7 @@ impl<'a> Executor<'a> {
     ///
     /// On invalid configurations or plans, on per-node probability vectors
     /// that don't match the topology, and on combinations the sharded
-    /// engine rejects (per-node probabilities, success-rate tracking,
-    /// legacy per-phase failure injection).
+    /// engine rejects (per-node probabilities, success-rate tracking).
     pub fn run(&self, seed: u64) -> SimTrace {
         let faults = self.checked_faults();
         match (self.engine, self.probs.as_deref()) {

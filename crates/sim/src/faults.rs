@@ -14,7 +14,7 @@
 
 use crate::bits::BitSet;
 use crate::medium::SlotStats;
-use nss_model::faults::{hash_unit, Capability, FaultPlan};
+use nss_model::faults::{hash_unit, Capability, FaultPlan, NodeOutage};
 use nss_model::rng::splitmix64;
 
 /// Per-slot fault context handed to [`crate::medium::Medium::resolve_slot`]:
@@ -71,6 +71,12 @@ impl<'a> SlotFaults<'a> {
 pub struct FaultState<'a> {
     plan: &'a FaultPlan,
     seed: u64,
+    /// The plan's outages of non-source nodes below `n`, sorted by node:
+    /// [`FaultState::begin_phase`] walks them alongside the nodes, so a
+    /// phase costs O(n + |outages|) rather than a scan of every outage per
+    /// node. (Outages of the source or of nodes outside the field have no
+    /// effect, as in [`FaultPlan::scheduled_awake`].)
+    outages: Vec<NodeOutage>,
     /// Survives the run-level `dead_frac` thinning (fixed at construction).
     survives: BitSet,
     /// Has a receiver chain: capability class is not
@@ -100,9 +106,17 @@ impl<'a> FaultState<'a> {
                 rx_capable.set(u);
             }
         }
+        let mut outages: Vec<NodeOutage> = plan
+            .outages
+            .iter()
+            .filter(|o| o.node != 0 && (o.node as usize) < n)
+            .copied()
+            .collect();
+        outages.sort_by_key(|o| o.node);
         FaultState {
             plan,
             seed,
+            outages,
             survives,
             rx_capable,
             broadcasts: vec![0; n],
@@ -114,10 +128,17 @@ impl<'a> FaultState<'a> {
 
     /// Recomputes the effective liveness mask for `phase` (1-based).
     pub fn begin_phase(&mut self, phase: u32) {
+        let mut outages = self.outages.iter().peekable();
+        let duty = self.plan.duty_cycle;
         for u in 0..self.alive.len() {
-            let alive = self.survives.get(u)
-                && !self.exhausted.get(u)
-                && self.plan.scheduled_awake(u as u32, phase);
+            // Equal to `plan.scheduled_awake(u, phase)`: the node's outages
+            // are the next run of the sorted list.
+            let mut down = false;
+            while let Some(o) = outages.next_if(|o| o.node as usize == u) {
+                down |= o.covers(phase);
+            }
+            let scheduled = u == 0 || (!down && duty.is_none_or(|d| d.awake(u as u32, phase)));
+            let alive = self.survives.get(u) && !self.exhausted.get(u) && scheduled;
             self.alive.assign(u, alive);
             self.hearing.assign(u, alive && self.rx_capable.get(u));
         }
@@ -134,13 +155,9 @@ impl<'a> FaultState<'a> {
         self.alive.get(u)
     }
 
-    /// Whether node `u` can *receive* in the current phase: alive and not
-    /// in the transmit-only capability class.
-    pub fn can_hear(&self, u: usize) -> bool {
-        self.hearing.get(u)
-    }
-
-    /// The reception-gating mask (`alive ∧ rx_capable`) for this phase.
+    /// The reception-gating mask (`alive ∧ rx_capable`) for this phase:
+    /// node `u` can *receive* iff it is alive and not in the transmit-only
+    /// capability class.
     pub fn hearing(&self) -> &BitSet {
         &self.hearing
     }
@@ -184,7 +201,9 @@ pub fn record_fault_obs(stats: &SlotStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nss_model::faults::{DutyCycle, NodeOutage};
+    use nss_model::faults::DutyCycle;
+    use proptest::prelude::*;
+    use proptest::{collection, option};
 
     #[test]
     fn link_coins_are_deterministic_and_slot_independent() {
@@ -298,14 +317,14 @@ mod tests {
         for u in 0..300 {
             match mixed.capability_of(u as u32, 11) {
                 Capability::Normal => {
-                    assert!(fs.is_alive(u) && fs.can_hear(u), "node {u}");
+                    assert!(fs.is_alive(u) && fs.hearing().get(u), "node {u}");
                 }
                 Capability::TransmitOnly => {
-                    assert!(fs.is_alive(u) && !fs.can_hear(u), "node {u}");
+                    assert!(fs.is_alive(u) && !fs.hearing().get(u), "node {u}");
                     tx_only_seen += 1;
                 }
                 Capability::Dead => {
-                    assert!(!fs.is_alive(u) && !fs.can_hear(u), "node {u}");
+                    assert!(!fs.is_alive(u) && !fs.hearing().get(u), "node {u}");
                 }
             }
         }
@@ -326,5 +345,84 @@ mod tests {
         assert!(fs.is_alive(0), "source survives");
         let dead = 200 - first.count_ones();
         assert!(dead > 50, "roughly half should die, got {dead}/200");
+    }
+
+    #[test]
+    fn source_outage_leaves_the_source_awake() {
+        let mut plan = FaultPlan::none();
+        plan.outages.push(NodeOutage::crash(0, 1));
+        plan.outages.push(NodeOutage::crash(1, 2));
+        let mut fs = FaultState::new(&plan, 0, 3);
+        for phase in 1..5 {
+            fs.begin_phase(phase);
+            assert!(fs.is_alive(0) && fs.hearing().get(0), "phase {phase}");
+            assert_eq!(fs.is_alive(1), phase < 2, "phase {phase}");
+            assert!(fs.is_alive(2), "phase {phase}");
+        }
+    }
+
+    #[test]
+    fn outage_beyond_the_field_is_ignored() {
+        use crate::executor::Executor;
+        use crate::slotted::GossipConfig;
+        use nss_model::deployment::DeployedNetwork;
+        use nss_model::geometry::Point2;
+        use nss_model::topology::Topology;
+
+        let plan = FaultPlan::parse_spec("out=4000000000:1-").unwrap();
+        let mut fs = FaultState::new(&plan, 0, 100);
+        fs.begin_phase(1);
+        assert_eq!(fs.alive_count(), 100);
+        // End to end on a 100-node field: nobody is down, and the run
+        // informs exactly the nodes the fault-free run does.
+        let pts = (0..100)
+            .map(|i| Point2::new(f64::from(i % 10) * 0.6, f64::from(i / 10) * 0.6))
+            .collect();
+        let topo = Topology::build(&DeployedNetwork::from_positions(pts, 1.0));
+        let cfg = GossipConfig::pb_cam(0.6);
+        let plain = Executor::new(&topo).gossip(cfg).run(5);
+        let faulted = Executor::new(&topo).gossip(cfg).faults(plan).run(5);
+        assert!(faulted.alive_by_phase.iter().all(|&a| a == 100));
+        assert_eq!(plain.first_rx_phase, faulted.first_rx_phase);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The node-sorted outage index agrees with the plan's own
+        /// per-node scan, `FaultPlan::scheduled_awake`, on random outage
+        /// lists (several per node, some of the source or past the field)
+        /// with and without a duty cycle, at every phase.
+        #[test]
+        fn outage_index_matches_scheduled_awake(
+            n in 1usize..40,
+            outages in collection::vec((0u32..48, 1u32..12, option::of(1u32..8)), 0..60),
+            duty in option::of((1u32..5, 1u32..5)),
+        ) {
+            let mut plan = FaultPlan::none();
+            plan.outages = outages
+                .iter()
+                .map(|&(node, from_phase, len)| NodeOutage {
+                    node,
+                    from_phase,
+                    until_phase: len.map(|l| from_phase + l),
+                })
+                .collect();
+            plan.duty_cycle = duty.map(|(on, extra)| DutyCycle {
+                period: on + extra - 1,
+                on_phases: on,
+            });
+            let mut fs = FaultState::new(&plan, 0, n);
+            for phase in 1..16 {
+                fs.begin_phase(phase);
+                for u in 0..n {
+                    prop_assert_eq!(
+                        fs.is_alive(u),
+                        plan.scheduled_awake(u as u32, phase),
+                        "node {}, phase {}", u, phase
+                    );
+                }
+            }
+        }
     }
 }

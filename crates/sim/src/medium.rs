@@ -83,9 +83,9 @@ impl MediumScratch {
 /// Outcome accounting for one resolved slot.
 ///
 /// Counts are per *(receiver, slot)* pair and pre-protocol-filtering: a
-/// delivery to an already-informed or dead node still counts here —
-/// duplicate suppression and failure injection are protocol logic layered
-/// above the medium.
+/// delivery to an already-informed node still counts here — duplicate
+/// suppression is protocol logic layered above the medium. A receiver the
+/// fault plan has down is a `dead_drops`, never a delivery (`gate`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlotStats {
     /// Clean deliveries reported via `on_delivery`.

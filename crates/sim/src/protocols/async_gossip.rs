@@ -16,8 +16,9 @@
 use crate::bits::BitSet;
 use crate::engine::{EventQueue, Time};
 use crate::faults::FaultState;
+use crate::medium::{expose, gate, record_obs, Reach, Rule, SlotStats};
 use crate::trace::SimTrace;
-use nss_model::comm::CollisionRule;
+use nss_model::comm::{CollisionRule, CommunicationModel, MediumBackend};
 use nss_model::error::ConfigError;
 use nss_model::faults::FaultPlan;
 use nss_model::ids::NodeId;
@@ -142,11 +143,11 @@ fn run_async_with(
     // Carrier-sense bookkeeping: count of active annulus interferers per
     // receiver (always zero under the transmission-range rule).
     let mut interference: Vec<u32> = vec![0; n];
-    let cs_factor = match cfg.collision {
-        CollisionRule::TransmissionRange => None,
-        CollisionRule::CarrierSense { factor } => Some(factor),
-    };
-    let r = topo.comm_radius();
+    let cs_factor = Rule::of(
+        CommunicationModel::Cam(cfg.collision),
+        MediumBackend::UnitDisk,
+    )
+    .cs_factor();
     let mut queue: EventQueue<Ev> = EventQueue::new();
     let horizon = cfg.window * cfg.max_windows;
 
@@ -155,29 +156,31 @@ fn run_async_with(
 
     let mut first_rx_time: Vec<f64> = vec![f64::INFINITY; n];
     first_rx_time[NodeId::SOURCE.index()] = 0.0;
-    let mut tx_times: Vec<f64> = Vec::new();
-    let mut deliveries: Vec<f64> = Vec::new();
-    // Receptions garbled by overlap or annulus interference, by end time.
-    let mut corrupted: Vec<f64> = Vec::new();
+    let mut latest_tx = 0.0f64;
+    // Per analysis window: broadcasts started, and the outcomes of the
+    // receptions that ended in it (garbled ones count as collisions).
+    let mut windows: Vec<(u32, SlotStats)> = Vec::new();
 
-    // Fault bookkeeping (only for non-empty plans): window-stepped liveness,
-    // per-transmission sequence numbers keying stateless link-loss coins,
-    // and drop timestamps for the quantized trace.
+    // Fault bookkeeping (only for non-empty plans): window-stepped liveness
+    // and per-transmission sequence numbers keying stateless link-loss
+    // coins.
     let mut fault_state = faults.map(|(plan, fseed)| FaultState::new(plan, fseed, n));
     let mut fault_phase = 0u32;
     let mut tx_seq = 0u32;
     let mut seq_of: Vec<u32> = vec![0; if fault_state.is_some() { n } else { 0 }];
-    let mut lost: Vec<f64> = Vec::new();
-    let mut dead_dropped: Vec<f64> = Vec::new();
     let mut alive_marks: Vec<(u32, u32)> = Vec::new(); // (phase, alive count)
 
     while let Some((t, ev)) = queue.pop() {
         if t.as_f64() > horizon {
             break;
         }
+        let w = (t.as_f64() / cfg.window).floor() as usize;
+        if windows.len() <= w {
+            windows.resize(w + 1, (0, SlotStats::default()));
+        }
         if let Some(fs) = fault_state.as_mut() {
             // Events pop in time order, so the window index is monotone.
-            let phase = (t.as_f64() / cfg.window).floor() as u32 + 1;
+            let phase = w as u32 + 1;
             if phase != fault_phase {
                 fault_phase = phase;
                 fs.begin_phase(phase);
@@ -194,64 +197,43 @@ fn run_async_with(
                     seq_of[u as usize] = tx_seq;
                     fs.note_broadcast(u);
                 }
-                tx_times.push(t.as_f64());
-                for &v in topo.neighbors(NodeId(u)) {
+                windows[w].0 += 1;
+                latest_tx = t.as_f64();
+                expose(topo, u, cs_factor, |v, reach| {
                     let slot = &mut audible[v as usize];
-                    let clean = slot.is_empty() && interference[v as usize] == 0;
+                    let idle = slot.is_empty() && interference[v as usize] == 0;
+                    // Any arrival corrupts the receptions in progress.
                     for flag in slot.values_mut() {
-                        *flag = false; // ongoing receptions are now corrupt
+                        *flag = false;
                     }
-                    slot.insert(u, clean);
-                }
-                if let Some(factor) = cs_factor {
-                    // Annulus interference: corrupt ongoing receptions and
-                    // block new ones for the packet's duration.
-                    let pos = topo.position(NodeId(u));
-                    let r2 = r * r;
-                    topo.for_each_within(&pos, factor * r, |v| {
-                        if v.0 == u {
-                            return;
+                    match reach {
+                        // A new packet starts clean only on an idle receiver.
+                        Reach::InRange => {
+                            slot.insert(u, idle);
                         }
-                        if topo.position(v).dist_sq(&pos) > r2 {
-                            interference[v.index()] += 1;
-                            for flag in audible[v.index()].values_mut() {
-                                *flag = false;
-                            }
-                        }
-                    });
-                }
+                        // Annulus interference blocks new receptions for
+                        // the packet's duration.
+                        Reach::Annulus => interference[v as usize] += 1,
+                    }
+                });
                 queue.schedule_in(cfg.t_a, Ev::TxEnd(u));
             }
             Ev::TxEnd(u) => {
                 let end = t.as_f64();
-                if let Some(factor) = cs_factor {
-                    let pos = topo.position(NodeId(u));
-                    let r2 = r * r;
-                    topo.for_each_within(&pos, factor * r, |v| {
-                        if v.0 != u && topo.position(v).dist_sq(&pos) > r2 {
-                            interference[v.index()] -= 1;
-                        }
-                    });
-                }
-                for &v in topo.neighbors(NodeId(u)) {
-                    let clean = audible[v as usize].remove(&u).unwrap_or(false);
-                    if !clean {
-                        corrupted.push(end);
-                        continue;
+                let sf = fault_state
+                    .as_ref()
+                    .map(|fs| fs.slot(fault_phase, seq_of[u as usize]));
+                let stats = &mut windows[w].1;
+                expose(topo, u, cs_factor, |v, reach| {
+                    if reach == Reach::Annulus {
+                        interference[v as usize] -= 1;
+                        return;
                     }
-                    if let Some(fs) = fault_state.as_ref() {
-                        if !fs.can_hear(v as usize) {
-                            dead_dropped.push(end);
-                            continue;
-                        }
-                        let sf = fs.slot(fault_phase, seq_of[u as usize]);
-                        if !sf.link_delivers(u, v) {
-                            lost.push(end);
-                            continue;
-                        }
+                    if !audible[v as usize].remove(&u).unwrap_or(false) {
+                        stats.collisions += 1;
+                        return;
                     }
-                    deliveries.push(end);
-                    if !informed.get(v as usize) {
+                    if gate(stats, sf.as_ref(), u, v) && !informed.get(v as usize) {
                         informed.set(v as usize);
                         first_rx_time[v as usize] = end;
                         if cfg.prob >= 1.0 || rng.random::<f64>() < cfg.prob {
@@ -259,46 +241,35 @@ fn run_async_with(
                             queue.schedule_in(delay, Ev::TxStart(v));
                         }
                     }
-                }
+                });
             }
         }
     }
 
-    // Quantize to analysis windows for the shared trace format.
-    let total_windows = {
-        let latest = tx_times
-            .iter()
-            .chain(first_rx_time.iter().filter(|t| t.is_finite()))
-            .fold(0.0f64, |a, &b| a.max(b));
-        ((latest / cfg.window).floor() as usize + 1).max(1)
-    };
-    trace.broadcasts_by_phase = vec![0; total_windows];
-    trace.deliveries_by_phase = vec![0; total_windows];
-    trace.collisions_by_phase = vec![0; total_windows];
-    trace.cs_deferrals_by_phase = vec![0; total_windows];
-    for &t in &tx_times {
-        let w = ((t / cfg.window).floor() as usize).min(total_windows - 1);
-        trace.broadcasts_by_phase[w] += 1;
+    // The trace spans the windows up to the last broadcast or first
+    // reception; later receptions fold into its last window.
+    let latest = first_rx_time
+        .iter()
+        .filter(|t| t.is_finite())
+        .fold(latest_tx, |a, &b| a.max(b));
+    let total_windows = ((latest / cfg.window).floor() as usize + 1).max(1);
+    windows.resize(windows.len().max(total_windows), (0, SlotStats::default()));
+    for (broadcasts, stats) in windows.split_off(total_windows) {
+        let last = &mut windows[total_windows - 1];
+        last.0 += broadcasts;
+        last.1.absorb(stats);
     }
-    for &t in &deliveries {
-        let w = ((t / cfg.window).floor() as usize).min(total_windows - 1);
-        trace.deliveries_by_phase[w] += 1;
-    }
-    for &t in &corrupted {
-        let w = ((t / cfg.window).floor() as usize).min(total_windows - 1);
-        trace.collisions_by_phase[w] += 1;
+    let mut total = SlotStats::default();
+    for (broadcasts, stats) in &windows {
+        trace.broadcasts_by_phase.push(*broadcasts);
+        trace.deliveries_by_phase.push(stats.deliveries);
+        trace.collisions_by_phase.push(stats.collisions);
+        trace.cs_deferrals_by_phase.push(stats.cs_deferrals);
+        total.absorb(*stats);
     }
     if let Some(fs) = fault_state.as_ref() {
-        trace.losses_by_phase = vec![0; total_windows];
-        trace.dead_drops_by_phase = vec![0; total_windows];
-        for &t in &lost {
-            let w = ((t / cfg.window).floor() as usize).min(total_windows - 1);
-            trace.losses_by_phase[w] += 1;
-        }
-        for &t in &dead_dropped {
-            let w = ((t / cfg.window).floor() as usize).min(total_windows - 1);
-            trace.dead_drops_by_phase[w] += 1;
-        }
+        trace.losses_by_phase = windows.iter().map(|(_, s)| s.losses).collect();
+        trace.dead_drops_by_phase = windows.iter().map(|(_, s)| s.dead_drops).collect();
         // Carry the last observed alive count through windows with no
         // events (liveness only changes at window boundaries we visited).
         let mut counts = vec![fs.alive_count(); total_windows];
@@ -312,12 +283,9 @@ fn run_async_with(
             *slot = last;
         }
         trace.alive_by_phase = counts;
-        nss_obs::counter!("sim.losses").add(lost.len() as u64);
-        nss_obs::counter!("sim.dead_drops").add(dead_dropped.len() as u64);
     }
-    nss_obs::counter!("sim.broadcasts").add(tx_times.len() as u64);
-    nss_obs::counter!("sim.deliveries").add(deliveries.len() as u64);
-    nss_obs::counter!("sim.collisions").add(corrupted.len() as u64);
+    nss_obs::counter!("sim.broadcasts").add(trace.total_broadcasts());
+    record_obs(&total, false, fault_state.is_some());
     for (v, &t) in first_rx_time.iter().enumerate() {
         if v == NodeId::SOURCE.index() {
             continue;

@@ -57,24 +57,19 @@ fn phase_mix(seed: u64, phase: u32, salt: u64) -> u64 {
     splitmix64(&mut s)
 }
 
-/// Checks the config features the sharded engine deliberately omits.
+/// Checks the config feature the sharded engine deliberately omits.
 ///
-/// `track_success_rate` and the legacy `node_failure_per_phase` injection
-/// both consume the sequential RNG stream in data-dependent order; porting
-/// them would either break thread-count invariance or silently change
-/// their meaning. Use the sequential engine (`Executor::sequential`) for
-/// those studies.
+/// `track_success_rate` tallies per-transmitter deliveries in the
+/// sequential loop's data-dependent order; porting it would either break
+/// thread-count invariance or silently change its meaning. Use the
+/// sequential engine (`Executor::sequential`) for that study. Node
+/// failures need no such check: they are `FaultPlan` outages, which both
+/// engines interpret through the same `FaultState`.
 pub fn validate_sharded(cfg: &GossipConfig) -> Result<(), ConfigError> {
     cfg.validate()?;
     if cfg.track_success_rate {
         return Err(ConfigError::Inconsistent {
             what: "track_success_rate requires the sequential engine (Executor::sequential)",
-            at: None,
-        });
-    }
-    if cfg.node_failure_per_phase > 0.0 {
-        return Err(ConfigError::Inconsistent {
-            what: "node_failure_per_phase requires the sequential engine (Executor::sequential)",
             at: None,
         });
     }
@@ -693,12 +688,6 @@ mod tests {
     fn validate_sharded_rejects_sequential_only_features() {
         let mut cfg = GossipConfig::pb_cam(0.5);
         cfg.track_success_rate = true;
-        assert!(matches!(
-            validate_sharded(&cfg),
-            Err(ConfigError::Inconsistent { .. })
-        ));
-        let mut cfg = GossipConfig::pb_cam(0.5);
-        cfg.node_failure_per_phase = 0.1;
         assert!(matches!(
             validate_sharded(&cfg),
             Err(ConfigError::Inconsistent { .. })

@@ -13,7 +13,7 @@
 //! counter- and distance-based schemes run on this same loop.
 
 use crate::bits::BitSet;
-use crate::faults::{FaultState, SlotFaults};
+use crate::faults::FaultState;
 use crate::medium::{Medium, MediumScratch, SlotStats};
 use crate::trace::SimTrace;
 use nss_model::comm::{CommunicationModel, MediumBackend};
@@ -38,12 +38,6 @@ pub struct GossipConfig {
     pub max_phases: usize,
     /// Record per-broadcast delivery ratios (Fig. 12 measurement).
     pub track_success_rate: bool,
-    /// Per-phase per-node death probability (failure injection). The
-    /// paper's Assumption 5 fixes a stable snapshot (`0.0`); non-zero
-    /// values quantify the protocol's sensitivity to that assumption.
-    /// Dead nodes neither transmit nor receive; the source never dies
-    /// (a dead source makes reachability trivially degenerate).
-    pub node_failure_per_phase: f64,
     /// Physical-layer backend resolving CAM slots (unit-disk reception by
     /// default; [`MediumBackend::Sinr`] replaces Assumption 6 with the
     /// SINR threshold test). Ignored under CFM.
@@ -60,7 +54,6 @@ impl GossipConfig {
             model: CommunicationModel::CAM,
             max_phases: 10_000,
             track_success_rate: false,
-            node_failure_per_phase: 0.0,
             backend: MediumBackend::UnitDisk,
         }
     }
@@ -78,7 +71,6 @@ impl GossipConfig {
             model: CommunicationModel::Cfm,
             max_phases: 10_000,
             track_success_rate: false,
-            node_failure_per_phase: 0.0,
             backend: MediumBackend::UnitDisk,
         }
     }
@@ -102,12 +94,6 @@ impl GossipConfig {
             return Err(ConfigError::OutOfUnitRange {
                 field: "prob",
                 value: self.prob,
-            });
-        }
-        if !(0.0..=1.0).contains(&self.node_failure_per_phase) {
-            return Err(ConfigError::OutOfUnitRange {
-                field: "node_failure_per_phase",
-                value: self.node_failure_per_phase,
             });
         }
         if self.max_phases < 1 {
@@ -184,16 +170,9 @@ pub(crate) fn run_gossip_with(
     // working set proportional to the active frontier.
     let mut informed = BitSet::new(n);
     informed.set(NodeId::SOURCE.index());
-    let mut alive = BitSet::filled(n);
     // Fault interpretation is only instantiated for non-empty plans; the
     // `None` path below is byte-for-byte the pre-fault executor.
     let mut fault_state = faults.map(|(plan, fseed)| FaultState::new(plan, fseed, n));
-    let (link_loss, faults_seed) = faults.map_or((0.0, 0), |(plan, fseed)| (plan.link_loss, fseed));
-    // Legacy per-phase deaths narrow the reception mask the medium's fault
-    // gate checks, so a dead radio's missed packet is a dead drop there.
-    // With a plan too, the mask is the plan's hearing mask ∧ legacy-alive.
-    let legacy = cfg.node_failure_per_phase > 0.0;
-    let mut hearing = BitSet::new(if legacy && faults.is_some() { n } else { 0 });
 
     // Nodes informed in the previous phase, pending their (single)
     // rebroadcast decision.
@@ -210,28 +189,11 @@ pub(crate) fn run_gossip_with(
         if let Some(fs) = fault_state.as_mut() {
             fs.begin_phase(phase);
         }
-        // Failure injection: each alive non-source node dies independently
-        // at the start of the phase.
-        if legacy {
-            for u in 1..n {
-                if alive.get(u) && rng.random::<f64>() < cfg.node_failure_per_phase {
-                    alive.clear_bit(u);
-                }
-            }
-            if let Some(fs) = fault_state.as_ref() {
-                for u in 0..n {
-                    hearing.assign(u, alive.get(u) && fs.can_hear(u));
-                }
-            }
-        }
         if phase == 1 {
             // The source's initial broadcast: unconditional, uncontended.
             slots[0].push(NodeId::SOURCE.0);
         } else {
             for &u in &pending {
-                if !alive.get(u as usize) {
-                    continue;
-                }
                 // A node the fault plan has down this phase forfeits its
                 // (single) rebroadcast opportunity.
                 if let Some(fs) = fault_state.as_ref() {
@@ -247,20 +209,13 @@ pub(crate) fn run_gossip_with(
             }
         }
 
-        let reception_mask = match (fault_state.as_ref(), legacy) {
-            (Some(fs), false) => Some(fs.hearing()),
-            (Some(_), true) => Some(&hearing),
-            (None, true) => Some(&alive),
-            (None, false) => None,
-        };
         let mut newly: Vec<u32> = Vec::new();
         let mut phase_stats = SlotStats::default();
         for (si, sl) in slots.iter_mut().enumerate() {
             if phase > 1 {
                 sl.retain(|&u| policy.transmits(u));
             }
-            let sf = reception_mask
-                .map(|mask| SlotFaults::new(mask, link_loss, faults_seed, phase, si as u32));
+            let sf = fault_state.as_ref().map(|fs| fs.slot(phase, si as u32));
             phase_stats.absorb(medium.resolve_slot(
                 topo,
                 sl,
@@ -295,10 +250,7 @@ pub(crate) fn run_gossip_with(
         if let Some(fs) = fault_state.as_ref() {
             trace.losses_by_phase.push(phase_stats.losses);
             trace.dead_drops_by_phase.push(phase_stats.dead_drops);
-            // Effective liveness combines the plan with the legacy per-phase
-            // failure injection.
-            let effective = (0..n).filter(|&u| alive.get(u) && fs.is_alive(u)).count() as u32;
-            trace.alive_by_phase.push(effective);
+            trace.alive_by_phase.push(fs.alive_count());
         }
 
         if cfg.track_success_rate {
@@ -567,9 +519,6 @@ mod tests {
         c = GossipConfig::pb_cam(0.5);
         c.s = 0;
         assert!(c.validate().is_err());
-        c = GossipConfig::pb_cam(0.5);
-        c.node_failure_per_phase = 1.5;
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -597,23 +546,24 @@ mod tests {
     #[test]
     fn zero_failure_rate_changes_nothing() {
         let topo = Topology::build(&Deployment::disk(4, 1.0, 40.0).sample(6));
-        let base = run_gossip(&topo, &GossipConfig::pb_cam(0.4), 12);
-        let mut cfg = GossipConfig::pb_cam(0.4);
-        cfg.node_failure_per_phase = 0.0;
-        let same = run_gossip(&topo, &cfg, 12);
-        assert_eq!(base.first_rx_phase, same.first_rx_phase);
-        assert_eq!(base.broadcasts_by_phase, same.broadcasts_by_phase);
+        let cfg = GossipConfig::pb_cam(0.4);
+        let base = run_gossip(&topo, &cfg, 12);
+        // q = 0 is the empty plan, so the run takes the exact fault-free
+        // path: no fault series at all.
+        let plan = FaultPlan::per_phase_crashes(topo.len(), 0.0, 3).unwrap();
+        assert!(plan.is_empty());
+        assert_eq!(run_gossip_faulty(&topo, &cfg, &plan, 12, 3), base);
     }
 
     #[test]
     fn failures_degrade_reachability() {
         let topo = Topology::build(&Deployment::disk(4, 1.0, 50.0).sample(3));
+        let cfg = GossipConfig::pb_cam(0.4);
         let reach = |q: f64| {
             let mut total = 0.0;
             for seed in 0..8 {
-                let mut cfg = GossipConfig::pb_cam(0.4);
-                cfg.node_failure_per_phase = q;
-                total += run_gossip(&topo, &cfg, seed).final_reachability();
+                let plan = FaultPlan::per_phase_crashes(topo.len(), q, seed).unwrap();
+                total += run_gossip_faulty(&topo, &cfg, &plan, seed, seed).final_reachability();
             }
             total / 8.0
         };
@@ -628,13 +578,16 @@ mod tests {
     #[test]
     fn total_failure_kills_cascade_after_source() {
         let topo = line(6);
-        let mut cfg = GossipConfig::flooding_cam();
-        cfg.node_failure_per_phase = 1.0;
-        let t = run_gossip(&topo, &cfg, 0);
-        // Everyone dies before phase 1's broadcast lands → only the source
-        // is informed and nobody relays.
+        // q = 1: every non-source node crashes at phase 1, before the
+        // source's broadcast lands → only the source is informed, nobody
+        // relays, and the one reception is a dead drop.
+        let plan = FaultPlan::per_phase_crashes(topo.len(), 1.0, 0).unwrap();
+        assert!(plan.outages.iter().all(|o| o.from_phase == 1));
+        let t = run_gossip_faulty(&topo, &GossipConfig::flooding_cam(), &plan, 0, 0);
         assert_eq!(t.informed_count(), 1);
         assert_eq!(t.total_broadcasts(), 1);
+        assert_eq!(t.alive_by_phase, vec![1]);
+        assert_eq!(t.total_dead_drops(), 1);
     }
 
     #[test]
@@ -789,16 +742,22 @@ mod tests {
 
     #[test]
     fn dead_nodes_never_marked_informed() {
-        // With heavy failure, informed nodes must be a subset of nodes
-        // that were alive when they first heard the packet: verified
-        // indirectly — reachability monotone decreasing in failure rate on
-        // average (statistical), and no panic/index issues at extremes.
+        // A crashed node hears nothing, so every informed node first heard
+        // the packet strictly before its crash phase.
         let topo = Topology::build(&Deployment::disk(3, 1.0, 30.0).sample(1));
         for q in [0.1, 0.5, 0.9] {
-            let mut cfg = GossipConfig::pb_cam(0.5);
-            cfg.node_failure_per_phase = q;
-            let t = run_gossip(&topo, &cfg, 5);
+            let plan = FaultPlan::per_phase_crashes(topo.len(), q, 8).unwrap();
+            let t = run_gossip_faulty(&topo, &GossipConfig::pb_cam(0.5), &plan, 5, 8);
             t.phase_series().validate().unwrap();
+            for o in &plan.outages {
+                let heard = t.first_rx_phase[o.node as usize];
+                assert!(
+                    heard == crate::trace::NEVER || heard < o.from_phase,
+                    "q {q}: node {} informed in phase {heard}, crashed at {}",
+                    o.node,
+                    o.from_phase
+                );
+            }
         }
     }
 }

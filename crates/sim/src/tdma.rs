@@ -433,6 +433,24 @@ mod tests {
     }
 
     #[test]
+    fn per_phase_crashes_run_on_tdma() {
+        // q = 1 crashes every non-source node at frame 1: the source's
+        // broadcast lands on dead radios only.
+        let topo = line(6);
+        let schedule = TdmaSchedule::build(&topo);
+        let all = FaultPlan::per_phase_crashes(topo.len(), 1.0, 4).unwrap();
+        let out = run_tdma_flooding_faulty(&topo, &schedule, &all, 4);
+        assert_eq!((out.informed, out.transmissions, out.dead_drops), (1, 1, 1));
+        // A moderate hazard still costs coverage on a random field.
+        let topo = Topology::build(&Deployment::disk(3, 1.0, 30.0).sample(5));
+        let schedule = TdmaSchedule::build(&topo);
+        let plan = FaultPlan::per_phase_crashes(topo.len(), 0.3, 4).unwrap();
+        let out = run_tdma_flooding_faulty(&topo, &schedule, &plan, 4);
+        assert!(out.informed < run_tdma_flooding(&topo, &schedule).informed);
+        assert!(out.dead_drops > 0);
+    }
+
+    #[test]
     fn singleton() {
         let topo = line(1);
         let schedule = TdmaSchedule::build(&topo);

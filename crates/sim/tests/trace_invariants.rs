@@ -271,29 +271,40 @@ mod obs_counters {
         assert_arbitration_counters(&t, &d);
     }
 
-    /// Receptions a legacy-dead radio misses are dead drops at the medium's
-    /// fault gate, never deliveries — alone and combined with a fault plan.
+    /// Receptions a crashed radio misses are dead drops at the medium's
+    /// fault gate, never deliveries — alone and combined with link loss,
+    /// on both engines.
     #[test]
     fn failing_gossip_counters_match_trace_totals() {
         let topo = disk(5, 30.0, 11);
-        let mut cfg = GossipConfig::pb_cam(0.8);
-        cfg.node_failure_per_phase = 0.15;
-        let (t, d) = counted(|| Executor::new(&topo).gossip(cfg).run(4));
-        assert_arbitration_counters(&t, &d);
-        assert!(d[5] > 0, "legacy deaths must surface as dead drops");
+        let cfg = GossipConfig::pb_cam(0.8);
+        let crashes = FaultPlan::per_phase_crashes(topo.len(), 0.15, 9).unwrap();
+        let lossy = FaultPlan {
+            link_loss: 0.2,
+            ..crashes.clone()
+        };
+        for threads in [None, Some(2)] {
+            let run = |plan: &FaultPlan| {
+                let ex = Executor::new(&topo)
+                    .gossip(cfg)
+                    .faults(plan.clone())
+                    .faults_seed(9);
+                match threads {
+                    None => ex.run(4),
+                    Some(t) => ex.sharded(t).run(4),
+                }
+            };
+            let (t, d) = counted(|| run(&crashes));
+            assert_arbitration_counters(&t, &d);
+            assert_eq!(d[5], t.total_dead_drops(), "sim.dead_drops");
+            assert!(d[5] > 0, "crashes must surface as dead drops ({threads:?})");
 
-        let plan = FaultPlan::lossy(0.2);
-        let (t, d) = counted(|| {
-            Executor::new(&topo)
-                .gossip(cfg)
-                .faults(plan)
-                .faults_seed(9)
-                .run(4)
-        });
-        assert_arbitration_counters(&t, &d);
-        assert_eq!(d[4], t.total_losses(), "sim.losses");
-        assert_eq!(d[5], t.total_dead_drops(), "sim.dead_drops");
-        assert!(t.total_losses() > 0 && t.total_dead_drops() > 0);
+            let (t, d) = counted(|| run(&lossy));
+            assert_arbitration_counters(&t, &d);
+            assert_eq!(d[4], t.total_losses(), "sim.losses");
+            assert_eq!(d[5], t.total_dead_drops(), "sim.dead_drops");
+            assert!(t.total_losses() > 0 && t.total_dead_drops() > 0);
+        }
     }
 
     #[test]

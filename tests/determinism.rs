@@ -7,7 +7,9 @@ use nss::model::comm::{MediumBackend, SinrParams};
 use nss::model::prelude::*;
 use nss::sim::prelude::*;
 use nss_obs::manifest::fnv64;
-use nss_sim::protocols::async_gossip::{run_async_gossip, AsyncGossipConfig};
+use nss_sim::protocols::async_gossip::{
+    run_async_gossip, run_async_gossip_faulty, AsyncGossipConfig,
+};
 use nss_sim::protocols::counter::{run_counter_broadcast, CounterConfig};
 use nss_sim::protocols::distance::{run_distance_broadcast, DistanceConfig};
 
@@ -116,16 +118,19 @@ fn trace_digest(t: &SimTrace) -> u64 {
 }
 
 /// Digests of reference executions, recorded before the sequential and
-/// sharded arbitration paths were folded onto one set of rule functions.
-/// Any change to reception semantics, RNG consumption order, or fault
-/// gating shows up here as a changed digest.
+/// sharded arbitration paths were folded onto one set of rule functions;
+/// the crash-outage and async entries were recorded before per-phase node
+/// deaths became `FaultPlan` crash outages and before async gossip moved
+/// onto the medium's exposure walk and fault gate (with the same outage
+/// list built by hand). Any change to reception semantics, RNG consumption
+/// order, or fault gating shows up here as a changed digest.
 const RECORDED_DIGESTS: &[(&str, u64)] = &[
     ("seq/tr", 0x6af188e8108bc4cf),
     ("seq/cs", 0xa8ebbab8935b5bc3),
     ("seq/sinr", 0xcfaad84c15f971c1),
     ("seq/faults", 0xf391ae1287a612b9),
     ("seq/sinr-faults", 0xbcd2f932bb7224ae),
-    ("seq/node-failure", 0x58197f0080d65f9e),
+    ("seq/crash-outages", 0x6590e05be51eba1a),
     ("sharded1/cfm", 0xe58fd4ea1d23bfeb),
     ("sharded2/cfm", 0xe58fd4ea1d23bfeb),
     ("sharded1/tr", 0x577dea9c6bc647af),
@@ -136,6 +141,12 @@ const RECORDED_DIGESTS: &[(&str, u64)] = &[
     ("sharded2/sinr", 0xd6a948c71e617636),
     ("sharded1/faults", 0xd37bf9f36963bc68),
     ("sharded2/faults", 0xd37bf9f36963bc68),
+    ("sharded1/crash-outages", 0x5421b38454fd3566),
+    ("sharded2/crash-outages", 0x5421b38454fd3566),
+    ("async/tr", 0xc78dac471e84493d),
+    ("async/tr-faults", 0x56b17d679183991e),
+    ("async/cs", 0x085c9ba3420d1185),
+    ("async/cs-faults", 0xb80502509ec82f18),
     ("counter/cam", 0xeb047c9e6f6623ce),
     ("counter/cfm", 0x1cc015ad06956571),
     ("counter/cs", 0x401412f5147ba6b0),
@@ -165,9 +176,8 @@ fn reference_digests() -> Vec<(String, u64)> {
         ..GossipConfig::pb_cam(0.6)
     };
     let sinr_cfg = GossipConfig::pb_cam(0.5).with_backend(sinr);
-    let mut failing = GossipConfig::pb_cam(0.7);
-    failing.node_failure_per_phase = 0.05;
-    failing.track_success_rate = true;
+    let crashing = GossipConfig::pb_cam(0.7);
+    let crash_plan = FaultPlan::per_phase_crashes(topo.len(), 0.05, 7).expect("valid hazard");
     let cfm = GossipConfig::gossip_cfm(0.4);
 
     let seq = |cfg: GossipConfig| Executor::new(&topo).gossip(cfg).run(42);
@@ -185,7 +195,17 @@ fn reference_digests() -> Vec<(String, u64)> {
         ("seq/sinr".into(), seq(sinr_cfg)),
         ("seq/faults".into(), faulty(tr).run(42)),
         ("seq/sinr-faults".into(), faulty(sinr_cfg).run(42)),
-        ("seq/node-failure".into(), seq(failing)),
+        (
+            "seq/crash-outages".into(),
+            Executor::new(&topo)
+                .gossip(GossipConfig {
+                    track_success_rate: true,
+                    ..crashing
+                })
+                .faults(crash_plan.clone())
+                .faults_seed(7)
+                .run(42),
+        ),
     ];
     for (name, cfg) in [("cfm", cfm), ("tr", tr), ("cs", cs_cfg), ("sinr", sinr_cfg)] {
         for threads in [1, 2] {
@@ -199,6 +219,28 @@ fn reference_digests() -> Vec<(String, u64)> {
         out.push((
             format!("sharded{threads}/faults"),
             faulty(tr).sharded(threads).run(42),
+        ));
+    }
+    for threads in [1, 2] {
+        out.push((
+            format!("sharded{threads}/crash-outages"),
+            Executor::new(&topo)
+                .gossip(crashing)
+                .faults(crash_plan.clone())
+                .faults_seed(7)
+                .sharded(threads)
+                .run(42),
+        ));
+    }
+    let async_cs = AsyncGossipConfig {
+        collision: CollisionRule::CARRIER_SENSE_2R,
+        ..AsyncGossipConfig::paper(0.6)
+    };
+    for (name, cfg) in [("tr", AsyncGossipConfig::paper(0.5)), ("cs", async_cs)] {
+        out.push((format!("async/{name}"), run_async_gossip(&topo, &cfg, 42)));
+        out.push((
+            format!("async/{name}-faults"),
+            run_async_gossip_faulty(&topo, &cfg, &plan, 42, 7),
         ));
     }
     let counter = CounterConfig::paper(3);
