@@ -1,9 +1,6 @@
-//! Shared fixtures for the nss benchmark suite, plus the [`check`]
-//! regression-gate logic behind the `bench_check` binary.
+//! Shared fixtures for the nss Criterion micro-benchmarks.
 
 #![forbid(unsafe_code)]
-
-pub mod check;
 
 use nss_analysis::ring_model::RingModelConfig;
 use nss_model::deployment::Deployment;

@@ -16,11 +16,12 @@
 //!    differently. Arguments must be effect-free expressions.
 //!
 //! A third hazard is specific to the engine crates (`crates/sim`,
-//! `crates/model`): `span!` events sink into a mutex-guarded `Vec` with
-//! `O(n)` front eviction, so a `span!` inside a `for`/`while`/`loop` body
-//! takes that lock every iteration. Hot-loop spans must use
-//! `trace_span!`, which records into the bounded lock-free flight
-//! recorder instead.
+//! `crates/model`): `span!` resolves its name on every event — a name
+//! intern (a mutex and a scan of the interned names) plus a histogram
+//! lookup (a `format!` and the registry's locked name map) — so a
+//! `span!` inside a `for`/`while`/`loop` body pays both every iteration.
+//! Hot-loop spans must use `trace_span!`, which resolves its name once
+//! per call site and then records with a few relaxed stores.
 
 use super::{violation, Rule};
 use crate::lexer::TokKind;
@@ -114,8 +115,9 @@ impl Rule for FeatureHygiene {
 }
 
 /// Flags `span!` invocations lexically inside a `for`/`while`/`loop` body
-/// in the engine crates: the span sink takes a mutex per event, so loop
-/// bodies must use the bounded flight recorder (`trace_span!`) instead.
+/// in the engine crates: `span!` interns its name and looks up its
+/// histogram per event, so loop bodies must use `trace_span!`, which does
+/// both once per call site.
 ///
 /// Body detection is lexical but sound for Rust: struct literals are not
 /// allowed in `for`-iterator / `while`-condition position without
@@ -157,9 +159,9 @@ fn check_hot_loops(file: &SourceFile, out: &mut Vec<Violation>) {
                     file,
                     toks[k].line,
                     "feature-hygiene",
-                    "`span!` inside a loop body takes the span-sink mutex every \
-                     iteration; hot-loop spans must use `nss_obs::trace_span!` \
-                     (bounded lock-free flight recorder)"
+                    "`span!` inside a loop body interns its name and looks up its \
+                     histogram every iteration; hot-loop spans must use \
+                     `nss_obs::trace_span!` (resolved once per call site)"
                         .to_string(),
                 ));
             }

@@ -1,5 +1,5 @@
 //! A minimal strict JSON reader (RFC 8259 subset) for tooling that must
-//! *consume* JSON — `bench_check` diffing `BENCH_*.json` artifacts, tests
+//! *consume* JSON — `nss_bench agree` reading run results, tests
 //! round-tripping `/metrics.json` — while the workspace stays
 //! dependency-free.
 //!

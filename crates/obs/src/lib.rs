@@ -8,7 +8,7 @@
 //!   and fixed-bucket [`registry::Histogram`]s interned by name. Accessed
 //!   through the [`counter!`], [`observe!`], and [`set_label!`] macros.
 //! * **Spans** ([`mod@span`]) — RAII wall-time timers that record into a
-//!   histogram and append to a bounded, thread-safe event sink.
+//!   histogram and the bounded flight recorder ([`trace`]).
 //! * **Provenance** ([`manifest`]) — a [`manifest::RunManifest`] describing
 //!   one experiment run (config fingerprint, master seed, `git describe`,
 //!   wall time, FNV-64 hashes of every emitted artifact), serialized as
@@ -205,7 +205,9 @@ macro_rules! trace_span {
 }
 
 /// Starts an RAII [`span::SpanTimer`]; on drop it records wall time into
-/// the histogram `<name>.seconds` and appends to the span event sink.
+/// the histogram `<name>.seconds` and files an event in the flight
+/// recorder. The name is resolved per drop, so one call site may pass a
+/// different name each time; loop bodies want [`trace_span!`] instead.
 /// Bind it (`let _span = span!("x");`) — an unbound temporary drops
 /// immediately and times nothing.
 #[cfg(feature = "enabled")]

@@ -9,10 +9,10 @@
 //! | `/metrics.json` | the JSON dump ([`crate::export::json`])          |
 //! | `/healthz`      | `ok` (liveness)                                  |
 //!
-//! Start it with `repro --metrics-addr 127.0.0.1:9187` (or from
-//! `bench_sim`) and point a Prometheus scraper — or `curl` — at it while
-//! a sweep runs. Scrapes are snapshots of live atomics: they never pause
-//! or perturb the instrumented hot paths.
+//! Start it with `repro --metrics-addr 127.0.0.1:9187` and point a
+//! Prometheus scraper — or `curl` — at it while a sweep runs. Scrapes are
+//! snapshots of live atomics: they never pause or perturb the instrumented
+//! hot paths.
 //!
 //! The server is intentionally minimal: one-shot connections
 //! (`Connection: close` on every response), GET/HEAD only, one request

@@ -1,53 +1,25 @@
-//! RAII wall-time spans with a bounded, thread-safe event sink.
+//! RAII wall-time spans for coarse regions (a figure, a sweep).
 //!
 //! A [`SpanTimer`] measures the wall time between construction and drop,
-//! records it into the histogram `<name>.seconds`, and appends a
-//! [`SpanEvent`] to the global sink (capped — old events are dropped and
-//! counted in `obs.span_events_dropped` rather than growing without bound).
+//! records it into the histogram `<name>.seconds`, and files one event in
+//! the flight recorder ([`crate::trace`]), so per-figure spans show in a
+//! `--trace-out` timeline next to the engines' [`crate::trace_span!`]s.
+//!
+//! Unlike `trace_span!`, which resolves its name once per call site, a
+//! span resolves its name on every drop (a histogram lookup plus a name
+//! intern), so one call site may time a different name each time — the
+//! figure registry times every figure through one `span!`. That per-event
+//! lookup is why loop bodies in the engine crates must use `trace_span!`
+//! instead (`nss-lint`'s feature-hygiene rule).
 
 use crate::registry::Registry;
-use std::sync::Mutex;
-use std::time::Instant;
+use crate::trace;
 
-/// Maximum events retained in the sink.
-pub const SINK_CAPACITY: usize = 4096;
-
-/// One completed span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanEvent {
-    /// Span name (the histogram it recorded into is `<name>.seconds`).
-    pub name: &'static str,
-    /// Wall time in seconds.
-    pub seconds: f64,
-}
-
-fn sink() -> &'static Mutex<Vec<SpanEvent>> {
-    static SINK: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
-    &SINK
-}
-
-/// Copies out every retained span event, oldest first.
-pub fn events() -> Vec<SpanEvent> {
-    sink()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone()
-}
-
-/// Clears the sink.
-pub fn clear_events() {
-    sink()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clear();
-}
-
-/// An in-flight span; finishes (records + reports) on drop.
+/// An in-flight span; records on drop.
 #[derive(Debug)]
 pub struct SpanTimer {
     name: &'static str,
-    start: Instant,
-    report: bool,
+    start_ns: u64,
 }
 
 impl SpanTimer {
@@ -55,52 +27,18 @@ impl SpanTimer {
     pub fn start(name: &'static str) -> Self {
         SpanTimer {
             name,
-            start: Instant::now(),
-            report: false,
+            start_ns: trace::now_ns(),
         }
-    }
-
-    /// Starts a span that additionally prints a verbosity-gated
-    /// `name: X.XXs` console status line when it finishes — the exporter
-    /// the experiment pipeline routes its per-figure progress through.
-    pub fn start_reported(name: &'static str) -> Self {
-        SpanTimer {
-            name,
-            start: Instant::now(),
-            report: true,
-        }
-    }
-
-    /// Seconds elapsed so far.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
     }
 }
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        let seconds = self.elapsed_seconds();
+        let dur_ns = trace::now_ns().saturating_sub(self.start_ns);
         Registry::global()
             .histogram(&format!("{}.seconds", self.name))
-            .record(seconds);
-        let mut sink = sink()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let dropped = sink.len() >= SINK_CAPACITY;
-        if dropped {
-            sink.remove(0); // evict the oldest; keep the newest
-        }
-        sink.push(SpanEvent {
-            name: self.name,
-            seconds,
-        });
-        drop(sink);
-        if dropped {
-            Registry::global().counter("obs.span_events_dropped").inc();
-        }
-        if self.report {
-            crate::status!("  [span] {}: {:.2}s", self.name, seconds);
-        }
+            .record(dur_ns as f64 * 1e-9);
+        trace::record(trace::intern(self.name), self.start_ns, dur_ns);
     }
 }
 
@@ -112,39 +50,24 @@ pub struct NoopSpan;
 mod tests {
     use super::*;
 
-    /// The sink is global; serialize the tests that reset it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn span_records_event_and_histogram() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        clear_events();
-        {
-            let s = SpanTimer::start("span.test.unit");
-            assert!(s.elapsed_seconds() >= 0.0);
+        // One call site, two names: each is filed under its own name.
+        let names = ["span.test.fig_a", "span.test.fig_b"];
+        let hists = names.map(|n| Registry::global().histogram(&format!("{n}.seconds")));
+        let before = hists.map(|h| h.count());
+        let t0 = trace::now_ns();
+        for name in names {
+            let _s = SpanTimer::start(name);
         }
-        let evs = events();
-        let ev = evs
-            .iter()
-            .find(|e| e.name == "span.test.unit")
-            .expect("event recorded");
-        assert!(ev.seconds >= 0.0);
-        assert!(
-            Registry::global()
-                .histogram("span.test.unit.seconds")
-                .count()
-                >= 1
-        );
-    }
-
-    #[test]
-    fn sink_is_bounded() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        clear_events();
-        for _ in 0..(SINK_CAPACITY + 10) {
-            let _s = SpanTimer::start("span.test.flood");
+        let (evs, _) = trace::events();
+        for ((name, hist), before) in names.iter().zip(hists).zip(before) {
+            assert_eq!(hist.count(), before + 1, "{name}.seconds recorded");
+            let id = trace::intern(name);
+            assert!(
+                evs.iter().any(|e| e.name_id == id && e.start_ns >= t0),
+                "{name} filed in the flight recorder"
+            );
         }
-        assert_eq!(events().len(), SINK_CAPACITY);
-        assert!(Registry::global().counter("obs.span_events_dropped").get() >= 10);
     }
 }

@@ -2,12 +2,11 @@
 //! events, dumped on demand as Chrome `trace_event` JSON (loads directly
 //! in Perfetto / `chrome://tracing`).
 //!
-//! ## Why not the [`mod@crate::span`] sink?
+//! ## Design
 //!
-//! The span event sink is a mutex-guarded `Vec` with front eviction —
-//! fine for a handful of per-figure spans, hostile to hot loops: every
-//! event takes a lock and eviction is `O(n)`. The flight recorder instead
-//! gives every thread its own fixed-capacity ring:
+//! Every span in the process ends up here: [`crate::trace_span!`] for hot
+//! loops, [`crate::span!`] ([`mod@crate::span`]) for coarse per-figure
+//! regions. The recorder gives every thread its own fixed-capacity ring:
 //!
 //! * **Recording is wait-free for the owning thread.** A thread writes
 //!   only its own ring — plain relaxed stores into pre-allocated slots
@@ -28,9 +27,10 @@
 //!   Because each ring has exactly one writer (its owning thread), the
 //!   seqlock validation is sound.
 //!
-//! Spans enter through [`crate::trace_span!`], which also records the
-//! `<name>.seconds` histogram so scrape-time quantiles and the timeline
-//! stay consistent. Names are interned to `u32` ids once per call site.
+//! Both span kinds also record the `<name>.seconds` histogram, so
+//! scrape-time quantiles and the timeline stay consistent. Names are
+//! interned to `u32` ids: once per call site for `trace_span!`, once per
+//! drop for `span!`.
 
 use crate::registry::Histogram;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};

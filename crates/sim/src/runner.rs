@@ -183,7 +183,7 @@ impl Replication {
             nss_obs::observe!("sim.replication_seconds", secs);
             nss_obs::counter!("sim.replications").inc();
             // Throughput in node-phases per second: the scale-engine figure
-            // of merit (BENCH_sim.json reports it from these observations).
+            // of merit.
             let node_phases = (topo.len() as u64) * trace.phases() as u64;
             nss_obs::counter!("sim.node_phases").add(node_phases);
             if secs > 0.0 {

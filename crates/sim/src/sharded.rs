@@ -218,9 +218,10 @@ pub(crate) fn run_sharded_with(
 
     for phase in 1..=cfg.max_phases as u32 {
         // Per-phase wall-clock histogram (`sim.phase.seconds`), surfaced in
-        // OBS_METRICS.json and the bench_sim report, plus a flight-recorder
-        // event per phase (this loop runs ~10² times per replication — a
-        // mutex-sinked `span!` here would thrash; see the obs-hygiene lint).
+        // OBS_METRICS.json and nss_bench's layers.json, plus a
+        // flight-recorder event per phase (this loop runs ~10² times per
+        // replication — a `span!` here would intern its name and look up
+        // its histogram every phase; see the obs-hygiene lint).
         let _phase_span = nss_obs::trace_span!("sim.phase");
         if let Some(fs) = fault_state.as_mut() {
             fs.begin_phase(phase);
