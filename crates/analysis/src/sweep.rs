@@ -77,7 +77,6 @@ impl DensitySweep {
                         cfg.prob = probs[pi];
                         // Gate the clock reads themselves on the obs
                         // feature so uninstrumented builds pay nothing.
-                        // nss-lint: allow(nondeterminism-taint) — feeds the analysis.sweep.cell_seconds histogram only; the series sent downstream is computed from cfg alone
                         let cell_start = nss_obs::enabled().then(std::time::Instant::now);
                         let series = RingModel::with_kernel(cfg, Arc::clone(&kernel))
                             .run()

@@ -141,8 +141,6 @@ pub struct ResolvedCall {
     /// Indices into [`Workspace::fns`] (empty when the call resolves to
     /// std / vendored code — no edge).
     pub callees: Vec<usize>,
-    /// The call invokes a callable parameter of the enclosing function.
-    pub param_call: bool,
 }
 
 /// Parsed workspace: files, functions, and the resolved call graph.
@@ -197,60 +195,6 @@ impl Workspace {
         Workspace { files, fns, calls }
     }
 
-    /// Index of the innermost function whose body contains token `tok` of
-    /// file `file`.
-    pub fn fn_at(&self, file: usize, tok: usize) -> Option<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.file == file && f.body.is_some_and(|(o, c)| o < tok && tok < c))
-            .min_by_key(|(_, f)| {
-                let (o, c) = f.body.unwrap_or((0, usize::MAX));
-                c - o
-            })
-            .map(|(i, _)| i)
-    }
-
-    /// Breadth-first reachability from `from` over resolved call edges.
-    /// Returns `parent[f] = caller` links for every function reached
-    /// (excluding `from` itself) — follow them backwards for a path.
-    pub fn reach(&self, from: usize) -> BTreeMap<usize, usize> {
-        let mut parent = BTreeMap::new();
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(from);
-        while let Some(f) = queue.pop_front() {
-            for rc in &self.calls[f] {
-                for &callee in &rc.callees {
-                    if callee != from && !parent.contains_key(&callee) {
-                        parent.insert(callee, f);
-                        queue.push_back(callee);
-                    }
-                }
-            }
-        }
-        parent
-    }
-
-    /// Renders the call path `from → … → to` (function names) implied by a
-    /// [`Workspace::reach`] parent map.
-    pub fn path(&self, from: usize, to: usize, parent: &BTreeMap<usize, usize>) -> String {
-        let mut chain = vec![to];
-        let mut cur = to;
-        while let Some(&p) = parent.get(&cur) {
-            chain.push(p);
-            cur = p;
-            if p == from || chain.len() > 12 {
-                break;
-            }
-        }
-        chain.reverse();
-        chain
-            .iter()
-            .map(|&i| self.fn_name(i))
-            .collect::<Vec<_>>()
-            .join(" → ")
-    }
-
     /// `Type::name` / `name` display form of `fns[i]`.
     pub fn fn_name(&self, i: usize) -> String {
         let f = &self.fns[i];
@@ -270,8 +214,8 @@ fn resolve(
     imports: &BTreeSet<String>,
     crate_names: &[String],
 ) -> ResolvedCall {
-    // Callable parameter invocation: `build()` inside a fn taking
-    // `build: impl FnOnce() -> V`.
+    // Callable parameter invocation (`build()` inside a fn taking
+    // `build: impl FnOnce() -> V`) runs caller code, not a workspace fn.
     if !site.method
         && site.prefix.is_none()
         && caller
@@ -279,11 +223,7 @@ fn resolve(
             .iter()
             .any(|p| p.is_callable && p.name == site.name)
     {
-        return ResolvedCall {
-            site: site.clone(),
-            callees: Vec::new(),
-            param_call: true,
-        };
+        return unresolved(site);
     }
     if site.method && STD_METHODS.contains(&site.name.as_str()) {
         return unresolved(site);
@@ -330,7 +270,6 @@ fn resolve(
     ResolvedCall {
         site: site.clone(),
         callees,
-        param_call: false,
     }
 }
 
@@ -338,7 +277,6 @@ fn unresolved(site: &CallSite) -> ResolvedCall {
     ResolvedCall {
         site: site.clone(),
         callees: Vec::new(),
-        param_call: false,
     }
 }
 
@@ -411,28 +349,13 @@ mod tests {
     }
 
     #[test]
-    fn param_call_is_flagged_not_resolved() {
+    fn param_call_is_not_resolved() {
         let w = ws(&[(
             "a.rs",
             "analysis",
             "fn build() {}\nfn cached(build: impl FnOnce() -> u32) -> u32 { build() }\n",
         )]);
         let cached = w.fns.iter().position(|f| f.name == "cached").unwrap();
-        assert!(w.calls[cached][0].param_call);
         assert!(w.calls[cached][0].callees.is_empty());
-    }
-
-    #[test]
-    fn reach_and_path() {
-        let w = ws(&[(
-            "a.rs",
-            "model",
-            "fn c() {}\nfn b() { c(); }\nfn a() { b(); }\n",
-        )]);
-        let a = w.fns.iter().position(|f| f.name == "a").unwrap();
-        let c = w.fns.iter().position(|f| f.name == "c").unwrap();
-        let parent = w.reach(a);
-        assert!(parent.contains_key(&c));
-        assert_eq!(w.path(a, c, &parent), "a → b → c");
     }
 }

@@ -22,24 +22,9 @@ pub fn render_rules() -> String {
     let mut out = String::new();
     out.push_str(RULES_BEGIN);
     out.push_str("\n\n| id | scope | invariant |\n|---|---|---|\n");
-    for rule in rules::all() {
-        out.push_str(&format!(
-            "| `{}` | file | {} |\n",
-            rule.id(),
-            oneline(rule.describe())
-        ));
+    for (id, scope, describe) in rules::catalogue() {
+        out.push_str(&format!("| `{id}` | {scope} | {} |\n", oneline(describe)));
     }
-    for rule in rules::workspace_rules() {
-        out.push_str(&format!(
-            "| `{}` | workspace | {} |\n",
-            rule.id(),
-            oneline(rule.describe())
-        ));
-    }
-    out.push_str(
-        "| `pragma` | — | reserved: malformed or stale \
-         `// nss-lint: allow(…) — reason` pragmas |\n",
-    );
     out.push('\n');
     out.push_str(RULES_END);
     out.push('\n');

@@ -1,18 +1,19 @@
-//! `nss-lint` — workspace static analysis for determinism, RNG-stream
-//! discipline, and numerical safety.
+//! `nss-lint` — workspace static analysis for RNG-stream discipline,
+//! numerical safety, obs feature hygiene, atomic orderings and locking.
 //!
 //! The repo's promise is that analytical predictions are validated against
-//! **bitwise-reproducible** simulation. The invariants that promise rests on
-//! are enforced by the toolchain where it can express them: the workspace
-//! lint table and `clippy.toml` ban panics in library code, hash-order
-//! iteration and `unsafe`, and `derive_seed` takes a `Stream`, not a string
-//! (see DESIGN.md §8). This crate checks the rest mechanically as a CI
-//! gate: no literal-seeded RNG streams, lens-geometry math inside its
-//! domain, zero-cost obs macros, proven atomic orderings, and the
-//! interprocedural lock, taint and handler rules:
+//! **bitwise-reproducible** simulation. Most of what that promise rests on
+//! is checked elsewhere: the workspace lint table and `clippy.toml` ban
+//! panics in library code, hash-order iteration and `unsafe`;
+//! `derive_seed` takes a `Stream`, not a string; and CI's output-identity
+//! step diffs every artifact of `repro all` across thread counts and the
+//! obs feature (see DESIGN.md §8). This crate checks the rest
+//! mechanically as a CI gate: no literal-seeded RNG streams, lens-geometry
+//! math inside its domain, zero-cost obs macros, proven atomic orderings,
+//! lock-free route handlers, and a cycle-free lock graph:
 //!
 //! ```text
-//! cargo run -p nss-lint -- check [--json report.json]
+//! cargo run -p nss-lint -- check [--sarif report.sarif]
 //! ```
 //!
 //! The pass is deliberately **lexical** (see [`lexer`]): a comment- and
@@ -31,25 +32,21 @@
 //! | `float-safety` | no `==`/`!=` against float literals and no unguarded `.sqrt()`/`.acos()`/`.asin()` in `analysis`/`core` |
 //! | `feature-hygiene` | obs macros must be `nss_obs::`-qualified and carry effect-free arguments, so `--no-default-features` builds stay identical |
 //! | `atomic-protocol` | `Relaxed` only for counter accumulate; claim/CAS RMWs and load/store in fence-bearing files need the proven ordering or a pragma citing a loom/Miri proof |
+//! | `blocking-in-handler` | route handlers hold no lock guard across kernel computation |
 //! | `lock-order` | no cycles in the workspace lock-acquisition graph; no blocking calls or caller-supplied closures under a Mutex guard |
-//! | `nondeterminism-taint` | clock/thread-id/pointer/hash-order reads must not reach pinned artifacts (CSV writers, `SimTrace`-returning fns) through the call graph |
-//! | `blocking-in-handler` | route handlers hold no lock across kernel computation and perform no unbounded stream reads |
 //!
-//! The last three are **interprocedural**: they run over a cross-crate
-//! call graph ([`callgraph::Workspace`], built from the [`parser`] item
-//! model) rather than file by file, so a deadlock seeded in one crate and
-//! closed in another is still caught. `nss-lint rules --check` keeps
+//! `lock-order` is **interprocedural**: it runs over a cross-crate call
+//! graph ([`callgraph::Workspace`], built from the [`parser`] item model)
+//! rather than file by file, so a deadlock seeded in one crate and closed
+//! in another is still caught. `nss-lint rules --check` keeps
 //! `docs/LINTS.md` in sync with this catalogue; `--sarif` emits the
 //! findings as a SARIF 2.1.0 artifact for CI upload.
 //!
 //! Malformed pragmas (missing reason, unknown rule) and pragmas that no
 //! longer suppress anything are reported under the reserved id `pragma`.
 
-#![forbid(unsafe_code)]
-
 pub mod callgraph;
 pub mod docsync;
-pub mod json;
 pub mod lexer;
 pub mod metrics;
 pub mod parser;
@@ -283,17 +280,6 @@ pub fn lint_sources(files: Vec<SourceFile>) -> Vec<Violation> {
     }
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     out
-}
-
-/// Runs the per-file rules over a parsed file, applies pragmas, and
-/// appends pragma-hygiene findings. (Workspace rules need
-/// [`lint_sources`].)
-pub fn lint_file(file: &SourceFile) -> Vec<Violation> {
-    let mut raw = Vec::new();
-    for rule in rules::all() {
-        rule.check(file, &mut raw);
-    }
-    finalize(file, raw)
 }
 
 /// Applies pragma suppression to `raw`, appends pragma-hygiene findings,

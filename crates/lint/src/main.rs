@@ -1,22 +1,20 @@
 //! `nss-lint` CLI.
 //!
 //! ```text
-//! cargo run -p nss-lint -- check [--root DIR] [--json FILE] [--sarif FILE]
+//! cargo run -p nss-lint -- check [--root DIR] [--sarif FILE]
 //! cargo run -p nss-lint -- rules [--check FILE | --write FILE]
 //! cargo run -p nss-lint -- metrics [--root DIR] [--check FILE | --write FILE]
 //! ```
 //!
 //! `check` exits 0 when the workspace is clean, 1 with one `file:line:
 //! [rule] message` diagnostic per violation otherwise, and 2 on usage or IO
-//! errors. `--json` additionally writes the machine-readable report and
-//! `--sarif` the SARIF 2.1.0 form (both uploaded as CI artifacts).
+//! errors. `--sarif` additionally writes the findings as a SARIF 2.1.0 log
+//! (uploaded as a CI artifact).
 //!
 //! `rules` prints the rule catalogue; with `--check docs/LINTS.md` it exits
 //! 1 when the file's generated block has drifted from the registered rules
 //! (the CI sync gate), with `--write` it refreshes the block in place.
 //! `metrics` does the same for the metric inventory in `docs/METRICS.md`.
-
-#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -28,7 +26,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("nss-lint: {msg}");
             eprintln!(
-                "usage: nss-lint check [--root DIR] [--json FILE] [--sarif FILE]\n       \
+                "usage: nss-lint check [--root DIR] [--sarif FILE]\n       \
                  nss-lint rules [--check FILE | --write FILE]\n       \
                  nss-lint metrics [--root DIR] [--check FILE | --write FILE]"
             );
@@ -37,10 +35,13 @@ fn main() -> ExitCode {
     }
 }
 
+#[expect(
+    clippy::print_stdout,
+    reason = "the CLI's reports and catalogues are its stdout"
+)]
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut cmd: Option<&str> = None;
     let mut root = PathBuf::from(".");
-    let mut json_out: Option<PathBuf> = None;
     let mut sarif_out: Option<PathBuf> = None;
     let mut doc_check: Option<PathBuf> = None;
     let mut doc_write: Option<PathBuf> = None;
@@ -49,9 +50,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         match a.as_str() {
             "--root" => {
                 root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
-            }
-            "--json" => {
-                json_out = Some(PathBuf::from(it.next().ok_or("--json needs a file path")?));
             }
             "--sarif" => {
                 sarif_out = Some(PathBuf::from(it.next().ok_or("--sarif needs a file path")?));
@@ -122,25 +120,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 );
                 Ok(ExitCode::SUCCESS)
             } else {
-                for rule in nss_lint::rules::all() {
-                    println!("{:<20} {}", rule.id(), rule.describe());
+                for (id, _, describe) in nss_lint::rules::catalogue() {
+                    println!("{id:<20} {describe}");
                 }
-                for rule in nss_lint::rules::workspace_rules() {
-                    println!("{:<20} {}", rule.id(), rule.describe());
-                }
-                println!(
-                    "{:<20} reserved: malformed or stale `// nss-lint: allow(…) — reason` pragmas",
-                    "pragma"
-                );
                 Ok(ExitCode::SUCCESS)
             }
         }
         Some("check") => {
             let report = nss_lint::lint_workspace(&root)?;
-            if let Some(path) = json_out {
-                std::fs::write(&path, nss_lint::json::render(&report))
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            }
             if let Some(path) = sarif_out {
                 std::fs::write(&path, nss_lint::sarif::render(&report))
                     .map_err(|e| format!("writing {}: {e}", path.display()))?;

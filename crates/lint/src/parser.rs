@@ -1,15 +1,15 @@
 //! Item-level parse over the token stream: `fn` items, `impl` blocks, and
 //! `use` imports.
 //!
-//! This is the structural layer the interprocedural rules (lock-order,
-//! nondeterminism-taint, blocking-in-handler) stand on. Like everything in
-//! this crate it is deliberately heuristic — no `syn` under the vendored
-//! no-network constraint — so it extracts exactly what the rules consume
-//! and nothing more: which functions exist, which impl type owns them,
-//! where their bodies start and end in the token stream, which parameters
-//! are callable (closures whose invocation under a lock the rules must
-//! see), and which call sites each body contains. Precision limits are
-//! documented on [`CallSite`]; the pragma escape hatch covers the rest.
+//! This is the structural layer the interprocedural `lock-order` rule
+//! stands on. Like everything in this crate it is deliberately heuristic —
+//! no `syn` under the vendored no-network constraint — so it extracts
+//! exactly what the rule consumes and nothing more: which functions
+//! exist, which impl type owns them, where their bodies start and end in
+//! the token stream, which parameters are callable (closures whose
+//! invocation under a lock the rule must see), and which call sites each
+//! body contains. Precision limits are documented on [`CallSite`]; the
+//! pragma escape hatch covers the rest.
 
 use crate::lexer::{Tok, TokKind};
 use crate::SourceFile;
@@ -47,8 +47,6 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// Parameters in order.
     pub params: Vec<Param>,
-    /// Identifier tokens of the return type (empty for `()`).
-    pub ret: Vec<String>,
     /// Declared inside `#[cfg(test)]`/`#[test]` code (or a test file).
     pub is_test: bool,
 }
@@ -116,29 +114,19 @@ pub fn parse_fns(file_idx: usize, file: &SourceFile) -> Vec<FnItem> {
             } else {
                 (Vec::new(), j)
             };
-            // Return-type idents, then body `{` or declaration `;`.
-            let mut ret = Vec::new();
+            // Past the return type: body `{` or declaration `;`.
             let mut k = after_params;
-            let mut saw_arrow = false;
             let mut body = None;
             while k < n {
                 let t = &toks[k];
-                if t.is_punct("->") {
-                    saw_arrow = true;
-                } else if t.is_punct("<") {
+                if t.is_punct("<") {
                     k = skip_angles(file, k);
                     continue;
                 } else if t.is_punct("{") {
-                    if let Some(close) = file.match_delim(k) {
-                        body = Some((k, close));
-                    }
+                    body = file.match_delim(k).map(|close| (k, close));
                     break;
                 } else if t.is_punct(";") {
                     break;
-                } else if saw_arrow && t.kind == TokKind::Ident && !t.is_ident("where") {
-                    ret.push(t.text.clone());
-                } else if t.is_ident("where") {
-                    saw_arrow = false;
                 }
                 k += 1;
             }
@@ -149,7 +137,6 @@ pub fn parse_fns(file_idx: usize, file: &SourceFile) -> Vec<FnItem> {
                 line,
                 body,
                 params,
-                ret,
                 is_test: file.is_test_line(line),
             });
             i += 2;
@@ -382,7 +369,6 @@ mod tests {
         assert_eq!(fns[0].name, "free");
         assert_eq!(fns[0].qual, None);
         assert_eq!(fns[0].params.len(), 2);
-        assert_eq!(fns[0].ret, vec!["u64"]);
         assert_eq!(fns[1].name, "method");
         assert_eq!(fns[1].qual.as_deref(), Some("Foo"));
         assert_eq!(fns[2].name, "fmt");

@@ -24,9 +24,12 @@
 //! functions and crates — is reported at each participating edge site.
 //!
 //! Precision notes: `RwLock::read/write` are not tracked (those names are
-//! overwhelmingly io/iterator calls in this codebase, which has no
-//! first-party `RwLock`), and a guard moved into a `Condvar::wait` is
-//! treated as still held afterwards (true: `wait` reacquires).
+//! overwhelmingly io/iterator calls). Two first-party `parking_lot::RwLock`s
+//! are therefore outside the lock graph: `MuTable::tables`
+//! (`analysis/src/mu.rs`) and `KernelCache::map` (`analysis/src/tables.rs`),
+//! whose `get` builds a `SharedKernel` while holding the write guard. A
+//! guard moved into a `Condvar::wait` is treated as still held afterwards
+//! (true: `wait` reacquires).
 
 use super::{Violation, WorkspaceRule};
 use crate::callgraph::Workspace;
@@ -108,11 +111,11 @@ impl WorkspaceRule for LockOrder {
         let mut facts: Vec<FnFacts> = Vec::with_capacity(ws.fns.len());
         let mut edges: Vec<Edge> = Vec::new();
         for (fi, f) in ws.fns.iter().enumerate() {
-            if f.is_test || f.body.is_none() {
-                facts.push(FnFacts::default());
-                continue;
-            }
-            facts.push(scan_fn(ws, fi, f, &mut edges, out));
+            let fact = match f.body {
+                Some(body) if !f.is_test => scan_fn(ws, fi, f, body, &mut edges, out),
+                _ => FnFacts::default(),
+            };
+            facts.push(fact);
         }
 
         // Transitive lock sets and blocking reach, to a fixpoint.
@@ -126,14 +129,15 @@ impl WorkspaceRule for LockOrder {
                 let Some((&first, rest)) = callees.split_first() else {
                     continue;
                 };
-                let blocks = callees.iter().all(|&c| trans_blocking[c].is_some());
+                let blocking = trans_blocking[first]
+                    .as_ref()
+                    .filter(|_| callees.iter().all(|&c| trans_blocking[c].is_some()));
                 let mut locks: BTreeSet<String> = trans_locks[first].clone();
                 for &c in rest {
                     locks.retain(|l| trans_locks[c].contains(l));
                 }
                 for h in held {
-                    if blocks {
-                        let (op, via) = trans_blocking[first].as_ref().expect("blocks");
+                    if let Some((op, via)) = blocking {
                         out.push(Violation {
                             path: file.path.clone(),
                             line: *line,
@@ -181,12 +185,12 @@ fn scan_fn(
     ws: &Workspace,
     fi: usize,
     f: &FnItem,
+    (open, close): (usize, usize),
     edges: &mut Vec<Edge>,
     out: &mut Vec<Violation>,
 ) -> FnFacts {
     let file = &ws.files[f.file];
     let toks = &file.toks;
-    let (open, close) = f.body.expect("checked by caller");
     // Resolved workspace calls by token index (all candidates per site).
     let calls: BTreeMap<usize, &[usize]> = ws.calls[fi]
         .iter()
@@ -455,12 +459,15 @@ fn transitive_blocking(ws: &Workspace, facts: &[FnFacts]) -> Vec<Option<(String,
             }
             for rc in &ws.calls[fi] {
                 // A site blocks only if every resolution candidate does.
-                if !rc.callees.is_empty() && rc.callees.iter().all(|&c| blocking[c].is_some()) {
-                    let (op, via) = blocking[rc.callees[0]].clone().expect("all block");
-                    blocking[fi] = Some((op, format!("{} → {}", ws.fn_name(fi), via)));
-                    changed = true;
-                    break;
+                if !rc.callees.iter().all(|&c| blocking[c].is_some()) {
+                    continue;
                 }
+                let Some((op, via)) = rc.callees.first().and_then(|&c| blocking[c].clone()) else {
+                    continue;
+                };
+                blocking[fi] = Some((op, format!("{} → {}", ws.fn_name(fi), via)));
+                changed = true;
+                break;
             }
         }
         if !changed {

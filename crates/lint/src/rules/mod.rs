@@ -2,8 +2,8 @@
 //!
 //! Rules come in two shapes. A [`Rule`] is a pure function over one parsed
 //! [`SourceFile`]; a [`WorkspaceRule`] sees the whole parsed workspace —
-//! the cross-crate call graph in [`Workspace`] — and powers the
-//! interprocedural checks (lock ordering, taint flow, handler hygiene).
+//! the cross-crate call graph in [`Workspace`] — and powers the one
+//! interprocedural check, lock ordering.
 //! Adding a rule means adding a module here, registering it in [`all`] or
 //! [`workspace_rules`], giving it a fixture pair under `tests/fixtures/`
 //! (see DESIGN.md §8 for the recipe), and re-running
@@ -18,11 +18,10 @@ mod float;
 mod lock_order;
 mod obs;
 mod rng;
-mod taint;
 
 /// A single per-file lint rule.
 pub trait Rule {
-    /// Stable id, as named by pragmas and JSON reports.
+    /// Stable id, as named by pragmas and SARIF reports.
     fn id(&self) -> &'static str;
     /// One-line description for `nss-lint rules`.
     fn describe(&self) -> &'static str;
@@ -32,7 +31,7 @@ pub trait Rule {
 
 /// An interprocedural rule over the whole parsed workspace.
 pub trait WorkspaceRule {
-    /// Stable id, as named by pragmas and JSON reports.
+    /// Stable id, as named by pragmas and SARIF reports.
     fn id(&self) -> &'static str;
     /// One-line description for `nss-lint rules`.
     fn describe(&self) -> &'static str;
@@ -47,16 +46,34 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(float::FloatSafety),
         Box::new(obs::FeatureHygiene),
         Box::new(atomic::AtomicProtocol),
+        Box::new(blocking::BlockingInHandler),
     ]
 }
 
 /// Every registered workspace rule, in reporting order.
 pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
-    vec![
-        Box::new(lock_order::LockOrder),
-        Box::new(taint::NondeterminismTaint),
-        Box::new(blocking::BlockingInHandler),
-    ]
+    vec![Box::new(lock_order::LockOrder)]
+}
+
+/// The catalogue as `(id, scope, description)` rows, ending with the
+/// reserved `pragma` id: what `nss-lint rules`, `docs/LINTS.md` and the
+/// SARIF report list.
+pub fn catalogue() -> Vec<(&'static str, &'static str, &'static str)> {
+    let mut out: Vec<_> = all()
+        .iter()
+        .map(|r| (r.id(), "file", r.describe()))
+        .collect();
+    out.extend(
+        workspace_rules()
+            .iter()
+            .map(|r| (r.id(), "workspace", r.describe())),
+    );
+    out.push((
+        "pragma",
+        "—",
+        "reserved: malformed or stale `// nss-lint: allow(…) — reason` pragmas",
+    ));
+    out
 }
 
 /// Ids of every rule, per-file and workspace (pragma validation).

@@ -1,10 +1,11 @@
 //! SARIF 2.1.0 rendering of the lint report.
 //!
-//! Like [`crate::json`], this is hand-rendered (the vendored `serde` is a
-//! derive-only marker subset). The output is the minimal static-analysis
-//! interchange shape CI artifact viewers and code-scanning uploads accept:
-//! one `run` with the `nss-lint` tool driver, its rule catalogue, and one
-//! `result` per surviving violation with a physical location.
+//! Hand-rendered, since the vendored `serde` is a derive-only marker
+//! subset. The output is the minimal static-analysis interchange shape CI
+//! artifact viewers and code-scanning uploads accept: one `run` with the
+//! `nss-lint` tool and its rule catalogue, and one `result` per
+//! surviving violation with a physical location. It is the linter's one
+//! machine-readable report.
 
 use crate::{rules, Report};
 
@@ -20,7 +21,7 @@ pub fn render(report: &Report) -> String {
     s.push_str("          \"informationUri\": \"https://example.invalid/nss-lint\",\n");
     s.push_str("          \"rules\": [");
     let mut first = true;
-    for (id, describe) in rule_catalogue() {
+    for (id, _, describe) in rules::catalogue() {
         if !first {
             s.push(',');
         }
@@ -52,22 +53,6 @@ pub fn render(report: &Report) -> String {
     }
     s.push_str("]\n    }\n  ]\n}\n");
     s
-}
-
-/// Every rule id with its one-line description, `pragma` included.
-fn rule_catalogue() -> Vec<(&'static str, &'static str)> {
-    let mut out: Vec<(&'static str, &'static str)> = Vec::new();
-    for r in rules::all() {
-        out.push((r.id(), r.describe()));
-    }
-    for r in rules::workspace_rules() {
-        out.push((r.id(), r.describe()));
-    }
-    out.push((
-        "pragma",
-        "reserved: malformed or stale `// nss-lint: allow(…) — reason` pragmas",
-    ));
-    out
 }
 
 fn escape(s: &str) -> String {

@@ -166,7 +166,6 @@ impl Replication {
     }
 
     fn run_one(&self, factory: &SeedFactory, rep: u64) -> SimTrace {
-        // nss-lint: allow(nondeterminism-taint) — feeds the sim.replication_seconds / node-phase throughput metrics only; the returned SimTrace is a pure function of the labeled seeds
         let start = nss_obs::enabled().then(std::time::Instant::now);
         let net = self
             .deployment
