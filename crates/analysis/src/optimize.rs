@@ -60,13 +60,24 @@ impl Objective {
         }
     }
 
-    /// True if candidate value `a` is better than incumbent `b`.
-    fn better(&self, a: f64, b: f64) -> bool {
-        if self.is_max() {
-            a > b
-        } else {
-            a < b
-        }
+    /// The best `(p, value)` point for this objective: the first point no
+    /// later point strictly beats (ties go to the earliest, i.e. the lowest
+    /// `p` on an ascending grid). `None` values are infeasible and skipped;
+    /// `None` overall means no point is feasible.
+    pub fn best(&self, points: impl IntoIterator<Item = (f64, Option<f64>)>) -> Option<Optimum> {
+        points.into_iter().fold(None, |best, (prob, value)| {
+            let Some(value) = value else { return best };
+            let better = match best {
+                None => true,
+                Some(b) if self.is_max() => value > b.value,
+                Some(b) => value < b.value,
+            };
+            if better {
+                Some(Optimum { prob, value })
+            } else {
+                best
+            }
+        })
     }
 }
 
@@ -133,15 +144,12 @@ impl ProbabilitySweep {
 
     /// The best grid point for the objective, if any point is feasible.
     pub fn optimum(&self, obj: Objective) -> Option<Optimum> {
-        let mut best: Option<Optimum> = None;
-        for (p, v) in self.evaluate(obj) {
-            let Some(v) = v else { continue };
-            match best {
-                Some(b) if !obj.better(v, b.value) => {}
-                _ => best = Some(Optimum { prob: p, value: v }),
-            }
-        }
-        best
+        obj.best(
+            self.probs
+                .iter()
+                .zip(&self.series)
+                .map(|(&p, s)| (p, obj.evaluate(s))),
+        )
     }
 }
 
@@ -316,12 +324,29 @@ mod tests {
     }
 
     #[test]
-    fn better_respects_direction() {
+    fn best_keeps_the_first_of_equal_points_and_skips_infeasible_ones() {
         let max_obj = Objective::MaxReachAtLatency { phases: 5.0 };
         let min_obj = Objective::MinLatencyForReach { target: 0.5 };
-        assert!(max_obj.better(0.9, 0.5));
-        assert!(!max_obj.better(0.4, 0.5));
-        assert!(min_obj.better(3.0, 5.0));
-        assert!(!min_obj.better(7.0, 5.0));
+        let points = [
+            (0.1, None),
+            (0.2, Some(3.0)),
+            (0.3, Some(1.0)),
+            (0.4, Some(3.0)),
+            (0.5, None),
+            (0.6, Some(1.0)),
+        ];
+        let at = |prob, value| Some(Optimum { prob, value });
+        assert_eq!(max_obj.best(points), at(0.2, 3.0));
+        assert_eq!(min_obj.best(points), at(0.3, 1.0));
+        assert_eq!(
+            max_obj.best([(0.1, Some(0.4)), (0.2, Some(0.9))]),
+            at(0.2, 0.9)
+        );
+        assert_eq!(
+            min_obj.best([(0.1, Some(7.0)), (0.2, Some(5.0))]),
+            at(0.2, 5.0)
+        );
+        assert_eq!(min_obj.best([(0.1, None), (0.2, None)]), None);
+        assert_eq!(max_obj.best([]), None);
     }
 }

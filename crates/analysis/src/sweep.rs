@@ -135,28 +135,16 @@ impl DensitySweep {
     /// Per-density optimum (the Fig. Nb panels): `(rho, Optimum)` for each
     /// density where at least one grid point is feasible.
     pub fn optima(&self, obj: Objective) -> Vec<(f64, Option<Optimum>)> {
-        self.evaluate(obj)
+        self.grid
             .iter()
             .zip(&self.rhos)
             .map(|(row, &rho)| {
-                let mut best: Option<Optimum> = None;
-                for (v, &p) in row.iter().zip(&self.probs) {
-                    let Some(v) = *v else { continue };
-                    let replace = match best {
-                        None => true,
-                        Some(b) => {
-                            if obj.is_max() {
-                                v > b.value
-                            } else {
-                                v < b.value
-                            }
-                        }
-                    };
-                    if replace {
-                        best = Some(Optimum { prob: p, value: v });
-                    }
-                }
-                (rho, best)
+                let points = self
+                    .probs
+                    .iter()
+                    .zip(row)
+                    .map(|(&p, s)| (p, obj.evaluate(s)));
+                (rho, obj.best(points))
             })
             .collect()
     }

@@ -1,5 +1,6 @@
 //! Shared infrastructure for the figure-reproduction harness.
 
+use crate::sec41::Calibration;
 use nss_analysis::optimize::ProbabilitySweep;
 use nss_analysis::ring_model::RingModelConfig;
 use nss_analysis::sweep::DensitySweep;
@@ -9,40 +10,9 @@ use nss_model::faults::FaultPlan;
 use nss_sim::runner::{ReplicatedTraces, Replication};
 use nss_sim::slotted::GossipConfig;
 use std::fs;
-use std::io::Write;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-
-/// Calibration values and memoized sweeps threaded between figures.
-///
-/// Figures run in registry (declaration) order; earlier figures deposit the
-/// plateau/budget calibrations later ones consume, and the shared analysis
-/// and simulation sweeps are computed at most once per invocation.
-struct SharedState {
-    analysis: Option<Arc<DensitySweep>>,
-    sim: Option<Arc<SimSweep>>,
-    /// Reachability plateau target from Fig. 4 (paper default 0.72).
-    plateau: f64,
-    /// Energy budget for Fig. 7 (paper default 35.0).
-    energy_budget: f64,
-    /// Simulated plateau target from Fig. 8 (paper default 0.63).
-    sim_plateau: f64,
-    /// Broadcast budget for Fig. 11 (paper default 80.0).
-    sim_budget: f64,
-}
-
-impl std::fmt::Debug for SharedState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedState")
-            .field("analysis", &self.analysis.is_some())
-            .field("sim", &self.sim.is_some())
-            .field("plateau", &self.plateau)
-            .field("energy_budget", &self.energy_budget)
-            .field("sim_plateau", &self.sim_plateau)
-            .field("sim_budget", &self.sim_budget)
-            .finish()
-    }
-}
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Harness-wide options parsed from the command line.
 #[derive(Debug, Clone)]
@@ -70,8 +40,12 @@ pub struct Ctx {
     /// Every artifact written this run (shared across clones so the final
     /// manifest sees all of them).
     artifacts: Arc<Mutex<Vec<PathBuf>>>,
-    /// Cross-figure calibrations and memoized sweeps.
-    state: Arc<Mutex<SharedState>>,
+    /// The analytical sweep (Figs. 4–7), computed at most once per run.
+    analysis: Arc<OnceLock<DensitySweep>>,
+    /// The simulated sweep (Figs. 8–11), computed at most once per run.
+    sim: Arc<OnceLock<SimSweep>>,
+    /// Each §4.1 source's calibration, once a figure has set it.
+    calibrations: Arc<Mutex<[Option<Calibration>; 2]>>,
 }
 
 impl Ctx {
@@ -87,107 +61,53 @@ impl Ctx {
             medium: MediumBackend::UnitDisk,
             metrics_addr: None,
             trace_out: None,
-            artifacts: Arc::new(Mutex::new(Vec::new())),
-            state: Arc::new(Mutex::new(SharedState {
-                analysis: None,
-                sim: None,
-                plateau: 0.72,
-                energy_budget: 35.0,
-                sim_plateau: 0.63,
-                sim_budget: 80.0,
-            })),
+            artifacts: Arc::default(),
+            analysis: Arc::default(),
+            sim: Arc::default(),
+            calibrations: Arc::default(),
         }
     }
 
     /// The shared analytical sweep (Figs. 4–7), computed on first use.
-    pub fn analysis(&self) -> Arc<DensitySweep> {
-        let mut st = self.state.lock().expect("shared state poisoned");
-        if st.analysis.is_none() {
+    pub fn analysis(&self) -> &DensitySweep {
+        self.analysis.get_or_init(|| {
             nss_obs::status_err!("running analytical sweep...");
             let _span = nss_obs::span!("repro.analysis_sweep");
-            st.analysis = Some(Arc::new(analysis_sweep(self)));
-        }
-        st.analysis.clone().expect("just computed")
+            analysis_sweep(self)
+        })
     }
 
     /// The shared simulated sweep (Figs. 8–11), computed on first use.
-    pub fn sim(&self) -> Arc<SimSweep> {
-        let mut st = self.state.lock().expect("shared state poisoned");
-        if st.sim.is_none() {
+    pub fn sim(&self) -> &SimSweep {
+        self.sim.get_or_init(|| {
             nss_obs::status_err!(
                 "running simulated sweep ({} runs per point)...",
                 self.sim_runs()
             );
             let _span = nss_obs::span!("repro.sim_sweep");
-            st.sim = Some(Arc::new(sim_sweep(self, false)));
-        }
-        st.sim.clone().expect("just computed")
+            sim_sweep(self, false)
+        })
     }
 
-    /// Analytical reachability plateau target (set by fig4).
-    pub fn plateau(&self) -> f64 {
-        self.state.lock().expect("shared state poisoned").plateau
-    }
-
-    /// Records the analytical plateau target for later figures.
-    pub fn set_plateau(&self, v: f64) {
-        self.state.lock().expect("shared state poisoned").plateau = v;
-    }
-
-    /// Analytical energy budget (set by fig6).
-    pub fn energy_budget(&self) -> f64 {
-        self.state
+    /// The §4.1 calibrations, indexed like `sec41`'s source table.
+    pub fn calibrations(&self) -> MutexGuard<'_, [Option<Calibration>; 2]> {
+        self.calibrations
             .lock()
-            .expect("shared state poisoned")
-            .energy_budget
-    }
-
-    /// Records the analytical energy budget for later figures.
-    pub fn set_energy_budget(&self, v: f64) {
-        self.state
-            .lock()
-            .expect("shared state poisoned")
-            .energy_budget = v;
-    }
-
-    /// Simulated reachability plateau target (set by fig8).
-    pub fn sim_plateau(&self) -> f64 {
-        self.state
-            .lock()
-            .expect("shared state poisoned")
-            .sim_plateau
-    }
-
-    /// Records the simulated plateau target for later figures.
-    pub fn set_sim_plateau(&self, v: f64) {
-        self.state
-            .lock()
-            .expect("shared state poisoned")
-            .sim_plateau = v;
-    }
-
-    /// Simulated broadcast budget (set by fig10).
-    pub fn sim_budget(&self) -> f64 {
-        self.state.lock().expect("shared state poisoned").sim_budget
-    }
-
-    /// Records the simulated broadcast budget for later figures.
-    pub fn set_sim_budget(&self, v: f64) {
-        self.state.lock().expect("shared state poisoned").sim_budget = v;
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Paths of every artifact written through this context so far.
     pub fn artifacts(&self) -> Vec<PathBuf> {
         self.artifacts
             .lock()
-            .expect("artifact list poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 
     fn record_artifact(&self, path: &Path) {
         self.artifacts
             .lock()
-            .expect("artifact list poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(path.to_path_buf());
     }
 
@@ -237,24 +157,34 @@ impl Ctx {
 
     /// Writes a CSV file into the output directory.
     pub fn write_csv(&self, name: &str, header: &str, rows: &[String]) {
-        fs::create_dir_all(&self.out_dir).expect("create results dir");
-        let path = self.out_dir.join(name);
-        let mut f = fs::File::create(&path).expect("create CSV");
-        writeln!(f, "{header}").unwrap();
+        let mut text = format!("{header}\n");
         for row in rows {
-            writeln!(f, "{row}").unwrap();
+            text.push_str(row);
+            text.push('\n');
         }
-        self.record_artifact(&path);
-        nss_obs::status!("  wrote {}", display_path(&path));
+        self.save(name, |path| fs::write(path, text));
     }
 
     /// Renders a figure to SVG in the output directory.
     pub fn write_svg(&self, name: &str, chart: &nss_plot::Chart) {
-        fs::create_dir_all(&self.out_dir).expect("create results dir");
+        self.save(name, |path| chart.save(path));
+    }
+
+    fn save(&self, name: &str, write: impl FnOnce(&Path) -> io::Result<()>) {
         let path = self.out_dir.join(name);
-        chart.save(&path).expect("write SVG");
+        write_or_exit(&path, write);
         self.record_artifact(&path);
         nss_obs::status!("  wrote {}", display_path(&path));
+    }
+}
+
+/// Writes `path` through `write`, creating its directory first. An I/O
+/// failure ends the run with exit status 1 and the path, never a panic.
+pub fn write_or_exit(path: &Path, write: impl FnOnce(&Path) -> io::Result<()>) {
+    let dir = path.parent().unwrap_or(Path::new(""));
+    if let Err(e) = fs::create_dir_all(dir).and_then(|()| write(path)) {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        std::process::exit(1);
     }
 }
 
@@ -279,6 +209,7 @@ pub fn analysis_sweep(ctx: &Ctx) -> DensitySweep {
 }
 
 /// A full simulated sweep: `grid[rho_idx][p_idx]` of replicated traces.
+#[derive(Debug)]
 pub struct SimSweep {
     /// Density axis.
     pub rhos: Vec<f64>,

@@ -53,6 +53,10 @@ fn connectivity_rate(n: usize, radius: f64, trials: u32, factory: &SeedFactory) 
     for t in 0..trials {
         let key = ((n as u64) << 20) | u64::from(t);
         let positions = sample_unit_disk(n, factory.seed(Stream::Deployment, key));
+        #[expect(
+            clippy::expect_used,
+            reason = "trial fields of at most a few thousand nodes cannot overflow u32 ids"
+        )]
         let net = DeployedNetwork::try_from_positions(positions, radius)
             .expect("unit-disk trial fields are far below u32 capacity");
         let topo = Topology::build(&net);

@@ -7,7 +7,7 @@
 //! the success rate in simulation.
 
 use crate::common::{heading, Ctx};
-use crate::fig04::LATENCY_BUDGET;
+use crate::sec41::LATENCY_BUDGET;
 use nss_analysis::flooding::success_rate_correlation;
 use nss_core::adaptive::measure_success_rate;
 use nss_model::deployment::Deployment;

@@ -1,119 +1,47 @@
 //! The figure registry: every artifact the `repro` binary can produce is a
-//! [`Figure`] entry here, dispatched in declaration order.
+//! [`FigureDef`] entry here, dispatched in declaration order.
 //!
 //! Declaration order matters: earlier figures deposit calibration values
-//! (the Fig. 4 plateau, the Fig. 6 energy budget, their simulated
-//! counterparts) into the shared [`crate::common::Ctx`] state that
-//! later figures consume — exactly the paper's "analyze, then refine the
-//! target" workflow. A name-sorted dispatch (`fig10` < `fig4`
-//! lexicographically) would silently break that threading, which is why
-//! the registry is a slice, not a sorted map.
+//! (each source's §4.1 reachability target and broadcast budget) into the
+//! shared [`crate::common::Ctx`] state that later figures consume — exactly
+//! the paper's "analyze, then refine the target" workflow. A name-sorted
+//! dispatch (`fig10` < `fig4` lexicographically) would silently break that
+//! threading, which is why the registry is a slice, not a sorted map.
 
 use crate::common::Ctx;
-use crate::{
-    ext_connectivity, ext_faults, ext_sinr, extensions, fig04, fig05, fig06, fig07, fig08, fig09,
-    fig10, fig11, fig12, report,
-};
+use crate::{ext_connectivity, ext_faults, ext_sinr, extensions, fig12, report, sec41};
 
 /// One reproducible artifact of the harness.
-pub trait Figure {
-    /// CLI name (`fig4`, `ext-faults`, …).
-    fn name(&self) -> &'static str;
-    /// Selection group (`analysis`, `sim`, `ext`, `misc`).
-    fn group(&self) -> &'static str;
-    /// Produces the figure's artifacts.
-    fn run(&self, ctx: &Ctx);
-}
-
-/// A registry entry: a function-pointer-backed [`Figure`].
 pub struct FigureDef {
-    name: &'static str,
-    group: &'static str,
+    /// CLI name (`fig4`, `ext-faults`, …).
+    pub name: &'static str,
+    /// Selection group (`analysis`, `sim`, `ext`, `misc`).
+    pub group: &'static str,
     /// One-line description for `repro list`.
-    describe: &'static str,
-    /// Span name recorded around the run.
+    pub describe: &'static str,
+    /// Span name recorded around the run (`repro.` + name).
     span: &'static str,
     runner: fn(&Ctx),
 }
 
-impl Figure for FigureDef {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn group(&self) -> &'static str {
-        self.group
-    }
-
-    fn run(&self, ctx: &Ctx) {
+impl FigureDef {
+    /// Produces the figure's artifacts.
+    pub fn run(&self, ctx: &Ctx) {
         let _span = nss_obs::span!(self.span);
         (self.runner)(ctx);
     }
 }
 
-impl FigureDef {
-    /// One-line description for `repro list`.
-    pub fn describe(&self) -> &'static str {
-        self.describe
-    }
-}
-
 macro_rules! fig {
-    ($name:literal, $group:literal, $desc:literal, $span:literal, $runner:expr) => {
+    ($name:literal, $group:literal, $desc:literal, $runner:expr) => {
         FigureDef {
             name: $name,
             group: $group,
             describe: $desc,
-            span: $span,
+            span: concat!("repro.", $name),
             runner: $runner,
         }
     };
-}
-
-fn run_fig4(ctx: &Ctx) {
-    let optima = fig04::run(ctx, &ctx.analysis());
-    if !optima.is_empty() {
-        ctx.set_plateau(optima.iter().map(|o| o.2).fold(f64::MAX, f64::min) * 0.999);
-    }
-}
-
-fn run_fig5(ctx: &Ctx) {
-    fig05::run(ctx, &ctx.analysis(), ctx.plateau());
-}
-
-fn run_fig6(ctx: &Ctx) {
-    let optima = fig06::run(ctx, &ctx.analysis(), ctx.plateau());
-    if !optima.is_empty() {
-        // The paper sets the Fig. 7 budget just below its Fig. 6 optimum;
-        // mirror that on our calibration.
-        ctx.set_energy_budget(optima.iter().map(|o| o.2).sum::<f64>() / optima.len() as f64);
-    }
-}
-
-fn run_fig7(ctx: &Ctx) {
-    fig07::run(ctx, &ctx.analysis(), ctx.energy_budget().round());
-}
-
-fn run_fig8(ctx: &Ctx) {
-    let optima = fig08::run(ctx, &ctx.sim());
-    if !optima.is_empty() {
-        ctx.set_sim_plateau(optima.iter().map(|o| o.2).fold(f64::MAX, f64::min) * 0.999);
-    }
-}
-
-fn run_fig9(ctx: &Ctx) {
-    fig09::run(ctx, &ctx.sim(), ctx.sim_plateau());
-}
-
-fn run_fig10(ctx: &Ctx) {
-    let optima = fig10::run(ctx, &ctx.sim(), ctx.sim_plateau());
-    if !optima.is_empty() {
-        ctx.set_sim_budget(optima.iter().map(|o| o.2).sum::<f64>() / optima.len() as f64);
-    }
-}
-
-fn run_fig11(ctx: &Ctx) {
-    fig11::run(ctx, &ctx.sim(), ctx.sim_budget().round());
 }
 
 /// All figures, in dispatch order.
@@ -122,203 +50,174 @@ pub static REGISTRY: &[FigureDef] = &[
         "fig4",
         "analysis",
         "analytical reachability vs p, optimal p vs rho",
-        "repro.fig4",
-        run_fig4
+        |ctx| sec41::run(ctx, 4)
     ),
     fig!(
         "fig5",
         "analysis",
         "analytical latency to the plateau target",
-        "repro.fig5",
-        run_fig5
+        |ctx| sec41::run(ctx, 5)
     ),
     fig!(
         "fig6",
         "analysis",
         "analytical energy to the plateau target",
-        "repro.fig6",
-        run_fig6
+        |ctx| sec41::run(ctx, 6)
     ),
     fig!(
         "fig7",
         "analysis",
         "analytical reachability under an energy budget",
-        "repro.fig7",
-        run_fig7
+        |ctx| sec41::run(ctx, 7)
     ),
     fig!(
         "fig8",
         "sim",
         "simulated reachability vs p, optimal p vs rho",
-        "repro.fig8",
-        run_fig8
+        |ctx| sec41::run(ctx, 8)
     ),
     fig!(
         "fig9",
         "sim",
         "simulated latency to the plateau target",
-        "repro.fig9",
-        run_fig9
+        |ctx| sec41::run(ctx, 9)
     ),
     fig!(
         "fig10",
         "sim",
         "simulated broadcasts to the plateau target",
-        "repro.fig10",
-        run_fig10
+        |ctx| sec41::run(ctx, 10)
     ),
     fig!(
         "fig11",
         "sim",
         "simulated reachability under a broadcast budget",
-        "repro.fig11",
-        run_fig11
+        |ctx| sec41::run(ctx, 11)
     ),
     fig!(
         "fig12",
         "misc",
         "per-broadcast success-rate correlation",
-        "repro.fig12",
         fig12::run
     ),
     fig!(
         "ext-cs",
         "ext",
         "carrier-sense (2r) vs transmission-range optima",
-        "repro.ext-cs",
         extensions::ext_carrier_sense
     ),
     fig!(
         "ext-cfmgap",
         "ext",
         "CFM prediction vs CAM measurement gap",
-        "repro.ext-cfmgap",
         extensions::ext_cfm_gap
     ),
     fig!(
         "ext-grid",
         "ext",
         "grid-deployment percolation threshold",
-        "repro.ext-grid",
         extensions::ext_grid_percolation
     ),
     fig!(
         "ext-adaptive",
         "ext",
         "adaptive density-aware probability control",
-        "repro.ext-adaptive",
         extensions::ext_adaptive
     ),
     fig!(
         "ext-ack",
         "ext",
         "ACK-based reliable flooding cost",
-        "repro.ext-ack",
         extensions::ext_ack_flood
     ),
     fig!(
         "ext-async",
         "ext",
         "synchronous vs asynchronous execution",
-        "repro.ext-async",
         extensions::ext_async
     ),
     fig!(
         "ext-mumode",
         "ext",
         "mu interpolation vs Poisson closure",
-        "repro.ext-mumode",
         extensions::ext_mu_mode
     ),
     fig!(
         "ext-survival",
         "ext",
         "per-node survival-time distribution",
-        "repro.ext-survival",
         extensions::ext_survival
     ),
     fig!(
         "ext-cfmcost",
         "ext",
         "CFM cost accounting",
-        "repro.ext-cfmcost",
         extensions::ext_cfm_cost
     ),
     fig!(
         "ext-schemes",
         "ext",
         "broadcast-scheme comparison",
-        "repro.ext-schemes",
         extensions::ext_schemes
     ),
     fig!(
         "ext-converge",
         "ext",
         "convergecast under CAM",
-        "repro.ext-converge",
         extensions::ext_convergecast
     ),
     fig!(
         "ext-failures",
         "ext",
         "PB_CAM under per-phase node failures",
-        "repro.ext-failures",
         extensions::ext_failures
     ),
     fig!(
         "ext-tdma",
         "ext",
         "TDMA-implemented CFM vs CAM flooding",
-        "repro.ext-tdma",
         extensions::ext_tdma
     ),
     fig!(
         "ext-slots",
         "ext",
         "slot-count sensitivity",
-        "repro.ext-slots",
         extensions::ext_slots
     ),
     fig!(
         "ext-hetero",
         "ext",
         "heterogeneous-radio deployments",
-        "repro.ext-hetero",
         extensions::ext_hetero
     ),
     fig!(
         "ext-fieldsize",
         "ext",
         "field-size (ring count) sensitivity",
-        "repro.ext-fieldsize",
         extensions::ext_fieldsize
     ),
     fig!(
         "ext-faults",
         "ext",
         "deterministic fault injection: loss + dead-node sweeps, analysis vs sim",
-        "repro.ext-faults",
         ext_faults::run
     ),
     fig!(
         "ext-connectivity",
         "ext",
         "Monte-Carlo connectivity probability at f * r_crit(n)",
-        "repro.ext-connectivity",
         ext_connectivity::run
     ),
     fig!(
         "ext-sinr",
         "ext",
         "SINR vs unit-disk backends: reachability overlay, transmit-only uplink",
-        "repro.ext-sinr",
         ext_sinr::run
     ),
     fig!(
         "report",
         "misc",
         "compose results/REPORT.md from the CSVs",
-        "repro.report",
         report::run
     ),
 ];
@@ -341,7 +240,7 @@ mod tests {
     fn names_are_unique() {
         for (i, a) in REGISTRY.iter().enumerate() {
             for b in &REGISTRY[i + 1..] {
-                assert_ne!(a.name(), b.name());
+                assert_ne!(a.name, b.name);
             }
         }
     }
@@ -351,7 +250,7 @@ mod tests {
         let pos = |n: &str| {
             REGISTRY
                 .iter()
-                .position(|f| f.name() == n)
+                .position(|f| f.name == n)
                 .expect("registered")
         };
         assert!(pos("fig4") < pos("fig5"));

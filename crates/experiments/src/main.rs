@@ -8,7 +8,7 @@
 //! cargo run --release -p nss-experiments --bin repro -- list
 //! ```
 //!
-//! Commands are [`figures::Figure`] registry entries (`repro list` prints
+//! Commands are [`figures::REGISTRY`] entries (`repro list` prints
 //! them) plus the groups `analysis`, `sim`, `ext`, `misc`, and `all`, and
 //! the long-running `repro serve` (the `nss-serve` HTTP query service;
 //! own flags, blocks until killed).
@@ -19,31 +19,17 @@
 //! duration), `--trace-out FILE` (flight-recorder dump, Chrome
 //! `trace_event` JSON). The last two carry data only with `--features obs`.
 
-#![expect(
-    clippy::needless_range_loop,
-    reason = "tabular row/column code reads better indexed"
-)]
-#![forbid(unsafe_code)]
-
 mod common;
 mod ext_connectivity;
 mod ext_faults;
 mod ext_sinr;
 mod extensions;
-mod fig04;
-mod fig05;
-mod fig06;
-mod fig07;
-mod fig08;
-mod fig09;
-mod fig10;
-mod fig11;
 mod fig12;
 mod figures;
 mod report;
+mod sec41;
 
-use common::Ctx;
-use figures::Figure;
+use common::{write_or_exit, Ctx};
 use nss_model::comm::MediumBackend;
 use nss_model::faults::FaultPlan;
 use std::collections::BTreeSet;
@@ -129,7 +115,7 @@ fn main() {
     // Registry (declaration) order, so figures that calibrate plateau and
     // budget targets run before the figures that consume them.
     for fig in figures::REGISTRY {
-        if selected.contains(fig.name()) {
+        if selected.contains(fig.name) {
             fig.run(&ctx);
         }
     }
@@ -186,6 +172,7 @@ fn run_serve(args: &[String]) {
                 let v = value("--quad-points");
                 config.quad_points = v.parse().unwrap_or_else(|_| parse_fail("--quad-points", v));
             }
+            #[expect(clippy::print_stdout, reason = "help text is the command's output")]
             "--help" | "-h" => {
                 println!(
                     "usage: repro serve [--addr HOST:PORT] [--workers N] [--shards N]\n                   \
@@ -294,16 +281,16 @@ fn select(commands: &[String]) -> Result<BTreeSet<&'static str>, String> {
     let mut selected = BTreeSet::new();
     for cmd in commands {
         if cmd == "all" {
-            selected.extend(figures::REGISTRY.iter().map(Figure::name));
+            selected.extend(figures::REGISTRY.iter().map(|f| f.name));
         } else if figures::is_group(cmd) {
             selected.extend(
                 figures::REGISTRY
                     .iter()
-                    .filter(|f| f.group() == cmd)
-                    .map(Figure::name),
+                    .filter(|f| f.group == cmd)
+                    .map(|f| f.name),
             );
         } else if let Some(fig) = figures::find(cmd) {
-            selected.insert(fig.name());
+            selected.insert(fig.name);
         } else {
             return Err(cmd.clone());
         }
@@ -316,8 +303,6 @@ fn select(commands: &[String]) -> Result<BTreeSet<&'static str>, String> {
 /// `OBS_METRICS.json` (full registry dump; all zeros without `--features
 /// obs`). Both are written unconditionally — provenance is not optional.
 fn write_run_records(ctx: &Ctx, selected: &BTreeSet<&str>, wall_s: f64) {
-    std::fs::create_dir_all(&ctx.out_dir).expect("create results dir");
-
     let mut manifest = nss_obs::manifest::RunManifest::new("repro", ctx.seed);
     manifest.wall_s = wall_s;
     manifest.config_entry("fast", ctx.fast);
@@ -335,43 +320,58 @@ fn write_run_records(ctx: &Ctx, selected: &BTreeSet<&str>, wall_s: f64) {
     }
     manifest.capture_counters();
     let manifest_path = ctx.out_dir.join("RUN_MANIFEST.json");
-    manifest.write(&manifest_path).expect("write manifest");
+    write_or_exit(&manifest_path, |path| manifest.write(path));
     nss_obs::status!("  wrote {}", manifest_path.display());
 
     let metrics_path = ctx.out_dir.join("OBS_METRICS.json");
-    std::fs::write(
-        &metrics_path,
-        nss_obs::export::json(nss_obs::registry::Registry::global()),
-    )
-    .expect("write metrics");
+    let metrics = nss_obs::export::json(nss_obs::registry::Registry::global());
+    write_or_exit(&metrics_path, |path| std::fs::write(path, metrics));
     nss_obs::status!("  wrote {}", metrics_path.display());
 }
 
 /// `repro list`: every registered figure with its group and description.
+#[expect(clippy::print_stdout, reason = "the listing is the command's output")]
 fn print_list() {
     println!("{:<16} {:<10} description", "name", "group");
     for fig in figures::REGISTRY {
-        println!("{:<16} {:<10} {}", fig.name(), fig.group(), fig.describe());
+        println!("{:<16} {:<10} {}", fig.name, fig.group, fig.describe);
     }
     println!("\ngroups: analysis sim ext misc all");
 }
 
+#[expect(clippy::print_stdout, reason = "usage text is the CLI's output")]
 fn print_usage() {
+    // The registry is the one list of commands: group them in its order.
+    let mut groups: Vec<(&str, Vec<&str>)> = Vec::new();
+    for fig in figures::REGISTRY {
+        match groups.iter_mut().find(|(g, _)| *g == fig.group) {
+            Some((_, names)) => names.push(fig.name),
+            None => groups.push((fig.group, vec![fig.name])),
+        }
+    }
+    let mut commands = String::new();
+    for (group, names) in groups {
+        let mut line = format!("  {group:<10}");
+        for name in names {
+            if line.len() + name.len() > 78 {
+                commands.push_str(line.trim_end());
+                commands.push('\n');
+                line = " ".repeat(12);
+            }
+            line.push_str(name);
+            line.push(' ');
+        }
+        commands.push_str(line.trim_end());
+        commands.push('\n');
+    }
     println!(
         "usage: repro [--fast] [--quiet] [--out DIR] [--runs N] [--threads N] [--seed S]\n             \
          [--faults SPEC] [--medium SPEC] [--metrics-addr HOST:PORT] [--trace-out FILE]\n             \
          COMMAND...\n\
-         commands:\n  \
-         list                     print every registered figure\n  \
-         fig4 fig5 fig6 fig7      analytical figures (ring model)\n  \
-         fig8 fig9 fig10 fig11    simulated figures (30-run averages)\n  \
-         fig12                    success-rate correlation\n  \
-         ext-cs ext-cfmgap ext-grid ext-adaptive ext-ack ext-async ext-mumode\n  \
-         ext-survival ext-cfmcost ext-schemes ext-converge ext-failures ext-tdma\n  \
-         ext-slots ext-hetero ext-fieldsize ext-faults ext-sinr\n  \
-         report                   compose results/REPORT.md from the CSVs\n  \
-         analysis | sim | ext | misc | all\n  \
-         serve                    run the HTTP query service (see `repro serve --help`)\n\
+         commands, by group (a group name or `all` runs every figure in it):\n\
+         {commands}  \
+         list      print every registered figure with its description\n  \
+         serve     run the HTTP query service (see `repro serve --help`)\n\
          fault spec: comma-separated, e.g. \"loss=0.2,dead=0.1,duty=3/5,budget=2,out=3:2-5\"\n\
          medium spec: \"unit-disk\" (default) or \"sinr[:alpha=A,beta=B,noise=N,kappa=K]\""
     );

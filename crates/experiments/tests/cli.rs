@@ -1,6 +1,13 @@
 //! CLI contract tests for the `repro` binary: malformed flags exit with
-//! usage + status 2 instead of panicking, and `list` prints the registry.
+//! usage + status 2 instead of panicking, `list` prints the registry, and
+//! the §4.1 figures hand their calibrations on in registry order.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] bodies; a failed step must fail the test"
+)]
+
+use std::path::PathBuf;
 use std::process::Command;
 
 fn repro(args: &[&str]) -> std::process::Output {
@@ -70,4 +77,36 @@ fn no_commands_prints_usage_and_succeeds() {
     let out = repro(&[]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage: repro"));
+}
+
+/// Runs `repro --fast --quiet` on `figs` into a fresh directory and returns
+/// the panel-(a) SVG of `fig`.
+fn panel_a_svg(figs: &[&str], fig: &str) -> String {
+    let out: PathBuf = [
+        env!("CARGO_TARGET_TMPDIR"),
+        &format!("calib-{}", figs.join("-")),
+    ]
+    .iter()
+    .collect();
+    let _ = std::fs::remove_dir_all(&out);
+    let dir = out.to_str().expect("UTF-8 temp path");
+    let run = repro(&[&["--fast", "--quiet", "--out", dir], figs].concat());
+    assert_eq!(run.status.code(), Some(0), "repro {figs:?} failed");
+    std::fs::read_to_string(out.join(format!("{fig}a.svg"))).expect("panel (a) SVG written")
+}
+
+#[test]
+fn calibrations_flow_from_the_calibrating_figures() {
+    // Run alone, a figure uses the paper's constraint; after its
+    // calibrating figure, the constraint that figure measured.
+    let cases: [(&[&str], &str, &str); 4] = [
+        (&["fig5"], "fig05", "to 72% reachability"),
+        (&["fig4", "fig5"], "fig05", "to 83% reachability"),
+        (&["fig7"], "fig07", "within 35 broadcasts"),
+        (&["fig4", "fig6", "fig7"], "fig07", "within 66 broadcasts"),
+    ];
+    for (figs, fig, title) in cases {
+        let svg = panel_a_svg(figs, fig);
+        assert!(svg.contains(title), "{figs:?}: {fig}a.svg lacks {title:?}");
+    }
 }

@@ -27,7 +27,7 @@
 //!   are *not evaluated* — and [`enabled()`] is `const false`, so guarded
 //!   measurement code (`if nss_obs::enabled() { … }`) is dead-code
 //!   eliminated. Instrumented sweeps are bitwise identical with the feature
-//!   on and off; the CI fig4 smoke asserts exactly that.
+//!   on and off; CI's output-identity step asserts exactly that.
 //! * With `enabled` **on**, counters are single relaxed atomic adds and
 //!   histogram records are one atomic add per bucket/sum/count — safe to
 //!   leave in warm (not innermost) loops.

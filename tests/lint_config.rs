@@ -60,7 +60,15 @@ fn workspace_table_carries_the_panic_and_unsafe_policy() {
 #[test]
 fn library_crates_opt_into_the_workspace_table() {
     for name in [
-        "model", "analysis", "sim", "core", "plot", "obs", "serve", "lint",
+        "model",
+        "analysis",
+        "sim",
+        "core",
+        "plot",
+        "obs",
+        "serve",
+        "lint",
+        "experiments",
     ] {
         let manifest = read(&format!("crates/{name}/Cargo.toml"));
         assert!(
