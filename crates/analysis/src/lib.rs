@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::optimize::{refine_golden, Objective, Optimum, ProbabilitySweep};
     pub use crate::ring_geometry::RingGeometry;
     pub use crate::ring_model::{RingModel, RingModelConfig, RingProfile};
-    pub use crate::sharded::{CacheWeight, Fingerprint, ShardedCache, ShardedKernelCache};
+    pub use crate::sharded::{CacheWeight, Fingerprint, ShardedCache};
     pub use crate::survival::{poisson_extinction, survival_estimate, SurvivalEstimate};
     pub use crate::sweep::DensitySweep;
     pub use crate::tables::{GeometryTables, KernelCache, KernelKey, SharedKernel};

@@ -38,21 +38,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use crate::tables::{KernelKey, SharedKernel};
-
-/// Deterministic 64-bit FNV-1a over `bytes` — the shard-selection hash.
-///
-/// Stable across runs, platforms, and process restarts (unlike
-/// `std::collections` hashing, which is randomly seeded), so shard
-/// assignment — and therefore eviction behavior — is reproducible.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use crate::tables::KernelKey;
+use nss_obs::manifest::fnv64;
 
 /// A deterministic 64-bit fingerprint used for shard selection.
 pub trait Fingerprint {
@@ -83,12 +70,6 @@ impl Fingerprint for KernelKey {
 pub trait CacheWeight {
     /// Approximate heap bytes this entry keeps resident.
     fn cache_bytes(&self) -> usize;
-}
-
-impl CacheWeight for SharedKernel {
-    fn cache_bytes(&self) -> usize {
-        self.bytes()
-    }
 }
 
 /// How a [`ShardedCache::get_or_build`] call was satisfied.
@@ -452,11 +433,6 @@ impl<K: Ord + Clone + Fingerprint, V: CacheWeight> ShardedCache<K, V> {
         }
     }
 }
-
-/// A [`ShardedCache`] of interned [`SharedKernel`]s — the admission-
-/// controlled sibling of [`crate::tables::KernelCache`] for long-running
-/// services.
-pub type ShardedKernelCache = ShardedCache<KernelKey, SharedKernel>;
 
 #[cfg(test)]
 mod tests {

@@ -2,15 +2,15 @@
 //!
 //! Every figure of the paper's evaluation is a grid over densities
 //! ρ ∈ {20..140} and probabilities p. Grid points are independent, so they
-//! parallelize embarrassingly; this module fans them out over scoped
-//! threads and reassembles the grid in order.
+//! parallelize embarrassingly; this module fans them out with
+//! [`nss_model::par::map_indexed`] and reassembles the grid in order.
 
 use crate::optimize::{Objective, Optimum};
 use crate::ring_model::{RingModel, RingModelConfig};
 use crate::tables::KernelCache;
 use nss_model::metrics::PhaseSeries;
+use nss_model::par;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Results of a full (ρ × p) sweep of the analytical model.
@@ -35,16 +35,7 @@ impl DensitySweep {
     /// Runs the sweep on up to `threads` worker threads (0 = available
     /// parallelism).
     pub fn run(base: RingModelConfig, rhos: &[f64], probs: &[f64], threads: usize) -> Self {
-        let cells: Vec<(usize, usize)> = (0..rhos.len())
-            .flat_map(|ri| (0..probs.len()).map(move |pi| (ri, pi)))
-            .collect();
-        let nworkers = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        }
-        .min(cells.len().max(1));
-
+        let cells = rhos.len() * probs.len();
         // One shared kernel serves every cell: the geometry/μ tables do not
         // depend on ρ or p, so workers only run the phase recursion.
         let kernel = KernelCache::global().get(&base);
@@ -54,67 +45,29 @@ impl DensitySweep {
         let rho_max = rhos.iter().copied().fold(0.0f64, f64::max);
         kernel.mu_table.ensure(rho_max.ceil() as u64 + 1);
 
-        let mut results: Vec<Option<PhaseSeries>> = vec![None; cells.len()];
-        {
-            // Work-stealing via a shared atomic cursor; finished cells are
-            // streamed back over a channel (same idiom as `sim::runner`) and
-            // placed by index by the scope's owning thread.
-            let cursor = AtomicUsize::new(0);
-            let (cursor, cells) = (&cursor, &cells);
-            let (tx, rx) = crossbeam::channel::unbounded::<(usize, PhaseSeries)>();
-            std::thread::scope(|scope| {
-                for _ in 0..nworkers {
-                    let tx = tx.clone();
-                    let kernel = Arc::clone(&kernel);
-                    scope.spawn(move || loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells.len() {
-                            break;
-                        }
-                        let (ri, pi) = cells[i];
-                        let mut cfg = base;
-                        cfg.rho = rhos[ri];
-                        cfg.prob = probs[pi];
-                        // Gate the clock reads themselves on the obs
-                        // feature so uninstrumented builds pay nothing.
-                        let cell_start = nss_obs::enabled().then(std::time::Instant::now);
-                        let series = RingModel::with_kernel(cfg, Arc::clone(&kernel))
-                            .run()
-                            .phase_series();
-                        if let Some(start) = cell_start {
-                            nss_obs::observe!(
-                                "analysis.sweep.cell_seconds",
-                                start.elapsed().as_secs_f64()
-                            );
-                            nss_obs::counter!("analysis.sweep.cells").inc();
-                        }
-                        // The receiver outlives this scope; a closed channel
-                        // means the collector is unwinding, so stop quietly
-                        // rather than panic on top of a panic.
-                        if tx.send((i, series)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx); // workers hold the remaining senders
-                for (i, series) in rx {
-                    results[i] = Some(series);
-                }
-            });
-        }
-
-        let mut grid: Vec<Vec<PhaseSeries>> = Vec::with_capacity(rhos.len());
-        let mut it = results.into_iter();
-        for _ in 0..rhos.len() {
-            #[expect(
-                clippy::expect_used,
-                reason = "the cursor protocol claims every index exactly once (exhaustively checked by tests/loom_sweep.rs), so a missing cell is unreachable"
-            )]
-            let row: Vec<PhaseSeries> = (0..probs.len())
-                .map(|_| it.next().flatten().expect("sweep cell missing"))
-                .collect();
-            grid.push(row);
-        }
+        // Cell i is (ρ index i / |probs|, p index i % |probs|): row-major,
+        // so the results chunk straight into the grid's rows.
+        let mut series = par::map_indexed(cells, par::workers(threads, cells), |i| {
+            let mut cfg = base;
+            cfg.rho = rhos[i / probs.len()];
+            cfg.prob = probs[i % probs.len()];
+            // Gate the clock reads themselves on the obs feature so
+            // uninstrumented builds pay nothing.
+            let cell_start = nss_obs::enabled().then(std::time::Instant::now);
+            let series = RingModel::with_kernel(cfg, Arc::clone(&kernel))
+                .run()
+                .phase_series();
+            if let Some(start) = cell_start {
+                nss_obs::observe!("analysis.sweep.cell_seconds", start.elapsed().as_secs_f64());
+                nss_obs::counter!("analysis.sweep.cells").inc();
+            }
+            series
+        })
+        .into_iter();
+        let grid = rhos
+            .iter()
+            .map(|_| series.by_ref().take(probs.len()).collect())
+            .collect();
         DensitySweep {
             base,
             rhos: rhos.to_vec(),

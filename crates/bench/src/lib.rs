@@ -1,7 +1,5 @@
 //! Shared fixtures for the nss Criterion micro-benchmarks.
 
-#![forbid(unsafe_code)]
-
 use nss_analysis::ring_model::RingModelConfig;
 use nss_model::deployment::Deployment;
 use nss_model::topology::Topology;

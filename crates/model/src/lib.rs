@@ -15,6 +15,9 @@
 //! * Supporting **geometry** ([`geometry`]), a grid **spatial index**
 //!   ([`spatial`]), node **ids** ([`ids`]), and deterministic **seed
 //!   derivation** ([`rng`]).
+//! * The workspace's one thread **fan-out** ([`par`]): work-stealing over
+//!   indexed items and one thread per pre-split unit, with per-unit stage
+//!   telemetry.
 //!
 //! Higher layers build on this crate: `nss-analysis` evaluates the paper's
 //! analytical framework against the same geometric definitions, and
@@ -44,6 +47,7 @@ pub mod geometry;
 pub mod ids;
 pub mod io;
 pub mod metrics;
+pub mod par;
 pub mod rng;
 pub mod spatial;
 pub mod topology;

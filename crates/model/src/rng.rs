@@ -29,8 +29,11 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// every stream is a named variant: a typo is a compile error, not a silent
 /// fork or collision.
 pub fn derive_seed(master: u64, stream: Stream, index: u64) -> u64 {
-    // FNV-1a over the stream's label, then two SplitMix64 whitening steps
-    // mixing in the master seed and the index.
+    // FNV-1a-style over the stream's label, then two SplitMix64 whitening
+    // steps mixing in the master seed and the index. The multiplier is
+    // 2^44 + 0x1b3, not the FNV-64 prime 2^40 + 0x1b3 (0x100_0000_01b3);
+    // every seed in the workspace, and so every recorded figure and trace
+    // digest, depends on it, so it stays.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in stream.label().as_bytes() {
         h ^= u64::from(*b);

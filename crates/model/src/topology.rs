@@ -8,6 +8,7 @@ use crate::deployment::DeployedNetwork;
 use crate::error::ConfigError;
 use crate::geometry::Point2;
 use crate::ids::NodeId;
+use crate::par;
 use crate::spatial::GridIndex;
 use std::collections::VecDeque;
 
@@ -44,63 +45,6 @@ fn check_adjacency_len(total: u64) -> Result<(), ConfigError> {
         });
     }
     Ok(())
-}
-
-/// Telemetry hook for one sharded CSR-build pass. With live
-/// instrumentation (`obs` feature), [`BuildStage::finish`] publishes a
-/// flight-recorder event spanning the pass, each chunk's wall time into
-/// the `<stage>.shard.seconds` histogram, and the max/mean chunk-time
-/// ratio into the `<stage>.imbalance` gauge; without it, every method
-/// const-folds to nothing and the build is byte-for-byte the
-/// uninstrumented one.
-struct BuildStage {
-    stage: &'static str,
-    start_ns: u64,
-}
-
-impl BuildStage {
-    fn start(stage: &'static str) -> Self {
-        BuildStage {
-            stage,
-            start_ns: Self::clock(),
-        }
-    }
-
-    /// Nanoseconds on the recorder clock (0 when instrumentation is off).
-    #[inline]
-    fn clock() -> u64 {
-        if nss_obs::enabled() {
-            nss_obs::trace::now_ns()
-        } else {
-            0
-        }
-    }
-
-    fn finish(self, chunk_ns: &[u64]) {
-        if !nss_obs::enabled() || chunk_ns.is_empty() {
-            return;
-        }
-        let end_ns = nss_obs::trace::now_ns();
-        nss_obs::trace::record(
-            nss_obs::trace::intern(self.stage),
-            self.start_ns,
-            end_ns.saturating_sub(self.start_ns),
-        );
-        let reg = nss_obs::registry::Registry::global();
-        let hist = reg.histogram(&format!("{}.shard.seconds", self.stage));
-        let mut max_ns = 0u64;
-        let mut sum_ns = 0u64;
-        for &d in chunk_ns {
-            hist.record(d as f64 * 1e-9);
-            max_ns = max_ns.max(d);
-            sum_ns += d;
-        }
-        let mean_ns = sum_ns as f64 / chunk_ns.len() as f64;
-        if mean_ns > 0.0 {
-            reg.gauge(&format!("{}.imbalance", self.stage))
-                .set(max_ns as f64 / mean_ns);
-        }
-    }
 }
 
 /// Immutable unit-disk topology built from a [`DeployedNetwork`].
@@ -149,19 +93,19 @@ impl Topology {
         check_node_count(n)?;
         let index = GridIndex::build(&positions, r)?;
 
-        let nworkers = match threads {
-            0 if n < PAR_BUILD_THRESHOLD => 1,
-            0 => std::thread::available_parallelism().map_or(1, |t| t.get()),
-            t => t,
-        }
-        .min(n.max(1));
+        let nworkers = if threads == 0 && n < PAR_BUILD_THRESHOLD {
+            1
+        } else {
+            par::workers(threads, n)
+        };
 
         // Pass 1: count each node's degree (disjoint chunks of `degrees`).
         let chunk = n.div_ceil(nworkers).max(1);
         let mut degrees = vec![0u32; n];
-        let count_range = |base: usize, out: &mut [u32]| {
+        let units: Vec<_> = degrees.chunks_mut(chunk).enumerate().collect();
+        par::map_units("topo.count", units, |(ci, out)| {
             for (j, d) in out.iter_mut().enumerate() {
-                let i = base + j;
+                let i = ci * chunk + j;
                 let mut deg = 0u32;
                 index.for_each_within(&positions, &positions[i], r, |id| {
                     if id.index() != i {
@@ -170,37 +114,7 @@ impl Topology {
                 });
                 *d = deg;
             }
-        };
-        let pass1 = BuildStage::start("topo.count");
-        #[expect(
-            clippy::expect_used,
-            reason = "a panicking builder worker leaves the CSR half-filled; propagating is the only sound option"
-        )]
-        let durs: Vec<u64> = if nworkers <= 1 {
-            let t0 = BuildStage::clock();
-            count_range(0, &mut degrees);
-            vec![BuildStage::clock().saturating_sub(t0)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = degrees
-                    .chunks_mut(chunk)
-                    .enumerate()
-                    .map(|(ci, out)| {
-                        let count_range = &count_range;
-                        scope.spawn(move || {
-                            let t0 = BuildStage::clock();
-                            count_range(ci * chunk, out);
-                            BuildStage::clock().saturating_sub(t0)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("CSR count worker panicked"))
-                    .collect()
-            })
-        };
-        pass1.finish(&durs);
+        });
 
         // Prefix-sum the degrees into CSR row offsets, guarding overflow.
         let mut starts = Vec::with_capacity(n + 1);
@@ -215,7 +129,15 @@ impl Topology {
         // Pass 2: fill each row in place. Rows are disjoint, so the
         // adjacency buffer is handed out as per-chunk sub-slices.
         let mut adj = vec![0u32; total as usize];
-        let fill_range = |lo: usize, hi: usize, out: &mut [u32]| {
+        let mut units = Vec::with_capacity(nworkers);
+        let mut rest: &mut [u32] = &mut adj;
+        for lo in (0..n).step_by(chunk) {
+            let hi = (lo + chunk).min(n);
+            let (slice, tail) = rest.split_at_mut((starts[hi] - starts[lo]) as usize);
+            units.push((lo, hi, slice));
+            rest = tail;
+        }
+        par::map_units("topo.fill", units, |(lo, hi, out)| {
             let base = starts[lo] as usize;
             for i in lo..hi {
                 let row_lo = starts[i] as usize - base;
@@ -231,43 +153,7 @@ impl Topology {
                 // previous per-node staging build, bit for bit.
                 out[row_lo..cur].sort_unstable();
             }
-        };
-        let pass2 = BuildStage::start("topo.fill");
-        #[expect(
-            clippy::expect_used,
-            reason = "a panicking builder worker leaves the CSR half-filled; propagating is the only sound option"
-        )]
-        let durs: Vec<u64> = if nworkers <= 1 {
-            let t0 = BuildStage::clock();
-            fill_range(0, n, &mut adj);
-            vec![BuildStage::clock().saturating_sub(t0)]
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                let mut rest: &mut [u32] = &mut adj;
-                let mut consumed = 0usize;
-                let mut lo = 0usize;
-                while lo < n {
-                    let hi = (lo + chunk).min(n);
-                    let end = starts[hi] as usize;
-                    let (slice, tail) = rest.split_at_mut(end - consumed);
-                    let fill_range = &fill_range;
-                    handles.push(scope.spawn(move || {
-                        let t0 = BuildStage::clock();
-                        fill_range(lo, hi, slice);
-                        BuildStage::clock().saturating_sub(t0)
-                    }));
-                    rest = tail;
-                    consumed = end;
-                    lo = hi;
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("CSR fill worker panicked"))
-                    .collect()
-            })
-        };
-        pass2.finish(&durs);
+        });
 
         let topo = Topology {
             positions,

@@ -16,8 +16,10 @@ use std::path::Path;
 /// Manifest schema version; bump on breaking shape changes.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// FNV-1a 64-bit hash — the workspace's standard cheap content fingerprint
-/// (the same construction `nss-model`'s seed derivation uses on labels).
+/// FNV-1a 64-bit hash — the workspace's one cheap content fingerprint:
+/// artifact hashes here, trace digests, and the query caches' shard keys.
+/// (`nss-model`'s seed derivation hashes stream labels with a different
+/// multiplier and is not this function.)
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -349,6 +349,17 @@ pub fn write_chrome_trace(path: &std::path::Path) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
+    /// Serializes the tests whose threads take rings from the shared pool:
+    /// a flood that recycles another test's ring overwrites that test's
+    /// events, and concurrent pool traffic can merge or grow lanes.
+    static POOL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn pool_guard() -> std::sync::MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the pool itself stays valid.
+        POOL.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn intern_is_idempotent_and_resolvable() {
         let a = intern("trace.test.alpha");
@@ -387,6 +398,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_reports_overwrites() {
+        let _pool = pool_guard();
         // Flood one thread's ring well past capacity from a dedicated
         // thread so other tests' events are unaffected.
         let id = intern("trace.test.flood");
@@ -409,6 +421,7 @@ mod tests {
 
     #[test]
     fn events_are_sorted_and_multi_thread_lanes_distinct() {
+        let _pool = pool_guard();
         let id = intern("trace.test.lanes");
         // The barrier keeps all three threads alive (rings held) while
         // each records: concurrent recorders must occupy distinct rings.
@@ -439,6 +452,7 @@ mod tests {
 
     #[test]
     fn sequential_threads_reuse_pooled_rings() {
+        let _pool = pool_guard();
         let id = intern("trace.test.pool");
         // Strictly sequential short-lived threads: each one's ring returns
         // to the pool before the next starts, so they must recycle rings

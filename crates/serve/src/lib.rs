@@ -104,7 +104,7 @@ pub struct RhoKey {
 
 impl Fingerprint for RhoKey {
     fn fingerprint(&self) -> u64 {
-        nss_analysis::sharded::fnv64(&self.rho_bits.to_le_bytes())
+        nss_obs::manifest::fnv64(&self.rho_bits.to_le_bytes())
             ^ self.kernel.fingerprint().rotate_left(17)
     }
 }

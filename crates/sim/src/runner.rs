@@ -9,10 +9,10 @@ use crate::executor::Executor;
 use crate::slotted::GossipConfig;
 use crate::stats::Summary;
 use crate::trace::SimTrace;
-use crossbeam::channel;
 use nss_model::deployment::Deployment;
 use nss_model::faults::FaultPlan;
 use nss_model::metrics::PhaseSeries;
+use nss_model::par;
 use nss_model::rng::{SeedFactory, Stream};
 use nss_model::topology::Topology;
 use serde::{Deserialize, Serialize};
@@ -114,54 +114,10 @@ impl Replication {
             )
         );
         let n = self.replications as usize;
-        let nworkers = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |t| t.get())
-        } else {
-            self.threads
-        }
-        .min(n.max(1));
-
-        let mut traces: Vec<Option<SimTrace>> = vec![None; n];
-        if nworkers <= 1 {
-            for (i, slot) in traces.iter_mut().enumerate() {
-                *slot = Some(self.run_one(&factory, i as u64));
-            }
-        } else {
-            let (tx, rx) = channel::unbounded::<(usize, SimTrace)>();
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..nworkers {
-                    let tx = tx.clone();
-                    let cursor = &cursor;
-                    let factory = &factory;
-                    scope.spawn(move || loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let trace = self.run_one(factory, i as u64);
-                        // Closed channel = collector unwinding; stop quietly
-                        // rather than panic on top of a panic.
-                        if tx.send((i, trace)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                for (i, trace) in rx {
-                    traces[i] = Some(trace);
-                }
-            });
-        }
         ReplicatedTraces {
-            #[expect(
-                clippy::expect_used,
-                reason = "the cursor protocol claims every replication index exactly once (same protocol loom-checked in analysis/tests/loom_sweep.rs), so a missing trace is unreachable"
-            )]
-            traces: traces
-                .into_iter()
-                .map(|t| t.expect("all runs complete"))
-                .collect(),
+            traces: par::map_indexed(n, par::workers(self.threads, n), |i| {
+                self.run_one(&factory, i as u64)
+            }),
         }
     }
 

@@ -42,6 +42,7 @@ use crate::trace::SimTrace;
 use nss_model::error::ConfigError;
 use nss_model::faults::{hash_unit, FaultPlan};
 use nss_model::ids::NodeId;
+use nss_model::par;
 use nss_model::rng::splitmix64;
 use nss_model::topology::Topology;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
@@ -76,106 +77,18 @@ pub fn validate_sharded(cfg: &GossipConfig) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Resolves a thread-count request against the available work.
-fn resolve_workers(threads: usize, work: usize) -> usize {
-    let t = match threads {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-        t => t,
-    };
-    t.min(work.max(1))
-}
-
 /// Runs `f` over contiguous chunks of `items` on up to `workers` threads
 /// and returns the per-chunk results **in chunk order**, so downstream
 /// merges see the same partial sequence under any actual parallelism.
-///
-/// `stage` labels this fan-out in the telemetry plane (no-op unless the
-/// `obs` feature is live): one flight-recorder event spanning the call,
-/// each chunk's wall time into the `<stage>.shard.seconds` histogram, and
-/// the max/mean chunk-time ratio into the `<stage>.imbalance` gauge.
-fn map_chunks<T, F>(stage: &'static str, items: &[u32], workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&[u32]) -> T + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let nw = workers.min(items.len());
-    let start_ns = if nss_obs::enabled() {
-        nss_obs::trace::now_ns()
-    } else {
-        0
-    };
-    #[expect(
-        clippy::expect_used,
-        reason = "a panicking worker already poisoned the replication; propagating the panic is the only sound option"
-    )]
-    let timed: Vec<(T, u64)> = if nw <= 1 {
-        vec![timed_chunk(items, &f)]
-    } else {
-        let chunk = items.len().div_ceil(nw);
-        std::thread::scope(|sc| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|c| sc.spawn(|| timed_chunk(c, &f)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sharded worker panicked"))
-                .collect()
-        })
-    };
-    if nss_obs::enabled() {
-        record_stage(stage, start_ns, &timed);
-    }
-    timed.into_iter().map(|(out, _)| out).collect()
-}
-
-/// Runs `f` on one chunk; with live instrumentation also measures the
-/// chunk's wall time in nanoseconds (0 otherwise — the timing calls
-/// const-fold away in disabled builds).
-#[inline]
-fn timed_chunk<T>(chunk: &[u32], f: &(impl Fn(&[u32]) -> T + Sync)) -> (T, u64) {
-    if !nss_obs::enabled() {
-        return (f(chunk), 0);
-    }
-    let start = nss_obs::trace::now_ns();
-    let out = f(chunk);
-    (out, nss_obs::trace::now_ns().saturating_sub(start))
-}
-
-/// Publishes one sharded stage to the telemetry plane. Runs on the
-/// coordinating replication thread *after* the workers have joined, so the
-/// flight recorder sees one ring per replication — never one per
-/// short-lived scoped worker — and the workers themselves stay
-/// instrumentation-free.
-fn record_stage<T>(stage: &'static str, start_ns: u64, timed: &[(T, u64)]) {
-    if timed.is_empty() {
-        return;
-    }
-    let end_ns = nss_obs::trace::now_ns();
-    nss_obs::trace::record(
-        nss_obs::trace::intern(stage),
-        start_ns,
-        end_ns.saturating_sub(start_ns),
-    );
-    let reg = nss_obs::registry::Registry::global();
-    let shard_hist = reg.histogram(&format!("{stage}.shard.seconds"));
-    let mut max_ns = 0u64;
-    let mut sum_ns = 0u64;
-    for &(_, dur_ns) in timed {
-        shard_hist.record(dur_ns as f64 * 1e-9);
-        max_ns = max_ns.max(dur_ns);
-        sum_ns += dur_ns;
-    }
-    let mean_ns = sum_ns as f64 / timed.len() as f64;
-    if mean_ns > 0.0 {
-        // 1.0 = perfectly balanced shards; the slowest-shard multiple of
-        // the mean is the wall-clock cost of the imbalance.
-        reg.gauge(&format!("{stage}.imbalance"))
-            .set(max_ns as f64 / mean_ns);
-    }
+/// `stage` labels the fan-out's telemetry ([`par::map_units`]).
+fn map_chunks<T: Send>(
+    stage: &'static str,
+    items: &[u32],
+    workers: usize,
+    f: impl Fn(&[u32]) -> T + Sync,
+) -> Vec<T> {
+    let chunk = items.len().div_ceil(workers).max(1);
+    par::map_units(stage, items.chunks(chunk).collect(), f)
 }
 
 /// Core sharded gossip loop; `threads = 0` uses all available cores,
@@ -200,7 +113,7 @@ pub(crate) fn run_sharded_with(
     if n == 0 {
         return trace;
     }
-    let workers = resolve_workers(threads, n);
+    let workers = par::workers(threads, n);
     let s = cfg.s as usize;
     let rule = Rule::of(cfg.model, cfg.backend);
 

@@ -69,6 +69,7 @@ fn library_crates_opt_into_the_workspace_table() {
         "serve",
         "lint",
         "experiments",
+        "bench",
     ] {
         let manifest = read(&format!("crates/{name}/Cargo.toml"));
         assert!(
