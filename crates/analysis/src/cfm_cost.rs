@@ -21,10 +21,9 @@
 use crate::flooding::flooding_success_rate;
 use crate::ring_model::RingModelConfig;
 use nss_model::comm::CostParams;
-use serde::{Deserialize, Serialize};
 
 /// Density-dependent CFM cost model (the paper's §6 proposal).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RefinedCfm {
     /// `(ρ, sr(ρ))` samples, sorted by ρ.
     table: Vec<(f64, f64)>,

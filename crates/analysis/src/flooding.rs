@@ -10,7 +10,6 @@
 
 use crate::optimize::{Objective, ProbabilitySweep};
 use crate::ring_model::{RingModel, RingModelConfig};
-use serde::{Deserialize, Serialize};
 
 /// Average per-broadcast delivery success rate of simple flooding in CAM at
 /// density `rho`, per the analytical model.
@@ -25,7 +24,7 @@ pub fn flooding_success_rate(base: RingModelConfig) -> f64 {
 }
 
 /// One row of the Fig. 12 comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuccessRateRow {
     /// Node density (expected neighbors per node).
     pub rho: f64,

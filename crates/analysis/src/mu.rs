@@ -24,8 +24,7 @@
 //! selectable via [`MuMode`].
 
 use crate::combinatorics::{falling_factorial, poisson_pmf, BinomialPmf};
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use std::sync::{PoisonError, RwLock};
 
 /// Dynamic-programming table for the paper's recursion (Eq. 2).
 ///
@@ -59,6 +58,7 @@ impl MuTable {
     pub fn bytes(&self) -> usize {
         self.tables
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|row| row.capacity() * std::mem::size_of::<f64>())
             .sum()
@@ -78,14 +78,14 @@ impl MuTable {
             return 1.0;
         }
         {
-            let tables = self.tables.read();
+            let tables = self.tables.read().unwrap_or_else(PoisonError::into_inner);
             let top = &tables[self.s as usize - 1];
             if (k as usize) < top.len() {
                 return top[k as usize];
             }
         }
         self.extend_to(k);
-        self.tables.read()[self.s as usize - 1][k as usize]
+        self.tables.read().unwrap_or_else(PoisonError::into_inner)[self.s as usize - 1][k as usize]
     }
 
     /// Pre-grows the DP tables to cover `k`, so that subsequent [`MuTable::mu`]
@@ -95,7 +95,7 @@ impl MuTable {
     /// while every other worker blocks on it.
     pub fn ensure(&self, k: u64) {
         let covered = {
-            let tables = self.tables.read();
+            let tables = self.tables.read().unwrap_or_else(PoisonError::into_inner);
             (k as usize) < tables[self.s as usize - 1].len()
         };
         if !covered {
@@ -105,7 +105,7 @@ impl MuTable {
 
     /// Rebuilds the DP tables up to at least index `k` (geometric growth).
     fn extend_to(&self, k: u64) {
-        let mut tables = self.tables.write();
+        let mut tables = self.tables.write().unwrap_or_else(PoisonError::into_inner);
         let current = tables[self.s as usize - 1].len();
         if (k as usize) < current {
             return; // another thread extended while we waited
@@ -195,9 +195,7 @@ pub fn mu_closed_form(k: u64, s: u32) -> f64 {
 }
 
 /// How to evaluate `μ` at a *real-valued* expected contender count.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum MuMode {
     /// Linear interpolation between the integer lattice points — the
     /// paper's (implicit) choice; `μ(k) = k` for `k ∈ [0, 1]`.

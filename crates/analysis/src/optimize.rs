@@ -9,11 +9,10 @@
 use crate::ring_model::{RingModel, RingModelConfig};
 use crate::tables::KernelCache;
 use nss_model::metrics::PhaseSeries;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One of the four §4.1 optimization objectives.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Objective {
     /// Metric 1: maximize reachability within a latency budget (phases).
     MaxReachAtLatency {
@@ -82,7 +81,7 @@ impl Objective {
 }
 
 /// An optimal probability with the metric value it achieves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Optimum {
     /// The optimal broadcast probability.
     pub prob: f64,
@@ -91,7 +90,7 @@ pub struct Optimum {
 }
 
 /// A sweep of the analytical model over a probability grid at fixed density.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProbabilitySweep {
     /// Base configuration; its `prob` field is overridden per grid point.
     pub base: RingModelConfig,

@@ -16,10 +16,9 @@
 //! disk lies inside the field.
 
 use nss_model::geometry::{annulus_area, disk_area, lens_area};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a `P`-ring field with ring width (= transmission radius) `r`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingGeometry {
     /// Number of rings `P` (field radius is `P·r`).
     pub p: u32,

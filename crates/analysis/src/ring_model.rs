@@ -20,12 +20,11 @@ use crate::tables::{KernelCache, MuCsMemo, MuMemo, SharedKernel};
 use nss_model::comm::CollisionRule;
 use nss_model::error::ConfigError;
 use nss_model::metrics::PhaseSeries;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 use std::sync::Arc;
 
 /// Configuration of one analytical PB_CAM evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingModelConfig {
     /// Number of rings `P` (field radius `P·r`). The paper uses 5.
     pub p: u32,
@@ -155,7 +154,7 @@ impl RingModelConfig {
 
 /// Result of running the ring recursion: per-phase, per-ring expected
 /// newly-informed counts plus broadcast accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RingProfile {
     /// The configuration that produced this profile.
     pub config: RingModelConfig,

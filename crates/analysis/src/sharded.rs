@@ -31,8 +31,8 @@
 //!
 //! Per-shard state uses `BTreeMap` (not a hash map) for the same reason as
 //! `KernelCache`: deterministic traversal order in reports and debug
-//! dumps. Coalescing uses `std::sync::{Mutex, Condvar}` rather than the
-//! vendored `parking_lot`, which deliberately omits condition variables.
+//! dumps. Coalescing uses `std::sync::{Mutex, Condvar}`; like every lock
+//! in the crate, a poisoned one is recovered with `PoisonError::into_inner`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -204,11 +204,6 @@ impl<K: Ord + Clone + Fingerprint, V: CacheWeight> ShardedCache<K, V> {
             resident_bytes: AtomicUsize::new(0),
             resident_entries: AtomicUsize::new(0),
         }
-    }
-
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The byte budget of one shard (`total / shards`).

@@ -29,10 +29,9 @@
 //! `ext-survival` experiment).
 
 use crate::ring_model::RingProfile;
-use serde::{Deserialize, Serialize};
 
 /// Survival analysis of one analytical execution profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurvivalEstimate {
     /// Early-phase mean offspring per transmitter (`m`).
     pub offspring_mean: f64,

@@ -10,11 +10,10 @@ use crate::ring_model::{RingModel, RingModelConfig};
 use crate::tables::KernelCache;
 use nss_model::metrics::PhaseSeries;
 use nss_model::par;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Results of a full (ρ × p) sweep of the analytical model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DensitySweep {
     /// Base configuration (its `rho` and `prob` are overridden per cell).
     pub base: RingModelConfig,

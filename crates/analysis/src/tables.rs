@@ -30,10 +30,9 @@ use crate::mu_cs::{mu_cs_closed_form, MuCsEvaluator};
 use crate::ring_geometry::RingGeometry;
 use crate::ring_model::RingModelConfig;
 use nss_model::comm::CollisionRule;
-use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Precomputed lens-area tables at the Simpson abscissae.
 ///
@@ -510,12 +509,17 @@ impl KernelCache {
     /// Returns the interned kernel for `config`, building it on first use.
     pub fn get(&self, config: &RingModelConfig) -> Arc<SharedKernel> {
         let key = KernelKey::of(config);
-        if let Some(kernel) = self.map.read().get(&key) {
+        if let Some(kernel) = self
+            .map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             self.hits.fetch_add(1, Ordering::Relaxed);
             nss_obs::counter!("analysis.kernel_cache.hit").inc();
             return Arc::clone(kernel);
         }
-        let mut map = self.map.write();
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
         // Double-checked: another thread may have built it while we waited.
         if let Some(kernel) = map.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -538,12 +542,18 @@ impl KernelCache {
 
     /// Number of interned kernels.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// True if no kernel has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        self.map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty()
     }
 
     /// `(hits, misses)` over the cache's lifetime. Maintained in every
@@ -558,13 +568,21 @@ impl KernelCache {
 
     /// Approximate heap footprint of every currently interned kernel.
     pub fn bytes(&self) -> usize {
-        self.map.read().values().map(|k| k.bytes()).sum()
+        self.map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .map(|k| k.bytes())
+            .sum()
     }
 
     /// Drops every interned kernel (outstanding `Arc`s stay valid).
     /// Hit/miss statistics are preserved.
     pub fn clear(&self) {
-        self.map.write().clear();
+        self.map
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         nss_obs::gauge!("analysis.kernel_cache.bytes").set(0.0);
     }
 }
@@ -759,5 +777,17 @@ mod tests {
                 kernel.geom.ring_area(j).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn cache_survives_a_build_that_panics_under_the_write_lock() {
+        // Building a kernel for s = 0 panics while `get` holds the write
+        // guard, which poisons the lock; later calls must recover the map.
+        let cache = KernelCache::new();
+        let bad = RingModelConfig { s: 0, ..cfg() };
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.get(&bad)));
+        assert!(built.is_err());
+        let _ = cache.get(&RingModelConfig::paper(60.0, 0.2));
+        assert_eq!(cache.len(), 1);
     }
 }

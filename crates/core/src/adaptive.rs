@@ -21,10 +21,9 @@ use nss_model::rng::{SeedFactory, Stream};
 use nss_model::topology::Topology;
 use nss_sim::executor::Executor;
 use nss_sim::slotted::GossipConfig;
-use serde::{Deserialize, Serialize};
 
 /// A calibrated success-rate → probability controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveController {
     /// The calibrated `p*/sr` ratio.
     pub ratio: f64,
@@ -89,7 +88,7 @@ pub fn measure_success_rate(topo: &Topology, s: u32, probes: u32, master_seed: u
 }
 
 /// Result of evaluating the adaptive rule on one network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveOutcome {
     /// Measured flooding success rate on the deployed network.
     pub measured_success_rate: f64,

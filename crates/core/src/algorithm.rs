@@ -11,11 +11,10 @@
 use nss_model::comm::{CommunicationModel, MediumBackend};
 use nss_model::error::ConfigError;
 use nss_sim::slotted::GossipConfig;
-use serde::{Deserialize, Serialize};
 
 /// The broadcasting schemes studied by the paper (§4) and its cited
 /// taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BroadcastAlgorithm {
     /// Simple flooding: every informed node rebroadcasts exactly once.
     SimpleFlooding,

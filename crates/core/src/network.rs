@@ -5,11 +5,10 @@
 use nss_model::comm::{CommunicationModel, CostParams, Primitive};
 use nss_model::deployment::Deployment;
 use nss_model::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// The abstract network model an algorithm is designed and optimized
 /// against (the middle layer of the paper's Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Network deployment (the paper's circle of radius `P·r`, density δ).
     pub deployment: Deployment,

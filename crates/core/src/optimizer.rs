@@ -11,7 +11,6 @@ use nss_model::deployment::Deployment;
 use nss_model::error::ConfigError;
 use nss_sim::runner::{ReplicatedTraces, Replication};
 use nss_sim::slotted::GossipConfig;
-use serde::{Deserialize, Serialize};
 
 /// Design-time optimizer: evaluates the analytical model over a probability
 /// grid and picks the best `p` for a §4.1 objective.
@@ -130,7 +129,7 @@ impl DesignOptimizer {
 }
 
 /// Outcome of one design-and-validate cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignReport {
     /// The optimized objective.
     pub objective: Objective,

@@ -14,10 +14,9 @@ use nss_model::topology::Topology;
 use nss_sim::executor::Executor;
 use nss_sim::slotted::GossipConfig;
 use nss_sim::stats::Summary;
-use serde::{Deserialize, Serialize};
 
 /// CFM's analytical predictions for simple flooding on one topology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfmPrediction {
     /// Predicted reachability: the connected fraction from the source
     /// (exactly 1 in the paper's idealized connected network).
@@ -30,7 +29,7 @@ pub struct CfmPrediction {
 }
 
 /// Measured CAM behavior of simple flooding on the same deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CamMeasurement {
     /// Mean final reachability (unbounded time — collisions mostly slow
     /// the cascade rather than stop it).
@@ -46,7 +45,7 @@ pub struct CamMeasurement {
 }
 
 /// The paper's motivating gap, for one network model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GapReport {
     /// What CFM analysis promises.
     pub cfm: CfmPrediction,

@@ -1,7 +1,6 @@
 //! SARIF 2.1.0 rendering of the lint report.
 //!
-//! Hand-rendered, since the vendored `serde` is a derive-only marker
-//! subset. The output is the minimal static-analysis interchange shape CI
+//! Hand-rendered, since no serializer is in the tree. The output is the minimal static-analysis interchange shape CI
 //! artifact viewers and code-scanning uploads accept: one `run` with the
 //! `nss-lint` tool and its rule catalogue, and one `result` per
 //! surviving violation with a physical location. It is the linter's one

@@ -14,10 +14,9 @@
 //! range* (typically `2r`) as destructive interference.
 
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// Which concurrent transmissions destroy a reception (CAM only).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CollisionRule {
     /// A reception at `v` succeeds iff exactly one node within distance `r`
     /// of `v` transmits during the reception (the paper's Assumption 6).
@@ -52,7 +51,7 @@ impl CollisionRule {
 /// Kept symbolic: the paper's evaluation reports latency in *time phases*
 /// and energy as *broadcast count*, so these enter only when converting to
 /// physical units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Time cost of a guaranteed (CFM) transmission, `t_f`.
     pub t_f: f64,
@@ -113,7 +112,7 @@ impl Default for CostParams {
 }
 
 /// The link-wise communication model an algorithm is designed against.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CommunicationModel {
     /// Collision Free Model: transmissions are atomic and always succeed.
     Cfm,
@@ -164,7 +163,7 @@ impl CommunicationModel {
 /// transmitter within `interference_factor · r` of the receiver (the
 /// truncation the spatial grid makes cheap; contributions beyond it are
 /// below `interference_factor^-α` per transmitter and are dropped).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SinrParams {
     /// Path-loss exponent `α` (free space ≈ 2, urban 3–4). Must be > 0.
     pub alpha: f64,
@@ -229,7 +228,7 @@ impl Default for SinrParams {
 /// code path; [`MediumBackend::Sinr`] replaces the boolean rule with
 /// received-power sums (and in particular models the *capture effect*:
 /// the strongest of several colliding transmitters may still decode).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum MediumBackend {
     /// Boolean unit-disk interference (Assumption 6 / Appendix A).
     #[default]
@@ -325,7 +324,7 @@ impl MediumBackend {
 /// Both primitives obey the same collision semantics; they differ only in
 /// intended recipients. Algorithm-level code declares which primitive it
 /// uses so cost accounting can distinguish them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Primitive {
     /// One-to-all-neighbors transmission.
     Broadcast,
@@ -407,8 +406,8 @@ mod tests {
 
     #[test]
     fn medium_spec_roundtrip() {
-        // The vendored serde is a marker-only shim, so the durable wire
-        // format is the spec string; round-trip both variants through it.
+        // No serializer is in the tree, so the durable wire format is the
+        // spec string; round-trip both variants through it.
         for backend in [
             MediumBackend::UnitDisk,
             MediumBackend::Sinr(SinrParams::DEFAULT),

@@ -11,11 +11,10 @@ use crate::geometry::Point2;
 use crate::ids::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// How the node count of a disk deployment is drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountModel {
     /// Exactly `round(δ·π·(P·r)²)` nodes — the paper's setting.
     #[default]
@@ -25,7 +24,7 @@ pub enum CountModel {
 }
 
 /// Uniform deployment in a disk of radius `P·r`, source at the center.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskDeployment {
     /// The paper's integer parameter `P`: field radius in units of `r`.
     pub p_factor: u32,
@@ -78,7 +77,7 @@ impl DiskDeployment {
 
 /// Square-grid deployment with optional uniform jitter, used by the
 /// percolation extension experiment (ref. 32 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridDeployment {
     /// Grid dimension: the layout is `side × side` nodes.
     pub side: u32,
@@ -114,7 +113,7 @@ impl GridDeployment {
 /// Matérn-style cluster deployment: hotspots of high density over a sparse
 /// uniform background — the "large spatio-temporal variation in node
 /// density" the paper's §6 motivates its adaptive tuning proposal with.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterDeployment {
     /// Field radius in units of `r` (as in the disk layout).
     pub p_factor: u32,
@@ -169,7 +168,7 @@ impl ClusterDeployment {
 
 /// A deployment specification: everything needed to (re)generate node
 /// positions from a seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Deployment {
     /// Uniform-in-disk deployment (the paper's layout).
     Disk(DiskDeployment),
@@ -327,7 +326,7 @@ fn sample_poisson(lambda: f64, rng: &mut SmallRng) -> usize {
 }
 
 /// A concrete set of node positions produced by [`Deployment::sample`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeployedNetwork {
     positions: Vec<Point2>,
     comm_radius: f64,

@@ -16,12 +16,11 @@
 
 use crate::error::ConfigError;
 use crate::rng::splitmix64;
-use serde::{Deserialize, Serialize};
 
 /// A scheduled outage window for one node: the node is down from
 /// `from_phase` (inclusive) until `until_phase` (exclusive), or forever if
 /// `until_phase` is `None`. Phases are 1-based, matching the executors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeOutage {
     /// Node index (0 is the source; scheduling an outage for it is legal
     /// but executors keep the source alive — a dead source is degenerate).
@@ -52,7 +51,7 @@ impl NodeOutage {
 /// awake for the first `on_phases` of every `period` phases. Nodes are
 /// staggered deterministically by their index so the whole network never
 /// sleeps in lockstep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DutyCycle {
     /// Cycle length in phases (≥ 1).
     pub period: u32,
@@ -80,7 +79,7 @@ impl DutyCycle {
 /// Networks*: a transmit-only node has no receiver chain — it can source
 /// and send packets but never hears, so it is unreachable by broadcast
 /// and never relays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Capability {
     /// Full transceiver: transmits and receives.
     #[default]
@@ -107,7 +106,7 @@ impl Capability {
 ///
 /// The default ([`FaultPlan::none`]) injects nothing and is guaranteed to
 /// leave every executor's output bit-identical to the fault-free code path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Explicit per-node outage windows.
     pub outages: Vec<NodeOutage>,
@@ -130,7 +129,6 @@ pub struct FaultPlan {
     /// the *same* per-node draw as `dead_frac`, so adding transmit-only
     /// nodes to a plan never changes *which* nodes the dead fraction
     /// kills. `dead_frac + tx_only_frac` must stay ≤ 1.
-    #[serde(default)]
     pub tx_only_frac: f64,
 }
 
@@ -619,8 +617,8 @@ mod tests {
 
     #[test]
     fn spec_roundtrip() {
-        // The vendored serde is a marker-only shim, so the durable wire
-        // format is the spec string; round-trip every field through it.
+        // No serializer is in the tree, so the durable wire format is the
+        // spec string; round-trip every field through it.
         let mut plan = FaultPlan {
             outages: vec![
                 NodeOutage {

@@ -8,10 +8,8 @@
 //! both that parameterization ([`lens_area_border`]) and the conventional
 //! center-distance one ([`lens_area`]).
 
-use serde::{Deserialize, Serialize};
-
 /// A point (or vector) in the plane.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point2 {
     /// Horizontal coordinate.
     pub x: f64,

@@ -4,16 +4,13 @@
 //! implementation uses globally unique dense indices because they double as
 //! vector offsets, which is strictly stronger and loses no generality.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense identifier of a node within one deployed network.
 ///
 /// `NodeId(0)` is, by convention of [`crate::deployment`], the broadcast
 /// source placed at the center of the field.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -9,7 +9,6 @@
 //! phases / broadcasts.
 
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// Phase-granular summary of one broadcast execution.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.latency_to_reach(0.25), Some(1.5)); // mid-phase crossing
 /// assert_eq!(s.broadcasts_to_reach(0.25), Some(3.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSeries {
     /// Total node count `N` (including the source).
     pub n_total: f64,

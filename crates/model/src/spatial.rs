@@ -141,11 +141,6 @@ impl GridIndex {
         self.for_each_within(points, center, radius, |id| out.push(id));
         out
     }
-
-    /// Number of grid cells (diagnostics).
-    pub fn cell_count(&self) -> usize {
-        self.nx * self.ny
-    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //!
 //! All three render the same point-in-time snapshot of the global
 //! [`Registry`]: labels, counters, gauges, and histogram aggregates
-//! (including p50/p90/p99 estimates). JSON is hand-rolled (no serde
-//! dependency — this crate must stay dependency-free) but emits strict
-//! RFC 8259 output, and the Prometheus output follows text exposition
+//! (including p50/p90/p99 estimates). JSON is hand-rolled (no
+//! serializer dependency — this crate must stay dependency-free) but emits
+//! strict RFC 8259 output, and the Prometheus output follows text exposition
 //! v0.0.4: `# HELP`/`# TYPE` per family, cumulative `_bucket{le=...}`
 //! series, `\\`/`"`/newline escapes in label values.
 

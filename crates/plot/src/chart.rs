@@ -16,7 +16,6 @@ const PALETTE: [&str; 8] = [
 pub struct Series {
     label: String,
     points: Vec<(f64, Option<f64>)>,
-    markers: bool,
 }
 
 impl Series {
@@ -25,7 +24,6 @@ impl Series {
         Series {
             label: label.into(),
             points: points.into_iter().map(|(x, y)| (x, Some(y))).collect(),
-            markers: true,
         }
     }
 
@@ -34,14 +32,7 @@ impl Series {
         Series {
             label: label.into(),
             points,
-            markers: true,
         }
-    }
-
-    /// Disables point markers (lines only).
-    pub fn without_markers(mut self) -> Self {
-        self.markers = false;
-        self
     }
 
     fn finite_points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
@@ -195,10 +186,8 @@ impl Chart {
                 let pixels: Vec<(f64, f64)> =
                     seg.iter().map(|&(x, y)| (xs.map(x), ys.map(y))).collect();
                 doc.polyline(&pixels, color, 1.6);
-                if s.markers {
-                    for &(px, py) in &pixels {
-                        doc.circle(px, py, 2.4, color);
-                    }
+                for &(px, py) in &pixels {
+                    doc.circle(px, py, 2.4, color);
                 }
             }
         }

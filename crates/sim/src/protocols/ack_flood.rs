@@ -26,10 +26,9 @@ use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the ACK-based reliable flooding run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AckFloodConfig {
     /// Slots per phase.
     pub s: u32,
@@ -50,7 +49,7 @@ impl Default for AckFloodConfig {
 }
 
 /// Outcome of a reliable-flooding execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AckFloodOutcome {
     /// Total nodes.
     pub n_total: usize,

@@ -25,11 +25,10 @@ use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Configuration of an asynchronous PB_CAM execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsyncGossipConfig {
     /// Broadcast probability `p`.
     pub prob: f64,

@@ -28,10 +28,9 @@ use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a convergecast execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergecastConfig {
     /// Slots per phase.
     pub s: u32,
@@ -56,7 +55,7 @@ impl Default for ConvergecastConfig {
 }
 
 /// Outcome of a convergecast execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergecastOutcome {
     /// Nodes connected to the source (reports that could possibly arrive).
     pub reachable: usize,

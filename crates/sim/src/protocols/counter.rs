@@ -21,10 +21,9 @@ use crate::trace::SimTrace;
 use nss_model::comm::CommunicationModel;
 use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a counter-based broadcast execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CounterConfig {
     /// Slots per phase.
     pub s: u32,

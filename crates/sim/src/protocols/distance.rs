@@ -18,10 +18,9 @@ use crate::trace::SimTrace;
 use nss_model::comm::CommunicationModel;
 use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a distance-based broadcast execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistanceConfig {
     /// Slots per phase.
     pub s: u32,

@@ -15,7 +15,6 @@ use nss_model::metrics::PhaseSeries;
 use nss_model::par;
 use nss_model::rng::{SeedFactory, Stream};
 use nss_model::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A replicated experiment: one deployment spec, one protocol config,
 /// `replications` independent runs.
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// methods ([`with_runs`](Replication::with_runs),
 /// [`with_threads`](Replication::with_threads),
 /// [`with_faults`](Replication::with_faults)) rather than mutating fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Replication {
     /// Deployment specification (re-sampled each run).
     pub deployment: Deployment,
@@ -46,7 +45,6 @@ pub struct Replication {
     /// reproducible per seed and thread count but not comparable across
     /// the two engines. Meant for few huge fields, where replication-level
     /// parallelism has nothing left to amortize.
-    #[serde(default)]
     pub intra_threads: usize,
 }
 
@@ -150,7 +148,7 @@ impl Replication {
 }
 
 /// The traces of all replications, with metric aggregation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicatedTraces {
     /// One trace per replication, in replication order.
     pub traces: Vec<SimTrace>,

@@ -23,10 +23,9 @@ use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a probability-based gossip execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
     /// Jitter slots per phase `s` (the paper uses 3).
     pub s: u32,
@@ -41,7 +40,6 @@ pub struct GossipConfig {
     /// Physical-layer backend resolving CAM slots (unit-disk reception by
     /// default; [`MediumBackend::Sinr`] replaces Assumption 6 with the
     /// SINR threshold test). Ignored under CFM.
-    #[serde(default)]
     pub backend: MediumBackend,
 }
 

@@ -1,10 +1,8 @@
 //! Replication statistics: mean, spread, and confidence intervals for the
 //! 30-run averages the paper reports.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of a sample of replicated measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples that contributed.
     pub n: usize,

@@ -27,7 +27,6 @@ use nss_model::comm::{CommunicationModel, MediumBackend};
 use nss_model::faults::FaultPlan;
 use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A distance-2 TDMA slot assignment.
 ///
@@ -42,7 +41,7 @@ use serde::{Deserialize, Serialize};
 /// let out = Executor::new(&topo).run_tdma(&schedule);
 /// assert_eq!(out.collisions, 0); // TDMA implements CFM on CAM hardware
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TdmaSchedule {
     /// Slot (color) of each node within the frame.
     pub slot_of: Vec<u32>,
@@ -116,7 +115,7 @@ impl TdmaSchedule {
 }
 
 /// Outcome of a TDMA flooding execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TdmaOutcome {
     /// Total nodes.
     pub n_total: usize,

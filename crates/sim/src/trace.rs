@@ -7,13 +7,12 @@
 //! [`nss_model::metrics::PhaseSeries`] shared with the analytical model.
 
 use nss_model::metrics::PhaseSeries;
-use serde::{Deserialize, Serialize};
 
 /// Phase/slot timestamp of a node's first reception.
 pub const NEVER: u32 = u32::MAX;
 
 /// One simulated execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimTrace {
     /// Total node count (including the source).
     pub n_total: usize,
@@ -49,7 +48,6 @@ pub struct SimTrace {
     /// phase (signal present, no concurrent in-range transmitter, but
     /// out-of-range interference pushed SINR below β). Empty under the
     /// unit-disk backend.
-    #[serde(default)]
     pub sinr_rejects_by_phase: Vec<u64>,
 }
 
