@@ -139,6 +139,26 @@ mod tests {
     }
 
     #[test]
+    fn far_apart_nodes_load_and_build() {
+        // At cell size r these bounding boxes would need 10¹², 9·10⁸, an
+        // overflowing and an infinite number of grid cells.
+        use crate::topology::Topology;
+        for (nodes, expect) in [
+            ("0 0\n1e6 1e6\n", &[0, 0][..]),
+            ("0 0\n3e4 3e4\n", &[0, 0]),
+            ("0 0\n0.5 0\n1e300 -1e300\n", &[1, 1, 0]),
+            ("-1.7e308 0\n1.7e308 0\n1.7e308 1\n", &[0, 1, 1]),
+        ] {
+            let text = format!("# nss-positions v1 r=1\n{nodes}");
+            let topo = Topology::try_build(&read_positions(text.as_bytes()).unwrap()).unwrap();
+            let degrees: Vec<usize> = (0..topo.len())
+                .map(|u| topo.degree(crate::ids::NodeId(u as u32)))
+                .collect();
+            assert_eq!(degrees, expect, "nodes {nodes:?}");
+        }
+    }
+
+    #[test]
     fn loaded_network_builds_identical_topology() {
         use crate::topology::Topology;
         let net = Deployment::disk(3, 1.0, 40.0).sample(5);

@@ -99,20 +99,32 @@ impl Topology {
             par::workers(threads, n)
         };
 
+        // Both passes scan each node's 3×3 cell block as three contiguous
+        // runs of the index's cell-ordered coordinates (the stencil of
+        // `GridIndex::for_each_row`), and neither branches on the distance
+        // test: pass 1 sums it, pass 2 advances a cursor by it. Candidate
+        // cells, `dist_sq` and `<=` are those of `for_each_within`, so rows
+        // hold exactly the unit-disk neighbors.
+        let r2 = r * r;
+
         // Pass 1: count each node's degree (disjoint chunks of `degrees`).
         let chunk = n.div_ceil(nworkers).max(1);
         let mut degrees = vec![0u32; n];
         let units: Vec<_> = degrees.chunks_mut(chunk).enumerate().collect();
         par::map_units("topo.count", units, |(ci, out)| {
             for (j, d) in out.iter_mut().enumerate() {
-                let i = ci * chunk + j;
-                let mut deg = 0u32;
-                index.for_each_within(&positions, &positions[i], r, |id| {
-                    if id.index() != i {
-                        deg += 1;
-                    }
+                let me = (ci * chunk + j) as u32;
+                let p = positions[me as usize];
+                index.for_each_row(&p, r, |ids, xs, ys| {
+                    *d += ids
+                        .iter()
+                        .zip(xs)
+                        .zip(ys)
+                        .map(|((&id, &x), &y)| {
+                            u32::from((Point2::new(x, y).dist_sq(&p) <= r2) & (id != me))
+                        })
+                        .sum::<u32>();
                 });
-                *d = deg;
             }
         });
 
@@ -126,8 +138,10 @@ impl Topology {
             starts.push(total as u32);
         }
 
-        // Pass 2: fill each row in place. Rows are disjoint, so the
-        // adjacency buffer is handed out as per-chunk sub-slices.
+        // Pass 2: fill each row. Every candidate is stored into a per-worker
+        // scratch row and kept by advancing the cursor; the kept prefix is
+        // sorted, so rows are in ascending id order at any thread count,
+        // and copied into its disjoint sub-slice of the adjacency buffer.
         let mut adj = vec![0u32; total as usize];
         let mut units = Vec::with_capacity(nworkers);
         let mut rest: &mut [u32] = &mut adj;
@@ -139,19 +153,23 @@ impl Topology {
         }
         par::map_units("topo.fill", units, |(lo, hi, out)| {
             let base = starts[lo] as usize;
+            let mut row = Vec::new();
             for i in lo..hi {
-                let row_lo = starts[i] as usize - base;
-                let mut cur = row_lo;
-                index.for_each_within(&positions, &positions[i], r, |id| {
-                    if id.index() != i {
-                        out[cur] = id.0;
-                        cur += 1;
+                let me = i as u32;
+                let p = positions[i];
+                let mut len = 0;
+                index.for_each_row(&p, r, |ids, xs, ys| {
+                    if row.len() < len + ids.len() {
+                        row.resize(len + ids.len(), 0);
+                    }
+                    for ((&id, &x), &y) in ids.iter().zip(xs).zip(ys) {
+                        row[len] = id;
+                        len += usize::from((Point2::new(x, y).dist_sq(&p) <= r2) & (id != me));
                     }
                 });
-                debug_assert_eq!(cur, starts[i + 1] as usize - base);
-                // Sorted rows keep `neighbors()` output identical to the
-                // previous per-node staging build, bit for bit.
-                out[row_lo..cur].sort_unstable();
+                row[..len].sort_unstable();
+                out[starts[i] as usize - base..starts[i + 1] as usize - base]
+                    .copy_from_slice(&row[..len]);
             }
         });
 
@@ -232,8 +250,7 @@ impl Topology {
     /// point (used by the carrier-sense medium, which needs 2r-range queries
     /// performed as two hops — see `nss-sim`).
     pub fn for_each_within(&self, center: &Point2, radius: f64, f: impl FnMut(NodeId)) {
-        self.index
-            .for_each_within(&self.positions, center, radius, f);
+        self.index.for_each_within(center, radius, f);
     }
 
     /// BFS hop distance from `src` to every node; `u32::MAX` marks
@@ -444,6 +461,42 @@ mod tests {
             let par = Topology::try_build_with_threads(&net, threads).unwrap();
             assert_eq!(seq.starts, par.starts, "threads={threads}");
             assert_eq!(seq.adj, par.adj, "threads={threads}");
+        }
+    }
+
+    /// FNV-1a digest of the CSR arrays, `starts` then `adj`, little-endian.
+    fn csr_digest(t: &Topology) -> u64 {
+        let bytes: Vec<u8> = t
+            .starts
+            .iter()
+            .chain(&t.adj)
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        nss_obs::manifest::fnv64(&bytes)
+    }
+
+    /// The digests were recorded from the per-node grid-query build that
+    /// preceded the cell-ordered passes, so they tie today's rows to those
+    /// bytes rather than only to themselves.
+    #[test]
+    fn csr_bytes_match_recorded_digests() {
+        for (p, rho, expect) in [
+            (5, 20.0, 0x37d1_7124_1646_ad34_u64),
+            (5, 140.0, 0x031a_6756_e20c_c1e9),
+        ] {
+            let topo = Topology::build(&Deployment::disk(p, 1.0, rho).sample(2005));
+            assert_eq!(csr_digest(&topo), expect, "disk({p}, 1, {rho})");
+        }
+        // Above `PAR_BUILD_THRESHOLD`, so thread count 0 fans out.
+        let net = Deployment::disk(10, 1.0, 140.0).sample(2005);
+        assert!(net.positions().len() > PAR_BUILD_THRESHOLD);
+        for threads in [1, 2, 0] {
+            let topo = Topology::try_build_with_threads(&net, threads).unwrap();
+            assert_eq!(
+                csr_digest(&topo),
+                0x9288_b68d_f8dd_d771,
+                "disk(10, 1, 140) at {threads} threads"
+            );
         }
     }
 

@@ -192,7 +192,7 @@ proptest! {
         let points: Vec<Point2> = pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
         let idx = GridIndex::build(&points, 1.5).unwrap();
         let q = Point2::new(qx, qy);
-        let mut got = idx.within(&points, &q, radius);
+        let mut got = idx.within(&q, radius);
         got.sort_unstable();
         let mut expect: Vec<NodeId> = points
             .iter()
