@@ -55,7 +55,7 @@ pub mod prelude {
     pub use crate::flooding::{flooding_success_rate, success_rate_correlation, SuccessRateRow};
     pub use crate::mu::{mu_closed_form, MuEvaluator, MuMode, MuTable};
     pub use crate::mu_cs::{mu_cs_closed_form, mu_cs_poisson, MuCsEvaluator, MuCsTable};
-    pub use crate::optimize::{refine_golden, Objective, Optimum, ProbabilitySweep};
+    pub use crate::optimize::{Objective, Optimum, ProbabilitySweep};
     pub use crate::ring_geometry::RingGeometry;
     pub use crate::ring_model::{RingModel, RingModelConfig, RingProfile};
     pub use crate::sharded::{CacheWeight, Fingerprint, ShardedCache};

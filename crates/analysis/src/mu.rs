@@ -24,9 +24,8 @@
 //! selectable via [`MuMode`].
 
 use crate::combinatorics::{falling_factorial, poisson_pmf, BinomialPmf};
-use std::sync::{PoisonError, RwLock};
 
-/// Dynamic-programming table for the paper's recursion (Eq. 2).
+/// The paper's recursion (Eq. 2), evaluated by dynamic programming.
 ///
 /// `μ(K, 1) = [K = 1]`; for `s > 1`, condition on the count `i` in the
 /// first bucket (binomial with `q = 1/s`):
@@ -35,92 +34,34 @@ use std::sync::{PoisonError, RwLock};
 /// * `i = 0` → success iff the remaining `K` items succeed in `s−1` buckets,
 /// * `i ≥ 2` → success iff the remaining `K−i` items succeed in `s−1` buckets.
 ///
-/// Thread-safe: the table grows lazily behind an `RwLock`, so a single
-/// instance can serve a parallel parameter sweep.
+/// Each [`MuTable::mu`] call runs the recursion afresh in `O(s·K²)`: the
+/// model evaluates μ through [`mu_closed_form`], and this is the
+/// independent reference the tests compare it against.
 #[derive(Debug)]
 pub struct MuTable {
     s: u32,
-    /// `tables[s'-1][k] = μ(k, s')` for `s' = 1..=s`, `k = 0..len`.
-    tables: RwLock<Vec<Vec<f64>>>,
 }
 
 impl MuTable {
     /// Creates a table for `s ≥ 1` slots.
     pub fn new(s: u32) -> Self {
         assert!(s >= 1, "need at least one slot");
-        MuTable {
-            s,
-            tables: RwLock::new(vec![Vec::new(); s as usize]),
-        }
-    }
-
-    /// Approximate heap footprint of the DP rows in bytes.
-    pub fn bytes(&self) -> usize {
-        self.tables
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|row| row.capacity() * std::mem::size_of::<f64>())
-            .sum()
-    }
-
-    /// The number of slots this table was built for.
-    pub fn slots(&self) -> u32 {
-        self.s
+        MuTable { s }
     }
 
     /// `μ(K, s)` by the paper's recursion.
     pub fn mu(&self, k: u64) -> f64 {
-        if k == 0 {
-            return 0.0;
+        if k < 2 {
+            return if k == 1 { 1.0 } else { 0.0 };
         }
-        if k == 1 {
-            return 1.0;
-        }
-        {
-            let tables = self.tables.read().unwrap_or_else(PoisonError::into_inner);
-            let top = &tables[self.s as usize - 1];
-            if (k as usize) < top.len() {
-                return top[k as usize];
-            }
-        }
-        self.extend_to(k);
-        self.tables.read().unwrap_or_else(PoisonError::into_inner)[self.s as usize - 1][k as usize]
-    }
-
-    /// Pre-grows the DP tables to cover `k`, so that subsequent [`MuTable::mu`]
-    /// queries up to `k` take only the shared-lock fast path. Call this once
-    /// before fanning a table out to sweep workers; otherwise the first
-    /// worker to query a large `K` rebuilds the table under the write lock
-    /// while every other worker blocks on it.
-    pub fn ensure(&self, k: u64) {
-        let covered = {
-            let tables = self.tables.read().unwrap_or_else(PoisonError::into_inner);
-            (k as usize) < tables[self.s as usize - 1].len()
-        };
-        if !covered {
-            self.extend_to(k);
-        }
-    }
-
-    /// Rebuilds the DP tables up to at least index `k` (geometric growth).
-    fn extend_to(&self, k: u64) {
-        let mut tables = self.tables.write().unwrap_or_else(PoisonError::into_inner);
-        let current = tables[self.s as usize - 1].len();
-        if (k as usize) < current {
-            return; // another thread extended while we waited
-        }
-        let target = ((k as usize) + 1).next_power_of_two().max(64);
+        let len = k as usize + 1;
         // s' = 1: μ(k, 1) = [k == 1]
-        let mut prev: Vec<f64> = (0..target)
-            .map(|i| if i == 1 { 1.0 } else { 0.0 })
-            .collect();
-        tables[0] = prev.clone();
+        let mut prev: Vec<f64> = (0..len).map(|i| if i == 1 { 1.0 } else { 0.0 }).collect();
         for sp in 2..=self.s {
             let q = 1.0 / f64::from(sp);
-            let mut cur = vec![0.0f64; target];
+            let mut cur = vec![0.0f64; len];
             cur[1] = 1.0;
-            for kk in 2..target {
+            for kk in 2..len {
                 let mut acc = 0.0;
                 for (i, pi) in BinomialPmf::new(kk as u64, q) {
                     // nss-lint: allow(float-safety) — skip terms whose pmf underflowed to literal 0.0; they contribute nothing
@@ -142,9 +83,9 @@ impl MuTable {
                 }
                 cur[kk] = acc;
             }
-            tables[sp as usize - 1] = cur.clone();
             prev = cur;
         }
+        prev[k as usize]
     }
 }
 
@@ -375,20 +316,6 @@ mod tests {
         for (k, &v) in small.iter().enumerate() {
             assert_eq!(lazy.mu(k as u64), v, "value changed after extension");
         }
-    }
-
-    #[test]
-    fn ensure_pregrows_without_changing_values() {
-        let lazy = MuTable::new(3);
-        let eager = MuTable::new(3);
-        eager.ensure(250);
-        for k in 0..=250u64 {
-            assert_eq!(lazy.mu(k).to_bits(), eager.mu(k).to_bits(), "k = {k}");
-        }
-        // Idempotent, including for already-covered indices.
-        eager.ensure(10);
-        eager.ensure(250);
-        assert_eq!(eager.mu(250).to_bits(), lazy.mu(250).to_bits());
     }
 
     #[test]

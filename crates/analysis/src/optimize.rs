@@ -3,8 +3,7 @@
 //! The paper treats the broadcast probability `p` as the tunable algorithm
 //! parameter and selects it by sweeping a grid (0.01..1.00 in the analysis)
 //! and reading off the argmax/argmin for the metric of interest. This module
-//! implements that sweep plus a golden-section refinement for callers that
-//! want more resolution than the grid.
+//! implements that sweep.
 
 use crate::ring_model::{RingModel, RingModelConfig};
 use crate::tables::KernelCache;
@@ -152,68 +151,6 @@ impl ProbabilitySweep {
     }
 }
 
-/// Golden-section refinement of the optimal probability inside `[lo, hi]`,
-/// assuming the objective is unimodal in `p` there (the bell shape the
-/// paper observes). Infeasible evaluations are treated as worst-possible.
-///
-/// Returns the refined optimum after `iters` contractions (each costs two
-/// ring-model runs; 20 iterations shrink the interval by ~1e-4).
-pub fn refine_golden(
-    base: RingModelConfig,
-    obj: Objective,
-    lo: f64,
-    hi: f64,
-    iters: u32,
-) -> Optimum {
-    assert!((0.0..=1.0).contains(&lo) && lo < hi && hi <= 1.0);
-    nss_obs::counter!("analysis.golden.refinements").inc();
-    let kernel = KernelCache::global().get(&base);
-    let eval = |p: f64| -> f64 {
-        nss_obs::counter!("analysis.golden.evals").inc();
-        let mut cfg = base;
-        cfg.prob = p;
-        let s = RingModel::with_kernel(cfg, Arc::clone(&kernel))
-            .run()
-            .phase_series();
-        match obj.evaluate(&s) {
-            Some(v) => {
-                if obj.is_max() {
-                    v
-                } else {
-                    -v // maximize the negation
-                }
-            }
-            None => f64::NEG_INFINITY,
-        }
-    };
-    const INV_PHI: f64 = 0.618_033_988_749_894_9;
-    let (mut a, mut b) = (lo, hi);
-    let mut c = b - INV_PHI * (b - a);
-    let mut d = a + INV_PHI * (b - a);
-    let mut fc = eval(c);
-    let mut fd = eval(d);
-    for _ in 0..iters {
-        if fc >= fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - INV_PHI * (b - a);
-            fc = eval(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + INV_PHI * (b - a);
-            fd = eval(d);
-        }
-    }
-    let (p, f) = if fc >= fd { (c, fc) } else { (d, fd) };
-    Optimum {
-        prob: p,
-        value: if obj.is_max() { f } else { -f },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,22 +241,6 @@ mod tests {
         for (_, v) in sweep.evaluate(Objective::MaxReachUnderBudget { budget: 35.0 }) {
             assert!(v.is_some());
         }
-    }
-
-    #[test]
-    fn golden_refinement_beats_or_ties_grid() {
-        let mut base = RingModelConfig::paper(60.0, 0.0);
-        base.quad_points = 32;
-        let obj = Objective::MaxReachAtLatency { phases: 5.0 };
-        let sweep = coarse_sweep(60.0);
-        let grid_opt = sweep.optimum(obj).unwrap();
-        let refined = refine_golden(base, obj, 0.01, 1.0, 16);
-        assert!(
-            refined.value >= grid_opt.value - 1e-6,
-            "refined {} worse than grid {}",
-            refined.value,
-            grid_opt.value
-        );
     }
 
     #[test]

@@ -35,14 +35,10 @@ impl DensitySweep {
     /// parallelism).
     pub fn run(base: RingModelConfig, rhos: &[f64], probs: &[f64], threads: usize) -> Self {
         let cells = rhos.len() * probs.len();
-        // One shared kernel serves every cell: the geometry/μ tables do not
-        // depend on ρ or p, so workers only run the phase recursion.
+        // One shared kernel serves every cell: the geometry tables and μ
+        // evaluators do not depend on ρ or p, so workers only run the phase
+        // recursion.
         let kernel = KernelCache::global().get(&base);
-        // Pre-grow the shared μ DP table past the largest contender count
-        // any cell can see (g(x)·p ≤ ρ_max), so no worker ever takes the
-        // RwLock write path mid-sweep.
-        let rho_max = rhos.iter().copied().fold(0.0f64, f64::max);
-        kernel.mu_table.ensure(rho_max.ceil() as u64 + 1);
 
         // Cell i is (ρ index i / |probs|, p index i % |probs|): row-major,
         // so the results chunk straight into the grid's rows.

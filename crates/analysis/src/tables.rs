@@ -14,8 +14,8 @@
 //!   [`GeometryTables::integrate`] replicates `simpson`'s accumulation order
 //!   term for term, so a table-driven integral is **bitwise identical** to
 //!   the closure-driven one.
-//! * [`SharedKernel`] — geometry tables + μ/μ′ evaluators + a [`MuTable`]
-//!   bundled behind an `Arc` so sweep workers share one allocation.
+//! * [`SharedKernel`] — geometry tables + μ/μ′ evaluators bundled behind
+//!   an `Arc` so sweep workers share one allocation.
 //! * [`KernelCache`] — interns `SharedKernel`s by config fingerprint
 //!   ([`KernelKey`]); repeated sweeps over the same base configuration reuse
 //!   the same kernel, including across threads.
@@ -25,7 +25,7 @@
 //!   replicating the interpolation arithmetic preserves results bitwise
 //!   while removing the `O(s)` `powf` chain from the inner loop.
 
-use crate::mu::{MuEvaluator, MuMode, MuTable};
+use crate::mu::{MuEvaluator, MuMode};
 use crate::mu_cs::{mu_cs_closed_form, MuCsEvaluator};
 use crate::ring_geometry::RingGeometry;
 use crate::ring_model::RingModelConfig;
@@ -377,10 +377,6 @@ pub struct SharedKernel {
     pub mu_cs: MuCsEvaluator,
     /// Ring areas `C_1..C_P` (1-based ring `j` at index `j − 1`).
     pub ring_areas: Vec<f64>,
-    /// The paper's DP table for μ, shared so sweeps can pre-grow it once
-    /// (see [`MuTable::ensure`]) instead of every worker racing the lazy
-    /// `RwLock` growth path.
-    pub mu_table: MuTable,
 }
 
 impl SharedKernel {
@@ -398,7 +394,6 @@ impl SharedKernel {
             mu: MuEvaluator::new(config.s, config.mu_mode),
             mu_cs: MuCsEvaluator::new(config.s, config.mu_mode),
             ring_areas: (1..=config.p).map(|j| geom.ring_area(j)).collect(),
-            mu_table: MuTable::new(config.s),
         }
     }
 
@@ -408,12 +403,10 @@ impl SharedKernel {
         KernelKey::of(config) == self.key()
     }
 
-    /// Approximate heap footprint of the kernel in bytes: geometry tables,
-    /// ring areas, and the μ DP table's current extent.
+    /// Approximate heap footprint of the kernel in bytes: geometry tables
+    /// and ring areas.
     pub fn bytes(&self) -> usize {
-        self.tables.bytes()
-            + self.ring_areas.capacity() * std::mem::size_of::<f64>()
-            + self.mu_table.bytes()
+        self.tables.bytes() + self.ring_areas.capacity() * std::mem::size_of::<f64>()
     }
 
     /// The fingerprint this kernel was built from.

@@ -155,13 +155,15 @@ impl Ctx {
         cfg
     }
 
-    /// Writes a CSV file into the output directory.
+    /// Writes a CSV file into the output directory and prints it as the
+    /// table REPORT.md shows for it.
     pub fn write_csv(&self, name: &str, header: &str, rows: &[String]) {
         let mut text = format!("{header}\n");
         for row in rows {
             text.push_str(row);
             text.push('\n');
         }
+        nss_obs::status!("\n{}", csv_to_markdown(&text).trim_end());
         self.save(name, |path| fs::write(path, text));
     }
 
@@ -286,15 +288,88 @@ pub fn panel_b_chart(
     chart
 }
 
-/// Formats an optional value for table display.
-pub fn fmt_opt(v: Option<f64>, width: usize, prec: usize) -> String {
-    match v {
-        Some(x) => format!("{x:>width$.prec$}"),
-        None => format!("{:>width$}", "-"),
-    }
-}
-
 /// Prints a section header (suppressed under `--quiet`).
 pub fn heading(title: &str) {
     nss_obs::status!("\n=== {title} ===");
+}
+
+/// Renders CSV text as a GitHub-flavored markdown table: the header row, a
+/// separator row, then one row per non-blank line with every cell passed
+/// through [`shorten`]. REPORT.md and the console both show tables this way.
+pub fn csv_to_markdown(csv: &str) -> String {
+    let mut lines = csv.lines();
+    let Some(header) = lines.next() else {
+        return String::new();
+    };
+    let cols: Vec<&str> = header.split(',').collect();
+    let mut out = String::new();
+    out.push_str(&format!("| {} |\n", cols.join(" | ")));
+    out.push_str(&format!("|{}\n", " --- |".repeat(cols.len())));
+    for line in lines {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let cells: Vec<String> = line.split(',').map(shorten).collect();
+        out.push_str(&format!("| {} |\n", cells.join(" | ")));
+    }
+    out
+}
+
+/// One table cell: a number written with a decimal point is rounded to 4
+/// decimal places with trailing zeros trimmed, an empty cell becomes `—`,
+/// and anything else passes through.
+fn shorten(cell: &str) -> String {
+    match cell.parse::<f64>() {
+        Ok(v) if cell.contains('.') => {
+            let s = format!("{v:.4}");
+            s.trim_end_matches('0').trim_end_matches('.').to_string()
+        }
+        _ => {
+            if cell.is_empty() {
+                "—".to_string()
+            } else {
+                cell.to_string()
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn header_and_separator_rows() {
+        assert_eq!(
+            csv_to_markdown("rho,p_opt,reach_opt\n"),
+            "| rho | p_opt | reach_opt |\n| --- | --- | --- |\n"
+        );
+        assert_eq!(csv_to_markdown(""), "");
+    }
+
+    #[test]
+    fn cells_are_shortened_and_blank_lines_skipped() {
+        let csv = "rho,p_opt,reach_opt,backend\n20,0.25,0.723456,sinr\n\n140,,,unit-disk\n";
+        assert_eq!(
+            csv_to_markdown(csv),
+            "| rho | p_opt | reach_opt | backend |\n\
+             | --- | --- | --- | --- |\n\
+             | 20 | 0.25 | 0.7235 | sinr |\n\
+             | 140 | — | — | unit-disk |\n"
+        );
+    }
+
+    #[test]
+    fn shorten_rounds_to_four_decimal_places() {
+        assert_eq!(shorten(""), "—");
+        assert_eq!(shorten("42"), "42");
+        assert_eq!(shorten("1e-7"), "1e-7");
+        assert_eq!(shorten("inf"), "inf");
+        assert_eq!(shorten("unit-disk"), "unit-disk");
+        assert_eq!(shorten("0.123456"), "0.1235");
+        assert_eq!(shorten("12.5000"), "12.5");
+        assert_eq!(shorten("3.00001"), "3");
+        assert_eq!(shorten("0.00004"), "0");
+        assert_eq!(shorten("1234.56789"), "1234.5679");
+    }
 }

@@ -79,28 +79,15 @@ pub fn run(ctx: &Ctx) {
     };
     let trials = if ctx.fast { 10 } else { 50 };
     let factory = SeedFactory::new(ctx.seed);
-
-    nss_obs::status!(
-        "{:>6} {:>10} {}",
-        "n",
-        "r_crit",
-        FACTORS
-            .iter()
-            .map(|f| format!("{:>8}", format!("f={f}")))
-            .collect::<String>()
-    );
     let mut csv = Vec::new();
     let mut series: Vec<Vec<(f64, f64)>> = vec![Vec::new(); FACTORS.len()];
     for &n in ns {
         let rc = r_crit(n);
-        let mut row = format!("{n:>6} {rc:>10.4}");
         for (fi, &f) in FACTORS.iter().enumerate() {
             let rate = connectivity_rate(n, f * rc, trials, &factory);
-            row.push_str(&format!("{rate:>8.2}"));
             series[fi].push((n as f64, rate));
             csv.push(format!("{n},{rc},{f},{},{rate}", f * rc));
         }
-        nss_obs::status!("{row}");
     }
     ctx.write_csv(
         "ext_connectivity.csv",

@@ -30,13 +30,6 @@ pub fn run(ctx: &Ctx) {
 
 /// Part A: reachability degradation under per-link loss.
 fn part_a_link_loss(ctx: &Ctx) {
-    nss_obs::status!(
-        "{:>6} {:>12} {:>12} {:>10}",
-        "loss",
-        "anal_reach",
-        "sim_reach",
-        "sim_ci95"
-    );
     let lambdas = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
     let mut csv = Vec::new();
     let mut anal_pts = Vec::new();
@@ -60,12 +53,6 @@ fn part_a_link_loss(ctx: &Ctx) {
         .with_threads(ctx.threads)
         .with_faults(plan);
         let sim = rep.run().reachability_at_latency(LATENCY);
-
-        nss_obs::status!(
-            "{lambda:>6.2} {anal:>12.3} {:>12.3} {:>10.3}",
-            sim.mean,
-            sim.ci95
-        );
         csv.push(format!("{lambda},{anal},{},{}", sim.mean, sim.ci95));
         anal_pts.push((lambda, anal));
         sim_pts.push((lambda, sim.mean));
@@ -88,14 +75,6 @@ fn part_a_link_loss(ctx: &Ctx) {
 
 /// Part B: how the optimal probability shifts as nodes die.
 fn part_b_alive_fraction(ctx: &Ctx) {
-    nss_obs::status!(
-        "\n{:>8} {:>10} {:>12} {:>10} {:>12}",
-        "alive",
-        "p*_anal",
-        "reach_anal",
-        "p*_sim",
-        "reach_sim"
-    );
     let alive_fracs: &[f64] = if ctx.fast {
         &[1.0, 0.6]
     } else {
@@ -142,7 +121,6 @@ fn part_b_alive_fraction(ctx: &Ctx) {
             }
         }
 
-        nss_obs::status!("{alive:>8.2} {pa:>10.2} {ra:>12.3} {ps:>10.2} {rs:>12.3}");
         csv.push(format!("{alive},{pa},{ra},{ps},{rs}"));
         anal_opt.push((alive, pa));
         sim_opt.push((alive, ps));

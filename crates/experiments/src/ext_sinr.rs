@@ -39,13 +39,6 @@ pub fn run(ctx: &Ctx) {
 
 /// Part A: analytical prediction vs simulated unit-disk vs simulated SINR.
 fn part_a_overlay(ctx: &Ctx) {
-    nss_obs::status!(
-        "{:>6} {:>12} {:>12} {:>12}",
-        "p",
-        "anal_reach",
-        "unitdisk",
-        "sinr"
-    );
     let probs: Vec<f64> = if ctx.fast {
         vec![0.1, 0.3, 0.5, 0.7, 0.9]
     } else {
@@ -81,12 +74,6 @@ fn part_a_overlay(ctx: &Ctx) {
         };
         let unit = rep(MediumBackend::UnitDisk);
         let shot = rep(sinr);
-
-        nss_obs::status!(
-            "{p:>6.2} {anal:>12.3} {:>12.3} {:>12.3}",
-            unit.mean,
-            shot.mean
-        );
         csv.push(format!(
             "{p},{anal},{},{},{},{}",
             unit.mean, unit.ci95, shot.mean, shot.ci95
@@ -117,14 +104,6 @@ fn part_a_overlay(ctx: &Ctx) {
 
 /// Part B: transmit-only uplink delivery under both backends.
 fn part_b_events(ctx: &Ctx) {
-    nss_obs::status!(
-        "\n{:>8} {:>10} {:>12} {:>12} {:>12}",
-        "tx_only",
-        "backend",
-        "heard_rate",
-        "deliv_rate",
-        "first_round"
-    );
     let fracs: &[f64] = if ctx.fast {
         &[0.0, 0.4, 0.8]
     } else {
@@ -179,9 +158,6 @@ fn part_b_events(ctx: &Ctx) {
             } else {
                 first / f64::from(first_n)
             };
-            nss_obs::status!(
-                "{frac:>8.2} {label:>10} {heard:>12.3} {delivered:>12.3} {first:>12.2}"
-            );
             csv.push(format!("{frac},{label},{heard},{delivered},{first}"));
             series[bi].1.push((frac, delivered));
         }

@@ -29,14 +29,6 @@ use nss_sim::stats::Summary;
 )]
 pub fn ext_carrier_sense(ctx: &Ctx) {
     heading("Ext A: carrier-sense (2r) optimal probability vs transmission-range");
-    nss_obs::status!(
-        "{:>6} {:>10} {:>10} {:>10} {:>10}",
-        "rho",
-        "p*_tr",
-        "reach_tr",
-        "p*_cs",
-        "reach_cs"
-    );
     let obj = Objective::MaxReachAtLatency {
         phases: LATENCY_BUDGET,
     };
@@ -49,13 +41,6 @@ pub fn ext_carrier_sense(ctx: &Ctx) {
         let mut cs_cfg = base;
         cs_cfg.collision = CollisionRule::CARRIER_SENSE_2R;
         let cs = ProbabilitySweep::run(cs_cfg, &grid).optimum(obj).unwrap();
-        nss_obs::status!(
-            "{rho:>6.0} {:>10.2} {:>10.3} {:>10.2} {:>10.3}",
-            tr.prob,
-            tr.value,
-            cs.prob,
-            cs.value
-        );
         csv.push(format!(
             "{rho},{},{},{},{}",
             tr.prob, tr.value, cs.prob, cs.value
@@ -72,27 +57,10 @@ pub fn ext_carrier_sense(ctx: &Ctx) {
 /// Ext B — the CFM-vs-CAM flooding prediction gap (§1.2 motivation).
 pub fn ext_cfm_gap(ctx: &Ctx) {
     heading("Ext B: CFM prediction vs CAM measurement for simple flooding");
-    nss_obs::status!(
-        "{:>6} {:>10} {:>12} {:>12} {:>10} {:>10}",
-        "rho",
-        "cfm_reach",
-        "cam@cfm_lat",
-        "cam_final",
-        "cfm_lat",
-        "cam_lat"
-    );
     let runs = if ctx.fast { 5 } else { 15 };
     let mut csv = Vec::new();
     for rho in ctx.rhos() {
         let report = flooding_gap(&NetworkModel::paper(rho), runs, ctx.seed);
-        nss_obs::status!(
-            "{rho:>6.0} {:>10.3} {:>12.3} {:>12.3} {:>10.1} {:>10.1}",
-            report.cfm.reachability,
-            report.cam.reachability_at_cfm_latency.mean,
-            report.cam.final_reachability.mean,
-            report.cfm.latency_phases,
-            report.cam.latency_phases.mean,
-        );
         csv.push(format!(
             "{rho},{},{},{},{},{}",
             report.cfm.reachability,
@@ -117,7 +85,6 @@ pub fn ext_grid_percolation(ctx: &Ctx) {
     let side = if ctx.fast { 21 } else { 41 };
     let runs = if ctx.fast { 5 } else { 20 };
     let factory = SeedFactory::new(ctx.seed);
-    nss_obs::status!("{:>6} {:>12}", "p", "mean_reach");
     let mut csv = Vec::new();
     let mut series = Vec::new();
     for i in 1..=20 {
@@ -133,7 +100,6 @@ pub fn ext_grid_percolation(ctx: &Ctx) {
             total += trace.final_reachability();
         }
         let mean = total / runs as f64;
-        nss_obs::status!("{p:>6.2} {mean:>12.3}");
         csv.push(format!("{p},{mean}"));
         series.push((p, mean));
     }
@@ -157,16 +123,6 @@ pub fn ext_adaptive(ctx: &Ctx) {
     base.prob = 1.0;
     let controller = AdaptiveController::calibrate(base, &[40.0, 80.0, 120.0], LATENCY_BUDGET);
     nss_obs::status!("calibrated ratio p*/sr = {:.2}", controller.ratio);
-    nss_obs::status!(
-        "{:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "rho",
-        "meas_sr",
-        "p_adapt",
-        "reach_ad",
-        "p_oracle",
-        "reach_or",
-        "eff"
-    );
     let runs = if ctx.fast { 3 } else { 10 };
     let mut csv = Vec::new();
     for rho in ctx.rhos() {
@@ -176,15 +132,6 @@ pub fn ext_adaptive(ctx: &Ctx) {
             LATENCY_BUDGET,
             runs,
             ctx.seed,
-        );
-        nss_obs::status!(
-            "{rho:>6.0} {:>10.4} {:>10.2} {:>10.3} {:>10.2} {:>10.3} {:>8.2}",
-            out.measured_success_rate,
-            out.adaptive_prob,
-            out.adaptive_reach,
-            out.oracle_prob,
-            out.oracle_reach,
-            out.efficiency()
         );
         csv.push(format!(
             "{rho},{},{},{},{},{},{}",
@@ -208,15 +155,6 @@ pub fn ext_adaptive(ctx: &Ctx) {
 /// implementation) vs plain CAM flooding.
 pub fn ext_ack_flood(ctx: &Ctx) {
     heading("Ext E: ACK-based reliable flooding cost vs plain flooding");
-    nss_obs::status!(
-        "{:>6} {:>12} {:>12} {:>10} {:>12} {:>10}",
-        "rho",
-        "plain_tx",
-        "reliable_tx",
-        "overhead",
-        "rel_reach",
-        "gave_up"
-    );
     let runs = if ctx.fast { 2 } else { 5 };
     let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
@@ -245,14 +183,6 @@ pub fn ext_ack_flood(ctx: &Ctx) {
         let rel = Summary::of(&rel_tx);
         let reach = Summary::of(&rel_reach);
         let overhead = rel.mean / plain.mean.max(1.0);
-        nss_obs::status!(
-            "{rho:>6.0} {:>12.0} {:>12.0} {:>9.1}x {:>12.3} {:>10}",
-            plain.mean,
-            rel.mean,
-            overhead,
-            reach.mean,
-            gave_up
-        );
         csv.push(format!(
             "{rho},{},{},{},{},{}",
             plain.mean, rel.mean, overhead, reach.mean, gave_up
@@ -272,13 +202,6 @@ pub fn ext_ack_flood(ctx: &Ctx) {
 /// quantifies the paper's "optimistic perfect synchronization" assumption.
 pub fn ext_async(ctx: &Ctx) {
     heading("Ext F: slotted (analysis assumption) vs asynchronous execution");
-    nss_obs::status!(
-        "{:>6} {:>6} {:>12} {:>12}",
-        "rho",
-        "p",
-        "sync_reach",
-        "async_reach"
-    );
     let runs = if ctx.fast { 3 } else { 10 };
     let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
@@ -303,7 +226,6 @@ pub fn ext_async(ctx: &Ctx) {
         }
         let sync_mean = sync_total / runs as f64;
         let async_mean = async_total / runs as f64;
-        nss_obs::status!("{rho:>6.0} {p:>6.2} {sync_mean:>12.3} {async_mean:>12.3}");
         csv.push(format!("{rho},{p},{sync_mean},{async_mean}"));
     }
     ctx.write_csv("ext_async.csv", "rho,p,sync_reach,async_reach", &csv);
@@ -320,15 +242,6 @@ pub fn ext_survival(ctx: &Ctx) {
     use nss_analysis::ring_model::RingModel;
     use nss_analysis::survival::survival_estimate;
     heading("Ext H: extinction-corrected analytical reachability at small p");
-    nss_obs::status!(
-        "{:>6} {:>6} {:>10} {:>12} {:>12} {:>12}",
-        "rho",
-        "p",
-        "survival",
-        "mean_field",
-        "adjusted",
-        "simulated"
-    );
     let runs = if ctx.fast { 5 } else { 20 };
     let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
@@ -354,12 +267,6 @@ pub fn ext_survival(ctx: &Ctx) {
                 .final_reachability();
         }
         let sim = total / runs as f64;
-        nss_obs::status!(
-            "{rho:>6.0} {p:>6.2} {:>10.3} {:>12.3} {:>12.3} {sim:>12.3}",
-            est.cascade_survival,
-            est.mean_field_reachability,
-            est.adjusted_reachability
-        );
         csv.push(format!(
             "{rho},{p},{},{},{},{sim}",
             est.cascade_survival, est.mean_field_reachability, est.adjusted_reachability
@@ -385,30 +292,17 @@ pub fn ext_cfm_cost(ctx: &Ctx) {
     let mut base = ctx.ring_base();
     base.prob = 1.0;
     let refined = RefinedCfm::calibrate(base, &ctx.rhos());
-    nss_obs::status!(
-        "{:>6} {:>12} {:>12} {:>12} {:>12}",
-        "rho",
-        "naive_lat",
-        "refined_lat",
-        "cam_lat",
-        "attempts"
-    );
     let runs = if ctx.fast { 3 } else { 10 };
     let mut csv = Vec::new();
     for rho in ctx.rhos() {
         let report = flooding_gap(&NetworkModel::paper(rho), runs, ctx.seed);
         // Naive CFM: one phase per hop. Refined: expected attempts per hop.
         let naive = report.cfm.latency_phases;
-        let refined_lat = naive * refined.expected_attempts(rho);
-        nss_obs::status!(
-            "{rho:>6.0} {naive:>12.1} {refined_lat:>12.1} {:>12.1} {:>12.1}",
-            report.cam.latency_phases.mean,
-            refined.expected_attempts(rho)
-        );
+        let attempts = refined.expected_attempts(rho);
+        let refined_lat = naive * attempts;
         csv.push(format!(
-            "{rho},{naive},{refined_lat},{},{}",
-            report.cam.latency_phases.mean,
-            refined.expected_attempts(rho)
+            "{rho},{naive},{refined_lat},{},{attempts}",
+            report.cam.latency_phases.mean
         ));
     }
     ctx.write_csv(
@@ -429,13 +323,6 @@ pub fn ext_schemes(ctx: &Ctx) {
     use nss_sim::protocols::counter::{run_counter_broadcast, CounterConfig};
     use nss_sim::protocols::distance::{run_distance_broadcast, DistanceConfig};
     heading("Ext J: PB_CAM vs counter-based vs distance-based (final reach / broadcasts)");
-    nss_obs::status!(
-        "{:>6} {:>16} {:>16} {:>16}",
-        "rho",
-        "pbcam(p=13/rho)",
-        "counter(C=3)",
-        "distance(0.4r)"
-    );
     let runs = if ctx.fast { 3 } else { 10 };
     let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
@@ -459,23 +346,15 @@ pub fn ext_schemes(ctx: &Ctx) {
             acc[2].0 += t.final_reachability();
             acc[2].1 += t.total_broadcasts();
         }
-        let fmt =
-            |(r, b): (f64, u64)| format!("{:.2}/{:>6.0}", r / runs as f64, b as f64 / runs as f64);
-        nss_obs::status!(
-            "{rho:>6.0} {:>16} {:>16} {:>16}",
-            fmt(acc[0]),
-            fmt(acc[1]),
-            fmt(acc[2])
-        );
-        csv.push(format!(
-            "{rho},{},{},{},{},{},{}",
-            acc[0].0 / runs as f64,
-            acc[0].1 as f64 / runs as f64,
-            acc[1].0 / runs as f64,
-            acc[1].1 as f64 / runs as f64,
-            acc[2].0 / runs as f64,
-            acc[2].1 as f64 / runs as f64
-        ));
+        let mut row = format!("{rho}");
+        for (reach, tx) in acc {
+            row.push_str(&format!(
+                ",{},{}",
+                reach / runs as f64,
+                tx as f64 / runs as f64
+            ));
+        }
+        csv.push(row);
     }
     ctx.write_csv(
         "ext_schemes.csv",
@@ -495,14 +374,6 @@ pub fn ext_schemes(ctx: &Ctx) {
 pub fn ext_convergecast(ctx: &Ctx) {
     use nss_sim::protocols::convergecast::{run_convergecast, ConvergecastConfig};
     heading("Ext K: unicast convergecast (data gathering) under CAM");
-    nss_obs::status!(
-        "{:>6} {:>10} {:>10} {:>12} {:>10}",
-        "rho",
-        "reports",
-        "delivered",
-        "transmissions",
-        "phases"
-    );
     let runs = if ctx.fast { 2 } else { 5 };
     let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
@@ -525,13 +396,6 @@ pub fn ext_convergecast(ctx: &Ctx) {
             tx += out.transmissions;
             phases += out.phases;
         }
-        nss_obs::status!(
-            "{rho:>6.0} {:>10} {:>10} {:>12} {:>10}",
-            reach / runs as usize,
-            deliv / runs as usize,
-            tx / runs,
-            phases / runs as usize
-        );
         csv.push(format!(
             "{rho},{},{},{},{}",
             reach / runs as usize,
@@ -554,19 +418,11 @@ pub fn ext_convergecast(ctx: &Ctx) {
 /// times ([`FaultPlan::per_phase_crashes`]), so it runs on any engine.
 pub fn ext_failures(ctx: &Ctx) {
     heading("Ext L: PB_CAM under per-phase node failures");
-    nss_obs::status!(
-        "{:>8} {:>12} {:>12} {:>12}",
-        "q_fail",
-        "rho=40",
-        "rho=80",
-        "rho=140"
-    );
     let runs = if ctx.fast { 3 } else { 10 };
     let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
     for q in [0.0, 0.02, 0.05, 0.1, 0.2] {
         let mut row = format!("{q}");
-        nss_obs::status_inline!("{q:>8.2}");
         for rho in [40.0f64, 80.0, 140.0] {
             let p = (13.0 / rho).clamp(0.05, 1.0);
             let mut total = 0.0;
@@ -588,11 +444,8 @@ pub fn ext_failures(ctx: &Ctx) {
                     .run(factory.seed(Stream::Protocol, rep))
                     .final_reachability();
             }
-            let mean = total / runs as f64;
-            nss_obs::status_inline!(" {mean:>12.3}");
-            row.push_str(&format!(",{mean}"));
+            row.push_str(&format!(",{}", total / runs as f64));
         }
-        nss_obs::status!();
         csv.push(row);
     }
     ctx.write_csv(
@@ -608,15 +461,6 @@ pub fn ext_failures(ctx: &Ctx) {
 pub fn ext_tdma(ctx: &Ctx) {
     use nss_sim::tdma::TdmaSchedule;
     heading("Ext M: TDMA-implemented CFM flooding vs CAM flooding");
-    nss_obs::status!(
-        "{:>6} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "rho",
-        "frame",
-        "tdma_slots",
-        "tdma_reach",
-        "cam_slots",
-        "cam_reach"
-    );
     let runs = if ctx.fast { 2 } else { 5 };
     let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
@@ -643,14 +487,6 @@ pub fn ext_tdma(ctx: &Ctx) {
             cam_reach += trace.final_reachability();
         }
         let r = runs as f64;
-        nss_obs::status!(
-            "{rho:>6.0} {:>8.0} {:>12.0} {:>12.3} {:>12.0} {:>12.3}",
-            frame as f64 / r,
-            tdma_slots as f64 / r,
-            tdma_reach / r,
-            cam_slots as f64 / r,
-            cam_reach / r
-        );
         csv.push(format!(
             "{rho},{},{},{},{},{}",
             frame as f64 / r,
@@ -680,13 +516,6 @@ pub fn ext_tdma(ctx: &Ctx) {
 )]
 pub fn ext_slots(ctx: &Ctx) {
     heading("Ext N: jitter-slot count ablation (analysis, rho = 80)");
-    nss_obs::status!(
-        "{:>4} {:>8} {:>12} {:>12}",
-        "s",
-        "p*",
-        "reach@5ph",
-        "flooding@5ph"
-    );
     let obj = Objective::MaxReachAtLatency {
         phases: LATENCY_BUDGET,
     };
@@ -706,11 +535,6 @@ pub fn ext_slots(ctx: &Ctx) {
                 .phase_series()
                 .reachability_at_latency(LATENCY_BUDGET)
         };
-        nss_obs::status!(
-            "{s:>4} {:>8.2} {:>12.3} {flooding:>12.3}",
-            opt.prob,
-            opt.value
-        );
         csv.push(format!("{s},{},{},{flooding}", opt.prob, opt.value));
     }
     ctx.write_csv("ext_slots.csv", "s,p_opt,reach_opt,flooding_reach", &csv);
@@ -737,14 +561,6 @@ pub fn ext_hetero(ctx: &Ctx) {
 
     let runs = if ctx.fast { 3 } else { 10 };
     let factory = SeedFactory::new(ctx.seed);
-    nss_obs::status!(
-        "{:>10} {:>12} {:>13} {:>13} {:>13}",
-        "contrast",
-        "mean_deg",
-        "fixed 5ph/fin",
-        "glob 5ph/fin",
-        "node 5ph/fin"
-    );
     let mut csv = Vec::new();
     // Sweep hotspot contrast: children per cluster grows, background thins.
     for &(children, bg) in &[(40.0, 3.0), (80.0, 2.0), (160.0, 1.0)] {
@@ -805,28 +621,11 @@ pub fn ext_hetero(ctx: &Ctx) {
             local.1 += b;
         }
         let r = runs as f64;
-        let label = format!("{children:.0}x/{bg:.0}");
-        nss_obs::status!(
-            "{label:>10} {:>12.1} {:>6.3}/{:<6.3} {:>6.3}/{:<6.3} {:>6.3}/{:<6.3}",
-            deg_sum / r,
-            fixed.0 / r,
-            fixed.1 / r,
-            global.0 / r,
-            global.1 / r,
-            local.0 / r,
-            local.1 / r
-        );
-        csv.push(
-            format!(
-                "{children},{bg},{},{},{},{},{},{}",
-                deg_sum / r,
-                fixed.0 / r,
-                fixed.1 / r,
-                global.0 / r,
-                global.1 / r,
-                local.0 / r
-            ) + &format!(",{}", local.1 / r),
-        );
+        let mut row = format!("{children},{bg},{}", deg_sum / r);
+        for (reach5, fin) in [fixed, global, local] {
+            row.push_str(&format!(",{},{}", reach5 / r, fin / r));
+        }
+        csv.push(row);
     }
     ctx.write_csv(
         "ext_hetero.csv",
@@ -849,14 +648,6 @@ pub fn ext_hetero(ctx: &Ctx) {
 )]
 pub fn ext_fieldsize(ctx: &Ctx) {
     heading("Ext P: field-size ablation (analysis, rho = 80)");
-    nss_obs::status!(
-        "{:>4} {:>8} {:>8} {:>12} {:>12}",
-        "P",
-        "N",
-        "p*",
-        "reach@P+1ph",
-        ""
-    );
     let grid = ctx.analysis_grid();
     let mut csv = Vec::new();
     for p_rings in [3u32, 5, 8, 10] {
@@ -869,12 +660,6 @@ pub fn ext_fieldsize(ctx: &Ctx) {
         let opt = sweep
             .optimum(Objective::MaxReachAtLatency { phases: budget })
             .unwrap();
-        nss_obs::status!(
-            "{p_rings:>4} {:>8.0} {:>8.2} {:>12.3}",
-            cfg.n_total(),
-            opt.prob,
-            opt.value
-        );
         csv.push(format!(
             "{p_rings},{},{},{}",
             cfg.n_total(),
@@ -899,14 +684,6 @@ measured shape: the optimal probability is set by the LOCAL contention
 )]
 pub fn ext_mu_mode(ctx: &Ctx) {
     heading("Ext G: mu-evaluation ablation (interpolated vs Poisson mixture)");
-    nss_obs::status!(
-        "{:>6} {:>10} {:>10} {:>10} {:>10}",
-        "rho",
-        "p*_interp",
-        "reach_i",
-        "p*_pois",
-        "reach_p"
-    );
     let obj = Objective::MaxReachAtLatency {
         phases: LATENCY_BUDGET,
     };
@@ -919,13 +696,6 @@ pub fn ext_mu_mode(ctx: &Ctx) {
         let mut pois = interp;
         pois.mu_mode = MuMode::Poisson;
         let b = ProbabilitySweep::run(pois, &grid).optimum(obj).unwrap();
-        nss_obs::status!(
-            "{rho:>6.0} {:>10.2} {:>10.3} {:>10.2} {:>10.3}",
-            a.prob,
-            a.value,
-            b.prob,
-            b.value
-        );
         csv.push(format!(
             "{rho},{},{},{},{}",
             a.prob, a.value, b.prob, b.value

@@ -22,15 +22,6 @@ pub fn run(ctx: &Ctx) {
         &ctx.analysis_grid(),
         LATENCY_BUDGET,
     );
-
-    nss_obs::status!(
-        "{:>6} {:>14} {:>8} {:>8} {:>14}",
-        "rho",
-        "succ_rate",
-        "p*",
-        "ratio",
-        "sim_succ_rate"
-    );
     let mut csv = Vec::new();
     let mut ratios = Vec::new();
     for row in &rows {
@@ -40,14 +31,6 @@ pub fn run(ctx: &Ctx) {
             &Deployment::disk(5, 1.0, row.rho).sample(ctx.seed.wrapping_add(row.rho as u64)),
         );
         let sim_sr = measure_success_rate(&topo, 3, probes, ctx.seed);
-        nss_obs::status!(
-            "{:>6.0} {:>14.4} {:>8.2} {:>8.2} {:>14.4}",
-            row.rho,
-            row.success_rate,
-            row.optimal_prob,
-            row.ratio,
-            sim_sr
-        );
         csv.push(format!(
             "{},{},{},{},{}",
             row.rho, row.success_rate, row.optimal_prob, row.ratio, sim_sr

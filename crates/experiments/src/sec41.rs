@@ -2,10 +2,10 @@
 //! probability `p`, from the ring model (Figs. 4–7) and from the simulator
 //! (Figs. 8–11: run means, the paper's GloMoSim experiment of §5).
 //!
-//! Every figure is the same program: print the (ρ × p) table, write the
-//! panel-(a) CSV, take each density's optimum, write the panel-(b) CSV and
-//! draw both panels. [`METRICS`] holds what differs between metrics and
-//! [`SOURCES`] what differs between the model and the simulator.
+//! Every figure is the same program: write the (ρ × p) panel-(a) CSV, take
+//! each density's optimum, write the panel-(b) CSV and draw both panels.
+//! [`METRICS`] holds what differs between metrics and [`SOURCES`] what
+//! differs between the model and the simulator.
 //!
 //! Paper findings, analytical / simulated:
 //! - Figs. 4/8, reachability within 5 phases: bell-shaped curves, p*
@@ -26,7 +26,7 @@
 //! that budget rounded. A figure run without its calibrating figure uses
 //! the paper's values.
 
-use crate::common::{fmt_opt, heading, panel_a_chart, panel_b_chart, Ctx};
+use crate::common::{heading, panel_a_chart, panel_b_chart, Ctx};
 use nss_analysis::optimize::{Objective, Optimum};
 use nss_sim::stats::Summary;
 
@@ -42,7 +42,7 @@ pub struct Calibration {
     budget: f64,
 }
 
-/// What one §4.1 metric prints, writes and plots; the same for both sources.
+/// What one §4.1 metric writes and plots; the same for both sources.
 struct Metric {
     objective: fn(Calibration) -> Objective,
     /// CSV column stem: `{stem}_rho20`, `{stem}_opt`.
@@ -51,11 +51,6 @@ struct Metric {
     file: &'static str,
     /// Decimal places of panel-(a) CSV values.
     csv_prec: usize,
-    /// Console column width and decimal places.
-    width: usize,
-    prec: usize,
-    /// Console header of the panel-(b) value column.
-    star: &'static str,
     /// Panel-(a) y axis.
     y_label: &'static str,
     /// Panel-(b) label of the value at p*.
@@ -73,9 +68,6 @@ static METRICS: [Metric; 4] = [
         stem: "reach",
         file: "reachability",
         csv_prec: 6,
-        width: 8,
-        prec: 3,
-        star: "reach*",
         y_label: "reachability",
         value_label: "reachability at p*",
         optimal: "optimal probability",
@@ -85,9 +77,6 @@ static METRICS: [Metric; 4] = [
         stem: "latency",
         file: "latency",
         csv_prec: 4,
-        width: 8,
-        prec: 2,
-        star: "latency*",
         y_label: "latency (phases)",
         value_label: "latency at p*",
         optimal: "optimal probability",
@@ -97,9 +86,6 @@ static METRICS: [Metric; 4] = [
         stem: "broadcasts",
         file: "broadcasts",
         csv_prec: 3,
-        width: 9,
-        prec: 1,
-        star: "M*",
         y_label: "broadcast count M",
         value_label: "M at p*",
         optimal: "energy-optimal probability",
@@ -111,9 +97,6 @@ static METRICS: [Metric; 4] = [
         stem: "reach",
         file: "reach_budget",
         csv_prec: 6,
-        width: 8,
-        prec: 3,
-        star: "reach*",
         y_label: "reachability",
         value_label: "reachability at p*",
         optimal: "optimal probability",
@@ -219,32 +202,23 @@ pub fn run(ctx: &Ctx, fig: usize) {
     let mut cal = ctx.calibrations()[si].unwrap_or(src.defaults);
     let obj = (metric.objective)(cal);
     let grid = (src.read)(ctx, obj);
-    let (width, prec, csv_prec) = (metric.width, metric.prec, metric.csv_prec);
+    let csv_prec = metric.csv_prec;
 
     // Panel (a): one column per density.
     let title_a = format!("Fig {fig}(a): {} {}", src.adjective, subject(obj));
     heading(&title_a);
-    nss_obs::status_inline!("{:>6}", "p");
-    for &rho in &grid.rhos {
-        nss_obs::status_inline!(" {:>width$}", format!("rho={rho:.0}"));
-    }
-    nss_obs::status!();
     let mut csv = Vec::new();
     for (pi, &p) in grid.probs.iter().enumerate() {
-        nss_obs::status_inline!("{p:>6.2}");
         let mut row = format!("{p}");
         for (ri, values) in grid.values.iter().enumerate() {
-            let v = values[pi];
-            nss_obs::status_inline!(" {}", fmt_opt(v, width, prec));
             row.push(',');
-            if let Some(x) = v {
+            if let Some(x) = values[pi] {
                 row.push_str(&format!("{x:.csv_prec$}"));
             }
             if let Some((_, extra)) = &grid.extra {
                 row.push_str(&format!(",{}", extra[ri][pi]));
             }
         }
-        nss_obs::status!();
         csv.push(row);
     }
     let stem = metric.stem;
@@ -264,20 +238,15 @@ pub fn run(ctx: &Ctx, fig: usize) {
     // Panel (b): the optimal probability and the value it achieves.
     let title_b = format!("Fig {fig}(b): {}{}", src.title_prefix, metric.optimal);
     heading(&format!("{title_b} and {}", metric.value_label));
-    nss_obs::status!("{:>6} {:>8} {:>10}", "rho", "p*", metric.star);
     let mut optima = Vec::new();
     let mut csv = Vec::new();
     for (values, &rho) in grid.values.iter().zip(&grid.rhos) {
         match obj.best(grid.probs.iter().copied().zip(values.iter().copied())) {
             Some(Optimum { prob, value }) => {
-                nss_obs::status!("{rho:>6.0} {prob:>8.2} {value:>10.prec$}");
                 csv.push(format!("{rho},{prob},{value}"));
                 optima.push((rho, prob, value));
             }
-            None => {
-                nss_obs::status!("{rho:>6.0} {:>8} {:>10}", "-", "-");
-                csv.push(format!("{rho},,"));
-            }
+            None => csv.push(format!("{rho},,")),
         }
     }
     let header = format!("rho,p_opt,{stem}_opt");

@@ -1,6 +1,7 @@
 //! CLI contract tests for the `repro` binary: malformed flags exit with
-//! usage + status 2 instead of panicking, `list` prints the registry, and
-//! the §4.1 figures hand their calibrations on in registry order.
+//! usage + status 2 instead of panicking, `list` prints the registry, the
+//! §4.1 figures hand their calibrations on in registry order, and the
+//! console prints each table exactly as REPORT.md renders it.
 
 #![expect(
     clippy::expect_used,
@@ -108,5 +109,30 @@ fn calibrations_flow_from_the_calibrating_figures() {
     for (figs, fig, title) in cases {
         let svg = panel_a_svg(figs, fig);
         assert!(svg.contains(title), "{figs:?}: {fig}a.svg lacks {title:?}");
+    }
+}
+
+#[test]
+fn console_tables_are_the_report_tables() {
+    let out: PathBuf = [env!("CARGO_TARGET_TMPDIR"), "console-tables"]
+        .iter()
+        .collect();
+    let _ = std::fs::remove_dir_all(&out);
+    let dir = out.to_str().expect("UTF-8 temp path");
+    let run = repro(&["--fast", "--out", dir, "fig4", "ext-cs", "report"]);
+    assert_eq!(run.status.code(), Some(0), "repro failed");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    let report = std::fs::read_to_string(out.join("REPORT.md")).expect("REPORT.md written");
+    // Fig. 4(b) and Ext A: each a blank-line-delimited run of `|` rows.
+    let tables: Vec<&str> = report
+        .split("\n\n")
+        .filter(|block| block.starts_with('|'))
+        .collect();
+    assert_eq!(tables.len(), 2, "REPORT.md tables: {tables:?}");
+    for table in tables {
+        assert!(
+            stdout.contains(table),
+            "stdout lacks the REPORT.md table\n{table}\n--- stdout ---\n{stdout}"
+        );
     }
 }

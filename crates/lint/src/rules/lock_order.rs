@@ -24,10 +24,10 @@
 //! functions and crates — is reported at each participating edge site.
 //!
 //! Precision notes: `RwLock::read/write` are not tracked (those names are
-//! overwhelmingly io/iterator calls). The two first-party
-//! `std::sync::RwLock`s are therefore outside the lock graph:
-//! `MuTable::tables` (`analysis/src/mu.rs`) and `KernelCache::map`
-//! (`analysis/src/tables.rs`), whose `get` builds a `SharedKernel` while holding the write guard. A
+//! overwhelmingly io/iterator calls). The one first-party
+//! `std::sync::RwLock` is therefore outside the lock graph:
+//! `KernelCache::map` (`analysis/src/tables.rs`), whose `get` builds a
+//! `SharedKernel` while holding the write guard. A
 //! guard moved into a `Condvar::wait` is treated as still held afterwards
 //! (true: `wait` reacquires).
 

@@ -36,7 +36,6 @@ const OBS_MACROS: &[&str] = &[
     "set_label",
     "status",
     "status_err",
-    "status_inline",
 ];
 
 /// Crates whose loops are hot paths: the million-node phase engine and

@@ -45,16 +45,6 @@ macro_rules! status_err {
     };
 }
 
-/// `print!` (no trailing newline; table cells) gated like [`status!`].
-#[macro_export]
-macro_rules! status_inline {
-    ($($arg:tt)*) => {
-        if $crate::console::verbosity() >= $crate::console::NORMAL {
-            ::std::print!($($arg)*);
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
