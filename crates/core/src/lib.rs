@@ -7,8 +7,6 @@
 //! packet-level simulator.
 //!
 //! * [`network`] — the abstract network model bundle.
-//! * [`algorithm`] — broadcast algorithm specifications with tunable
-//!   parameters.
 //! * [`optimizer`] — the design loop: choose `p` analytically, validate by
 //!   simulation (Fig. 1b).
 //! * [`adaptive`] — the §6/Fig. 12 density-oblivious tuning rule
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod algorithm;
 pub mod network;
 pub mod optimizer;
 pub mod prediction;
@@ -43,7 +40,6 @@ pub mod prelude {
         evaluate_adaptive, measure_success_rate, per_node_probabilities, AdaptiveController,
         AdaptiveOutcome,
     };
-    pub use crate::algorithm::BroadcastAlgorithm;
     pub use crate::network::NetworkModel;
     pub use crate::optimizer::{DesignOptimizer, DesignReport};
     pub use crate::prediction::{flooding_gap, CfmPrediction, GapReport};

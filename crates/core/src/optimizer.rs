@@ -92,7 +92,6 @@ impl DesignOptimizer {
             s: self.model.slots,
             prob,
             model: self.model.comm,
-            max_phases: 10_000,
             track_success_rate: false,
             backend: MediumBackend::UnitDisk,
         };

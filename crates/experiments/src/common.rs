@@ -72,7 +72,7 @@ impl Ctx {
     pub fn analysis(&self) -> &DensitySweep {
         self.analysis.get_or_init(|| {
             nss_obs::status_err!("running analytical sweep...");
-            let _span = nss_obs::span!("repro.analysis_sweep");
+            let _span = nss_obs::trace_span!("repro.analysis_sweep");
             analysis_sweep(self)
         })
     }
@@ -84,7 +84,7 @@ impl Ctx {
                 "running simulated sweep ({} runs per point)...",
                 self.sim_runs()
             );
-            let _span = nss_obs::span!("repro.sim_sweep");
+            let _span = nss_obs::trace_span!("repro.sim_sweep");
             sim_sweep(self, false)
         })
     }

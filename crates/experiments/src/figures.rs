@@ -19,27 +19,27 @@ pub struct FigureDef {
     pub group: &'static str,
     /// One-line description for `repro list`.
     pub describe: &'static str,
-    /// Span name recorded around the run (`repro.` + name).
-    span: &'static str,
     runner: fn(&Ctx),
 }
 
 impl FigureDef {
     /// Produces the figure's artifacts.
     pub fn run(&self, ctx: &Ctx) {
-        let _span = nss_obs::span!(self.span);
         (self.runner)(ctx);
     }
 }
 
+/// A registry entry whose runner is timed by its own `repro.<name>` span.
 macro_rules! fig {
     ($name:literal, $group:literal, $desc:literal, $runner:expr) => {
         FigureDef {
             name: $name,
             group: $group,
             describe: $desc,
-            span: concat!("repro.", $name),
-            runner: $runner,
+            runner: |ctx| {
+                let _span = nss_obs::trace_span!(concat!("repro.", $name));
+                ($runner)(ctx)
+            },
         }
     };
 }

@@ -30,9 +30,9 @@ mod report;
 mod sec41;
 
 use common::{write_or_exit, Ctx};
+use figures::FigureDef;
 use nss_model::comm::MediumBackend;
 use nss_model::faults::FaultPlan;
-use std::collections::BTreeSet;
 use std::time::Instant;
 
 fn main() {
@@ -93,7 +93,11 @@ fn main() {
     let started = Instant::now();
     nss_obs::status!(
         "repro: {} (fast={}, runs={}, seed={}{})",
-        selected.iter().copied().collect::<Vec<_>>().join(" "),
+        selected
+            .iter()
+            .map(|f| f.name)
+            .collect::<Vec<_>>()
+            .join(" "),
         ctx.fast,
         ctx.sim_runs(),
         ctx.seed,
@@ -112,12 +116,8 @@ fn main() {
         }
     );
 
-    // Registry (declaration) order, so figures that calibrate plateau and
-    // budget targets run before the figures that consume them.
-    for fig in figures::REGISTRY {
-        if selected.contains(fig.name) {
-            fig.run(&ctx);
-        }
+    for fig in &selected {
+        fig.run(&ctx);
     }
 
     write_run_records(&ctx, &selected, started.elapsed().as_secs_f64());
@@ -277,32 +277,30 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<(Ctx, Vec<String>), 
 }
 
 /// Expands groups and validates names against the registry.
-fn select(commands: &[String]) -> Result<BTreeSet<&'static str>, String> {
-    let mut selected = BTreeSet::new();
-    for cmd in commands {
-        if cmd == "all" {
-            selected.extend(figures::REGISTRY.iter().map(|f| f.name));
-        } else if figures::is_group(cmd) {
-            selected.extend(
-                figures::REGISTRY
-                    .iter()
-                    .filter(|f| f.group == cmd)
-                    .map(|f| f.name),
-            );
-        } else if let Some(fig) = figures::find(cmd) {
-            selected.insert(fig.name);
-        } else {
-            return Err(cmd.clone());
-        }
+fn select(commands: &[String]) -> Result<Vec<&'static FigureDef>, String> {
+    if let Some(unknown) = commands
+        .iter()
+        .find(|c| !(*c == "all" || figures::is_group(c) || figures::find(c).is_some()))
+    {
+        return Err(unknown.clone());
     }
-    Ok(selected)
+    // Registry (declaration) order, so figures that calibrate plateau and
+    // budget targets run before the figures that consume them.
+    Ok(figures::REGISTRY
+        .iter()
+        .filter(|f| {
+            commands
+                .iter()
+                .any(|c| c == "all" || c == f.group || c == f.name)
+        })
+        .collect())
 }
 
 /// Emits the run's provenance next to its artifacts: `RUN_MANIFEST.json`
 /// (config fingerprint, seed, artifact hashes, counter snapshot) and
 /// `OBS_METRICS.json` (full registry dump; all zeros without `--features
 /// obs`). Both are written unconditionally — provenance is not optional.
-fn write_run_records(ctx: &Ctx, selected: &BTreeSet<&str>, wall_s: f64) {
+fn write_run_records(ctx: &Ctx, selected: &[&FigureDef], wall_s: f64) {
     let mut manifest = nss_obs::manifest::RunManifest::new("repro", ctx.seed);
     manifest.wall_s = wall_s;
     manifest.config_entry("fast", ctx.fast);
@@ -312,8 +310,8 @@ fn write_run_records(ctx: &Ctx, selected: &BTreeSet<&str>, wall_s: f64) {
     manifest.config_entry("faults", ctx.faults.to_spec());
     manifest.config_entry("medium", ctx.medium.to_spec());
     manifest.config_entry("obs_enabled", nss_obs::enabled());
-    for cmd in selected {
-        manifest.commands.push((*cmd).to_string());
+    for fig in selected {
+        manifest.commands.push(fig.name.to_string());
     }
     for path in ctx.artifacts() {
         manifest.add_artifact(&path);

@@ -1,7 +1,8 @@
 //! CLI contract tests for the `repro` binary: malformed flags exit with
 //! usage + status 2 instead of panicking, `list` prints the registry, the
-//! §4.1 figures hand their calibrations on in registry order, and the
-//! console prints each table exactly as REPORT.md renders it.
+//! §4.1 figures hand their calibrations on in registry order, the header
+//! lists the figures in that order, and the console prints each table
+//! exactly as REPORT.md renders it.
 
 #![expect(
     clippy::expect_used,
@@ -135,4 +136,20 @@ fn console_tables_are_the_report_tables() {
             "stdout lacks the REPORT.md table\n{table}\n--- stdout ---\n{stdout}"
         );
     }
+}
+
+#[test]
+fn header_lists_commands_in_run_order() {
+    let out: PathBuf = [env!("CARGO_TARGET_TMPDIR"), "run-order"].iter().collect();
+    let _ = std::fs::remove_dir_all(&out);
+    let dir = out.to_str().expect("UTF-8 temp path");
+    // Name order would put `ext-cs` first; the registry runs it last.
+    let run = repro(&["--fast", "--out", dir, "fig5", "ext-cs", "fig4"]);
+    assert_eq!(run.status.code(), Some(0), "repro failed");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    let header = stdout.lines().next().unwrap_or_default();
+    assert!(
+        header.starts_with("repro: fig4 fig5 ext-cs ("),
+        "header should list the figures in the order they run: {header}"
+    );
 }

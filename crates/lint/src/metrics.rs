@@ -2,7 +2,7 @@
 //!
 //! Walks the same first-party file set as the lint pass and extracts every
 //! metric the workspace can emit — literal names passed to the
-//! `nss_obs::{counter,gauge,observe,span,trace_span}!` macros plus the
+//! `nss_obs::{counter,gauge,observe,trace_span}!` macros plus the
 //! dynamic `format!`-named registry calls the sharding layers use — into a
 //! deterministic markdown table. `docs/METRICS.md` commits that table
 //! between `BEGIN`/`END` markers; `nss-lint metrics --check` fails CI when
@@ -163,7 +163,6 @@ fn scan_file(rel: &str, crate_name: &str, src: &str, out: &mut Vec<MetricRow>) {
         ("gauge", "gauge"),
         ("observe", "histogram"),
         ("trace_span", "histogram (span)"),
-        ("span", "histogram (span)"),
     ];
     let mut pos = 0usize;
     while let Some(hit) = stripped[pos..].find("nss_obs::") {
@@ -194,13 +193,27 @@ fn scan_file(rel: &str, crate_name: &str, src: &str, out: &mut Vec<MetricRow>) {
                 push(name, metric_kind, false);
             } else {
                 // Dynamic macro arg: record the inner format template when
-                // one is visible, else the raw expression head.
+                // one is visible, a macro body's `concat!("prefix", $var)`
+                // as the family `prefix{var}`, else the raw expression head.
                 let head: String = arg.chars().take_while(|&c| c != ')' && c != ',').collect();
                 let name = arg
                     .find("format!(")
                     .and_then(|f| {
                         let lit_at = arg_at + f + "format!(".len();
                         read_str(bytes, lit_at).map(|(s, _)| s)
+                    })
+                    .or_else(|| {
+                        if !arg.starts_with("concat!(") {
+                            return None;
+                        }
+                        let (prefix, end) = read_str(bytes, arg_at + "concat!(".len())?;
+                        let var = stripped[end..].trim_start().strip_prefix(',')?.trim_start();
+                        let var = var.strip_prefix('$')?;
+                        let var: String = var
+                            .chars()
+                            .take_while(|&c| c.is_alphanumeric() || c == '_')
+                            .collect();
+                        Some(format!("{prefix}{{{var}}}"))
                     })
                     .unwrap_or_else(|| format!("<{}>", head.trim()));
                 let name = if metric_kind == "histogram (span)" {
@@ -395,6 +408,21 @@ fn f(stage: &str) {
             "{names:?}"
         );
         assert!(names.contains(&("{stage}.imbalance", true)), "{names:?}");
+    }
+
+    #[test]
+    fn captures_concat_families_in_macro_bodies() {
+        let src = r#"
+macro_rules! timed {
+    ($name:literal) => {
+        let _s = nss_obs::trace_span!(concat!("repro.", $name));
+    };
+}
+"#;
+        let mut rows = Vec::new();
+        scan_file("x.rs", "experiments", src, &mut rows);
+        let names: Vec<(&str, bool)> = rows.iter().map(|r| (r.name.as_str(), r.dynamic)).collect();
+        assert_eq!(names, [("repro.{name}.seconds", true)]);
     }
 
     #[test]

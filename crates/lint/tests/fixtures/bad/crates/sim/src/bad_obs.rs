@@ -8,9 +8,3 @@ pub fn record_unqualified(n: u64) {
 pub fn effectful_argument(v: Option<u64>) {
     nss_obs::counter!("sim.events").add(v.unwrap()); // arg vanishes when obs is off
 }
-
-pub fn span_in_hot_loop(phases: u64) {
-    for _phase in 0..phases {
-        let _s = nss_obs::span!("sim.phase"); // mutex per iteration: use trace_span!
-    }
-}

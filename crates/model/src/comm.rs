@@ -238,11 +238,6 @@ pub enum MediumBackend {
 }
 
 impl MediumBackend {
-    /// True for the SINR backend.
-    pub fn is_sinr(&self) -> bool {
-        matches!(self, MediumBackend::Sinr(_))
-    }
-
     /// Validates backend parameters.
     pub fn validate(&self) -> Result<(), ConfigError> {
         match self {

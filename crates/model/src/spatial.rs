@@ -38,6 +38,8 @@ pub struct GridIndex {
     /// Coordinates of `ids[k]`, in the same order.
     xs: Vec<f64>,
     ys: Vec<f64>,
+    /// Where each id sits in the cell-ordered arrays: `ids[slot[i]] == i`.
+    slot: Vec<u32>,
 }
 
 impl GridIndex {
@@ -69,6 +71,7 @@ impl GridIndex {
                 ids: Vec::new(),
                 xs: Vec::new(),
                 ys: Vec::new(),
+                slot: Vec::new(),
             });
         }
         let mut min_x = f64::INFINITY;
@@ -106,6 +109,7 @@ impl GridIndex {
             ids: Vec::new(),
             xs: Vec::new(),
             ys: Vec::new(),
+            slot: Vec::new(),
         };
 
         // Counting sort into cells; the stable scatter keeps ids ascending
@@ -122,19 +126,39 @@ impl GridIndex {
         let mut ids = vec![0u32; points.len()];
         let mut xs = vec![0.0; points.len()];
         let mut ys = vec![0.0; points.len()];
+        let mut slot = vec![0u32; points.len()];
         for (i, p) in points.iter().enumerate() {
             let c = index.cell_of(p);
             let k = cursor[c] as usize;
             ids[k] = i as u32;
             xs[k] = p.x;
             ys[k] = p.y;
+            slot[i] = k as u32;
             cursor[c] += 1;
         }
         index.starts = starts;
         index.ids = ids;
         index.xs = xs;
         index.ys = ys;
+        index.slot = slot;
         Ok(index)
+    }
+
+    /// Number of indexed points.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when no point is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Position of point `id`.
+    #[inline]
+    pub fn position(&self, id: NodeId) -> Point2 {
+        let k = self.slot[id.index()] as usize;
+        Point2::new(self.xs[k], self.ys[k])
     }
 
     /// Cell-major index of the cell holding `p`, clamped into the grid.

@@ -50,11 +50,11 @@ fn check_adjacency_len(total: u64) -> Result<(), ConfigError> {
 /// Immutable unit-disk topology built from a [`DeployedNetwork`].
 #[derive(Debug, Clone)]
 pub struct Topology {
-    positions: Vec<Point2>,
     comm_radius: f64,
     /// CSR adjacency: neighbors of `u` are `adj[starts[u]..starts[u+1]]`.
     starts: Vec<u32>,
     adj: Vec<u32>,
+    /// The spatial index; it also holds every node's position.
     index: GridIndex,
 }
 
@@ -87,11 +87,11 @@ impl Topology {
         net: &DeployedNetwork,
         threads: usize,
     ) -> Result<Self, ConfigError> {
-        let positions = net.positions().to_vec();
+        let positions = net.positions();
         let r = net.comm_radius();
         let n = positions.len();
         check_node_count(n)?;
-        let index = GridIndex::build(&positions, r)?;
+        let index = GridIndex::build(positions, r)?;
 
         let nworkers = if threads == 0 && n < PAR_BUILD_THRESHOLD {
             1
@@ -174,7 +174,6 @@ impl Topology {
         });
 
         let topo = Topology {
-            positions,
             comm_radius: r,
             starts,
             adj,
@@ -194,24 +193,19 @@ impl Topology {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.index.len()
     }
 
     /// True when the topology has no nodes (never produced by deployments,
     /// which always include the source).
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.index.is_empty()
     }
 
     /// Position of a node.
     #[inline]
     pub fn position(&self, id: NodeId) -> Point2 {
-        self.positions[id.index()]
-    }
-
-    /// All node positions indexed by id.
-    pub fn positions(&self) -> &[Point2] {
-        &self.positions
+        self.index.position(id)
     }
 
     /// The shared communication radius.
@@ -240,10 +234,10 @@ impl Topology {
 
     /// Mean degree over all nodes — the empirical ρ.
     pub fn mean_degree(&self) -> f64 {
-        if self.positions.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.adj.len() as f64 / self.positions.len() as f64
+        self.adj.len() as f64 / self.len() as f64
     }
 
     /// Calls `f` for each node within distance `radius ≤ r` of an arbitrary
@@ -400,6 +394,16 @@ mod tests {
                     "asymmetric edge {u}-{v}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn positions_read_through_the_index_match_the_deployment() {
+        let net = Deployment::disk(4, 1.0, 30.0).sample(2);
+        let topo = Topology::build(&net);
+        assert_eq!(topo.len(), net.positions().len());
+        for (i, p) in net.positions().iter().enumerate() {
+            assert_eq!(topo.position(NodeId(i as u32)), *p, "node {i}");
         }
     }
 

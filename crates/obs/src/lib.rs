@@ -7,8 +7,8 @@
 //! * **Metrics** ([`registry`]) — process-global atomic [`registry::Counter`]s
 //!   and fixed-bucket [`registry::Histogram`]s interned by name. Accessed
 //!   through the [`counter!`], [`observe!`], and [`set_label!`] macros.
-//! * **Spans** ([`mod@span`]) — RAII wall-time timers that record into a
-//!   histogram and the bounded flight recorder ([`trace`]).
+//! * **Spans** ([`trace_span!`]) — RAII wall-time timers that record into
+//!   a histogram and the bounded flight recorder ([`trace`]).
 //! * **Provenance** ([`manifest`]) — a [`manifest::RunManifest`] describing
 //!   one experiment run (config fingerprint, master seed, `git describe`,
 //!   wall time, FNV-64 hashes of every emitted artifact), serialized as
@@ -23,10 +23,10 @@
 //! nobody is looking. The `enabled` cargo feature governs the macros:
 //!
 //! * With `enabled` **off** (default), [`counter!`], [`observe!`],
-//!   [`span!`], and [`set_label!`] expand to no-ops — argument expressions
-//!   are *not evaluated* — and [`enabled()`] is `const false`, so guarded
-//!   measurement code (`if nss_obs::enabled() { … }`) is dead-code
-//!   eliminated. Instrumented sweeps are bitwise identical with the feature
+//!   [`trace_span!`], and [`set_label!`] expand to no-ops — argument
+//!   expressions are *not evaluated* — and [`enabled()`] is `const false`,
+//!   so guarded measurement code (`if nss_obs::enabled() { … }`) is
+//!   dead-code eliminated. Instrumented sweeps are bitwise identical with the feature
 //!   on and off; CI's output-identity step asserts exactly that.
 //! * With `enabled` **on**, counters are single relaxed atomic adds and
 //!   histogram records are one atomic add per bucket/sum/count — safe to
@@ -40,7 +40,7 @@
 //! nss_obs::counter!("demo.events").add(3);
 //! nss_obs::observe!("demo.latency_seconds", 0.25);
 //! {
-//!     let _span = nss_obs::span!("demo.work");
+//!     let _span = nss_obs::trace_span!("demo.work");
 //!     // ... timed region ...
 //! }
 //! if nss_obs::enabled() {
@@ -57,7 +57,6 @@ pub mod jsonval;
 pub mod manifest;
 pub mod registry;
 pub mod serve;
-pub mod span;
 pub mod trace;
 
 /// True iff this build carries live instrumentation (`enabled` feature).
@@ -160,11 +159,11 @@ macro_rules! gauge {
 /// the bounded lock-free flight recorder ([`trace`]), from which
 /// `--trace-out` dumps a Chrome `trace_event` JSON timeline.
 ///
-/// This is the hot-loop-safe span: recording is a handful of relaxed
-/// stores into a per-thread ring, no locking, no allocation, bounded
-/// memory. Use it (not [`span!`]) inside per-phase/per-shard loops —
-/// `nss-lint`'s feature-hygiene rule enforces exactly that in the hot-path
-/// crates.
+/// Each call site resolves its name once; from then on recording is a
+/// handful of relaxed stores into a per-thread ring — no locking, no
+/// allocation, bounded memory — so it is safe in per-phase and per-shard
+/// loops. A call site times one name: code that times several (the
+/// figure registry) expands the macro once per name.
 ///
 /// ```
 /// {
@@ -200,31 +199,7 @@ macro_rules! trace_span {
 macro_rules! trace_span {
     ($name:expr) => {{
         let _ = || $name;
-        $crate::span::NoopSpan
-    }};
-}
-
-/// Starts an RAII [`span::SpanTimer`]; on drop it records wall time into
-/// the histogram `<name>.seconds` and files an event in the flight
-/// recorder. The name is resolved per drop, so one call site may pass a
-/// different name each time; loop bodies want [`trace_span!`] instead.
-/// Bind it (`let _span = span!("x");`) — an unbound temporary drops
-/// immediately and times nothing.
-#[cfg(feature = "enabled")]
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span::SpanTimer::start($name)
-    };
-}
-
-/// Disabled: a zero-sized guard; the name expression is not evaluated.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {{
-        let _ = || $name;
-        $crate::span::NoopSpan
+        $crate::trace::NoopSpan
     }};
 }
 
@@ -261,7 +236,6 @@ mod tests {
         crate::observe!("lib.test.hist", 1.5);
         crate::set_label!("lib.test.label", 42);
         crate::gauge!("lib.test.gauge").set(3.5);
-        let _span = crate::span!("lib.test.span");
         let _tspan = crate::trace_span!("lib.test.trace_span");
         #[cfg(feature = "enabled")]
         {

@@ -4,9 +4,9 @@
 //!
 //! ## Design
 //!
-//! Every span in the process ends up here: [`crate::trace_span!`] for hot
-//! loops, [`crate::span!`] ([`mod@crate::span`]) for coarse per-figure
-//! regions. The recorder gives every thread its own fixed-capacity ring:
+//! Every span in the process ends up here through [`crate::trace_span!`],
+//! from the engines' per-phase loops to the harness's per-figure regions.
+//! The recorder gives every thread its own fixed-capacity ring:
 //!
 //! * **Recording is wait-free for the owning thread.** A thread writes
 //!   only its own ring — plain relaxed stores into pre-allocated slots
@@ -27,10 +27,9 @@
 //!   Because each ring has exactly one writer (its owning thread), the
 //!   seqlock validation is sound.
 //!
-//! Both span kinds also record the `<name>.seconds` histogram, so
-//! scrape-time quantiles and the timeline stay consistent. Names are
-//! interned to `u32` ids: once per call site for `trace_span!`, once per
-//! drop for `span!`.
+//! Every span also records the `<name>.seconds` histogram, so scrape-time
+//! quantiles and the timeline stay consistent. Names are interned to `u32`
+//! ids once per `trace_span!` call site.
 
 use crate::registry::Histogram;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -259,6 +258,10 @@ impl Drop for TraceSpan {
         record(self.name_id, self.start_ns, dur);
     }
 }
+
+/// Zero-sized guard returned by [`crate::trace_span!`] in disabled builds.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoopSpan;
 
 /// Snapshot of the recorder: all retained events (sorted by start time)
 /// plus the number of events overwritten by ring wrap-around.

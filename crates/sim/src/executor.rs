@@ -20,15 +20,17 @@
 //! assert!(trace.final_reachability() > 0.2);
 //! ```
 //!
-//! Every combination reproduces the exact output of the core loop it
-//! drives: the sequential engine (the default) is byte-compatible with
-//! `slotted::run_gossip_with`, and [`Executor::threads`] switches to the
-//! sharded engine of `sharded::run_sharded_with` (thread-count-invariant,
-//! but a distinct RNG discipline — see [`crate::sharded`]). The tests here
-//! pin the builder bitwise against those internal seams, so the removed
-//! legacy free functions stay reproducible through the builder.
+//! Both engines run the one PB_CAM phase loop, `slotted::run_gossip_with`;
+//! the builder only picks its coin source and slot arbiter. The
+//! sequential engine (the default) draws from one `SmallRng` and resolves
+//! slots through [`crate::medium::Medium`]; [`Executor::threads`] switches
+//! to the sharded engine's stateless coins and atomic arbiter
+//! (thread-count-invariant, but a distinct coin stream — see
+//! [`crate::sharded`]). The tests here pin the builder bitwise against
+//! the loop, so the removed legacy free functions stay reproducible
+//! through the builder.
 
-use crate::slotted::GossipConfig;
+use crate::slotted::{run_gossip_with, Coins, GossipConfig, SlotArbiter};
 use crate::tdma::{TdmaOutcome, TdmaSchedule};
 use crate::trace::SimTrace;
 use nss_model::comm::{CommunicationModel, MediumBackend};
@@ -38,10 +40,11 @@ use nss_model::topology::Topology;
 /// Which engine executes the phase loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Engine {
-    /// Single-threaded `SmallRng` executor ([`crate::slotted`]).
+    /// One `SmallRng` stream and the plain [`crate::medium::Medium`]
+    /// arbiter, on one thread.
     Sequential,
-    /// Intra-replication sharded executor ([`crate::sharded`]); `0` uses
-    /// all available cores.
+    /// Stateless coins and the atomic arbiter ([`crate::sharded`]) on
+    /// this many workers; `0` uses all available cores.
     Sharded(usize),
 }
 
@@ -136,7 +139,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Uses a per-node rebroadcast probability vector (the §6 adaptive
-    /// extension); `cfg.prob` is ignored. Sequential engine only.
+    /// extension); `cfg.prob` is ignored.
     pub fn per_node_probs(mut self, probs: Vec<f64>) -> Self {
         self.probs = Some(probs);
         self
@@ -162,35 +165,26 @@ impl<'a> Executor<'a> {
     /// # Panics
     ///
     /// On invalid configurations or plans, on per-node probability vectors
-    /// that don't match the topology, and on combinations the sharded
-    /// engine rejects (per-node probabilities, success-rate tracking).
+    /// that don't match the topology, and on success-rate tracking under
+    /// the sharded engine.
     pub fn run(&self, seed: u64) -> SimTrace {
         let faults = self.checked_faults();
-        match (self.engine, self.probs.as_deref()) {
-            (Engine::Sequential, None) => crate::slotted::run_gossip_with(
-                self.topo,
-                &self.cfg,
-                |_| self.cfg.prob,
-                seed,
-                faults,
-            ),
-            (Engine::Sequential, Some(probs)) => {
-                assert_eq!(probs.len(), self.topo.len(), "one probability per node");
+        let (topo, cfg, n) = (self.topo, &self.cfg, self.topo.len());
+        let (coins, arbiter) = match self.engine {
+            Engine::Sequential => (Coins::rng(seed), SlotArbiter::plain(cfg, n)),
+            Engine::Sharded(threads) => {
+                (Coins::Stateless(seed), SlotArbiter::atomic(cfg, n, threads))
+            }
+        };
+        match self.probs.as_deref() {
+            None => run_gossip_with(topo, cfg, &mut |_| cfg.prob, coins, arbiter, faults),
+            Some(probs) => {
+                assert_eq!(probs.len(), n, "one probability per node");
                 assert!(
                     probs.iter().all(|p| (0.0..=1.0).contains(p)),
                     "per-node probabilities must lie in [0,1]"
                 );
-                crate::slotted::run_gossip_with(self.topo, &self.cfg, |u| probs[u], seed, faults)
-            }
-            (Engine::Sharded(threads), None) => {
-                crate::sharded::run_sharded_with(self.topo, &self.cfg, seed, faults, threads)
-            }
-            #[expect(
-                clippy::panic,
-                reason = "documented contract: entry points panic on invalid configs"
-            )]
-            (Engine::Sharded(_), Some(_)) => {
-                panic!("per-node probabilities require the sequential engine")
+                run_gossip_with(topo, cfg, &mut |u| probs[u], coins, arbiter, faults)
             }
         }
     }
@@ -215,15 +209,38 @@ mod tests {
         Topology::build(&Deployment::disk(4, 1.0, 50.0).sample(3))
     }
 
-    // The builder must reproduce the internal core loops bit-for-bit:
-    // these pins are what kept the removed legacy free functions honest,
-    // and they now guard the builder's own plumbing (validation defaults,
-    // axis wiring) against drift.
+    // The builder must reproduce the phase loop bit-for-bit with each
+    // engine's coins and arbiter: these pins are what kept the removed
+    // legacy free functions honest, and they now guard the builder's own
+    // plumbing (validation defaults, axis wiring) against drift.
+    fn sequential_loop(
+        topo: &Topology,
+        cfg: &GossipConfig,
+        mut prob: impl Fn(usize) -> f64,
+        seed: u64,
+        faults: Option<(&FaultPlan, u64)>,
+    ) -> SimTrace {
+        let arbiter = SlotArbiter::plain(cfg, topo.len());
+        run_gossip_with(topo, cfg, &mut prob, Coins::rng(seed), arbiter, faults)
+    }
+
+    fn sharded_loop(
+        topo: &Topology,
+        cfg: &GossipConfig,
+        seed: u64,
+        faults: Option<(&FaultPlan, u64)>,
+        threads: usize,
+    ) -> SimTrace {
+        let arbiter = SlotArbiter::atomic(cfg, topo.len(), threads);
+        let coins = Coins::Stateless(seed);
+        run_gossip_with(topo, cfg, &mut |_| cfg.prob, coins, arbiter, faults)
+    }
+
     #[test]
     fn matches_sequential_core_loop() {
         let topo = topo();
         let cfg = GossipConfig::pb_cam(0.4);
-        let core = crate::slotted::run_gossip_with(&topo, &cfg, |_| cfg.prob, 21, None);
+        let core = sequential_loop(&topo, &cfg, |_| cfg.prob, 21, None);
         let built = Executor::new(&topo).gossip(cfg).run(21);
         assert_eq!(core, built);
     }
@@ -234,8 +251,7 @@ mod tests {
         let cfg = GossipConfig::pb_cam(0.4);
         let mut plan = FaultPlan::lossy(0.3);
         plan.dead_frac = 0.1;
-        let core =
-            crate::slotted::run_gossip_with(&topo, &cfg, |_| cfg.prob, 21, Some((&plan, 77)));
+        let core = sequential_loop(&topo, &cfg, |_| cfg.prob, 21, Some((&plan, 77)));
         let built = Executor::new(&topo)
             .gossip(cfg)
             .faults(plan)
@@ -249,7 +265,7 @@ mod tests {
         let topo = topo();
         let cfg = GossipConfig::pb_cam(0.0);
         let probs: Vec<f64> = (0..topo.len()).map(|u| (u % 3) as f64 * 0.3).collect();
-        let core = crate::slotted::run_gossip_with(&topo, &cfg, |u| probs[u], 9, None);
+        let core = sequential_loop(&topo, &cfg, |u| probs[u], 9, None);
         let built = Executor::new(&topo)
             .gossip(cfg)
             .per_node_probs(probs)
@@ -261,15 +277,12 @@ mod tests {
     fn matches_sharded_core_loop() {
         let topo = topo();
         let cfg = GossipConfig::pb_cam(0.5);
-        let core = crate::sharded::run_sharded_with(&topo, &cfg, 5, None, 3);
+        let core = sharded_loop(&topo, &cfg, 5, None, 3);
         let built = Executor::new(&topo).gossip(cfg).threads(3).run(5);
         assert_eq!(core, built);
         // threads(0) keeps the sequential engine (intra_threads semantics).
         let seq = Executor::new(&topo).gossip(cfg).threads(0).run(5);
-        assert_eq!(
-            seq,
-            crate::slotted::run_gossip_with(&topo, &cfg, |_| cfg.prob, 5, None)
-        );
+        assert_eq!(seq, sequential_loop(&topo, &cfg, |_| cfg.prob, 5, None));
         // sharded(0) = sharded engine on all cores.
         let auto = Executor::new(&topo).gossip(cfg).sharded(0).run(5);
         assert_eq!(auto, core);
@@ -280,7 +293,7 @@ mod tests {
         let topo = topo();
         let cfg = GossipConfig::pb_cam(0.5);
         let plan = FaultPlan::thinned(0.2);
-        let core = crate::sharded::run_sharded_with(&topo, &cfg, 5, Some((&plan, 50)), 2);
+        let core = sharded_loop(&topo, &cfg, 5, Some((&plan, 50)), 2);
         let built = Executor::new(&topo)
             .gossip(cfg)
             .faults(plan)
@@ -336,14 +349,42 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sequential engine")]
-    fn per_node_probs_reject_sharded_engine() {
+    fn per_node_probs_run_on_the_sharded_engine() {
         let topo = topo();
         let n = topo.len();
-        let _ = Executor::new(&topo)
-            .per_node_probs(vec![0.5; n])
-            .sharded(2)
-            .run(1);
+        let cfg = GossipConfig::pb_cam(0.4);
+        let probs: Vec<f64> = (0..n).map(|u| (u % 4) as f64 * 0.25).collect();
+        let run = |probs: Vec<f64>, threads: usize| {
+            Executor::new(&topo)
+                .gossip(cfg)
+                .per_node_probs(probs)
+                .sharded(threads)
+                .run(6)
+        };
+        let base = run(probs.clone(), 1);
+        assert!(base.informed_count() > 1);
+        for threads in [2, 4] {
+            assert_eq!(run(probs.clone(), threads), base, "{threads} workers");
+        }
+        // A uniform vector replays the scalar sharded run exactly.
+        let scalar = Executor::new(&topo).gossip(cfg).sharded(2).run(6);
+        assert_eq!(run(vec![0.4; n], 2), scalar);
+    }
+
+    #[test]
+    fn cfm_ignores_the_sinr_backend_on_both_engines() {
+        // CFM resolves every slot without the physical layer, so a SINR
+        // backend adds no SINR series on either engine.
+        let topo = topo();
+        let cfm = Executor::new(&topo)
+            .model(CommunicationModel::Cfm)
+            .medium(MediumBackend::Sinr(SinrParams::DEFAULT))
+            .prob(0.5);
+        for built in [cfm.clone().sequential(), cfm.sharded(2)] {
+            let t = built.run(3);
+            assert!(t.phases() > 1);
+            assert!(t.sinr_rejects_by_phase.is_empty());
+        }
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //!
 //! * [`medium`] — per-slot arbitration under CFM (reliable) or CAM
 //!   (Assumption 6 collisions; optional Appendix-A carrier sensing).
-//! * [`slotted`] — the slot-synchronous phase executor running
-//!   probability-based gossip (PB_CAM, simple flooding, CFM gossip).
+//! * [`slotted`] — the one slot-synchronous PB_CAM phase loop, running
+//!   probability-based gossip (PB_CAM, simple flooding, CFM gossip), the
+//!   suppression schemes and the per-node [`probe`].
+//! * [`sharded`] — the sharded engine's stateless coins and atomic slot
+//!   arbiter, which run that loop on many threads with a thread-count
+//!   invariant trace.
 //! * [`protocols`] — richer protocol variants: ACK-based reliable flooding
 //!   (the naive CFM implementation of §3.2.1) and the counter-based scheme
 //!   (Williams et al., the paper's future-work family).

@@ -225,7 +225,7 @@ impl Medium {
                 }
             }
         }
-        record_obs(&stats, self.backend.is_sinr(), faults.is_some());
+        record_obs(&stats, matches!(rule, Rule::Sinr(_)), faults.is_some());
         stats
     }
 }

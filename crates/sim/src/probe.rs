@@ -7,19 +7,26 @@
 //! measures the **per-node** rate — the quantity each node would estimate
 //! for itself in a deployment with density hotspots.
 //!
-//! The probe runs `rounds` simple-flooding executions and records, for
-//! every broadcast a node performs, the fraction of its neighbors that
-//! received the packet cleanly. Nodes that never transmitted during the
-//! probe (unreached, or zero-degree) fall back to the global mean.
+//! The probe runs `rounds` simple-flooding executions on the PB_CAM phase
+//! loop and records, for every broadcast a node performs, the fraction of
+//! its neighbors that received the packet cleanly. Nodes that never
+//! transmitted during the probe (unreached, or zero-degree) fall back to
+//! the global mean.
 
-use crate::bits::BitSet;
-use crate::medium::{Medium, MediumScratch};
-use nss_model::comm::CommunicationModel;
+use crate::slotted::{run_gossip_with, Coins, GossipConfig, Rebroadcast, SlotArbiter};
+use crate::trace::NEVER;
 use nss_model::ids::NodeId;
 use nss_model::rng::{derive_seed, Stream};
 use nss_model::topology::Topology;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+
+/// Flooding with a per-transmitter tally of clean deliveries.
+struct Tally(Vec<u32>);
+
+impl Rebroadcast for Tally {
+    fn heard(&mut self, _topo: &Topology, _rx: NodeId, tx: NodeId, _dup: bool) {
+        self.0[tx.index()] += 1;
+    }
+}
 
 /// Per-node mean per-broadcast success rates measured by flooding probes.
 ///
@@ -28,55 +35,28 @@ pub fn probe_per_node_success(topo: &Topology, s: u32, rounds: u32, master_seed:
     assert!(s >= 1, "need at least one slot");
     assert!(rounds >= 1, "need at least one probe round");
     let n = topo.len();
-    let medium = Medium::new(CommunicationModel::CAM);
-    let mut scratch = MediumScratch::new(n);
+    let cfg = GossipConfig {
+        s,
+        ..GossipConfig::flooding_cam()
+    };
 
     let mut rate_sum = vec![0.0f64; n];
     let mut tx_count = vec![0u32; n];
-    let mut delivered = vec![0u32; n];
+    let mut tally = Tally(vec![0u32; n]);
 
     for round in 0..rounds {
-        let mut rng =
-            SmallRng::seed_from_u64(derive_seed(master_seed, Stream::Probe, u64::from(round)));
-        let mut informed = BitSet::new(n);
-        informed.set(NodeId::SOURCE.index());
-        let mut pending: Vec<u32> = vec![NodeId::SOURCE.0];
-        let mut slots: Vec<Vec<u32>> = vec![Vec::new(); s as usize];
-        let mut first = true;
-
-        while !pending.is_empty() {
-            for sl in &mut slots {
-                sl.clear();
+        let seed = derive_seed(master_seed, Stream::Probe, u64::from(round));
+        let arbiter = SlotArbiter::plain(&cfg, n);
+        let trace = run_gossip_with(topo, &cfg, &mut tally, Coins::rng(seed), arbiter, None);
+        // Flooding without faults: every informed node broadcast exactly
+        // once, so its tally is the deliveries of that one broadcast.
+        for (t, delivered) in tally.0.iter_mut().enumerate() {
+            let deg = topo.degree(NodeId(t as u32));
+            if trace.first_rx_phase[t] != NEVER && deg > 0 {
+                rate_sum[t] += f64::from(*delivered) / deg as f64;
+                tx_count[t] += 1;
             }
-            if first {
-                slots[0].push(NodeId::SOURCE.0);
-                first = false;
-            } else {
-                for &u in &pending {
-                    slots[rng.random_range(0..s) as usize].push(u);
-                }
-            }
-            let mut newly: Vec<u32> = Vec::new();
-            for sl in &slots {
-                medium.resolve_slot(topo, sl, &mut scratch, None, |rx, tx| {
-                    delivered[tx.index()] += 1;
-                    if !informed.get(rx.index()) {
-                        informed.set(rx.index());
-                        newly.push(rx.0);
-                    }
-                });
-            }
-            for sl in &slots {
-                for &t in sl {
-                    let deg = topo.degree(NodeId(t));
-                    if deg > 0 {
-                        rate_sum[t as usize] += f64::from(delivered[t as usize]) / deg as f64;
-                        tx_count[t as usize] += 1;
-                    }
-                    delivered[t as usize] = 0;
-                }
-            }
-            pending = newly;
+            *delivered = 0;
         }
     }
 

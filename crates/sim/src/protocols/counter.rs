@@ -16,7 +16,7 @@
 //! redundant transmissions in dense regions adaptively — the same goal the
 //! optimal PB_CAM probability pursues, but density-aware for free.
 
-use crate::slotted::{run_gossip_with, GossipConfig, Rebroadcast};
+use crate::slotted::{run_gossip_with, Coins, GossipConfig, Rebroadcast, SlotArbiter};
 use crate::trace::SimTrace;
 use nss_model::comm::CommunicationModel;
 use nss_model::ids::NodeId;
@@ -32,8 +32,6 @@ pub struct CounterConfig {
     pub threshold: u32,
     /// Communication model (CAM by default; CFM for contrast).
     pub model: CommunicationModel,
-    /// Hard cap on phases.
-    pub max_phases: usize,
 }
 
 impl CounterConfig {
@@ -43,7 +41,6 @@ impl CounterConfig {
             s: 3,
             threshold,
             model: CommunicationModel::CAM,
-            max_phases: 10_000,
         }
     }
 }
@@ -78,14 +75,14 @@ pub fn run_counter_broadcast(topo: &Topology, cfg: &CounterConfig, seed: u64) ->
     let gossip = GossipConfig {
         s: cfg.s,
         model: cfg.model,
-        max_phases: cfg.max_phases,
         ..GossipConfig::flooding_cam()
     };
-    let policy = CounterSuppression {
+    let mut policy = CounterSuppression {
         threshold: cfg.threshold,
         dups: vec![0; topo.len()],
     };
-    run_gossip_with(topo, &gossip, policy, seed, None)
+    let arbiter = SlotArbiter::plain(&gossip, topo.len());
+    run_gossip_with(topo, &gossip, &mut policy, Coins::rng(seed), arbiter, None)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! (the standard assumption in the cited work); the simulator reads it
 //! from ground-truth positions.
 
-use crate::slotted::{run_gossip_with, GossipConfig, Rebroadcast};
+use crate::slotted::{run_gossip_with, Coins, GossipConfig, Rebroadcast, SlotArbiter};
 use crate::trace::SimTrace;
 use nss_model::comm::CommunicationModel;
 use nss_model::ids::NodeId;
@@ -29,8 +29,6 @@ pub struct DistanceConfig {
     pub threshold: f64,
     /// Communication model.
     pub model: CommunicationModel,
-    /// Hard cap on phases.
-    pub max_phases: usize,
 }
 
 impl DistanceConfig {
@@ -40,7 +38,6 @@ impl DistanceConfig {
             s: 3,
             threshold,
             model: CommunicationModel::CAM,
-            max_phases: 10_000,
         }
     }
 }
@@ -78,14 +75,14 @@ pub fn run_distance_broadcast(topo: &Topology, cfg: &DistanceConfig, seed: u64) 
     let gossip = GossipConfig {
         s: cfg.s,
         model: cfg.model,
-        max_phases: cfg.max_phases,
         ..GossipConfig::flooding_cam()
     };
-    let policy = DistanceSuppression {
+    let mut policy = DistanceSuppression {
         suppress_r: cfg.threshold * topo.comm_radius(),
         closest: vec![f64::INFINITY; topo.len()],
     };
-    run_gossip_with(topo, &gossip, policy, seed, None)
+    let arbiter = SlotArbiter::plain(&gossip, topo.len());
+    run_gossip_with(topo, &gossip, &mut policy, Coins::rng(seed), arbiter, None)
 }
 
 #[cfg(test)]

@@ -1,17 +1,18 @@
-//! Intra-replication parallel execution of phase-structured gossip.
+//! The sharded engine: the two parts it plugs into the PB_CAM phase loop
+//! ([`crate::slotted`]) so that one replication runs on many threads.
 //!
-//! [`crate::slotted`] runs one replication on one thread; at 10⁶ nodes a
-//! single broadcast wave touches hundreds of megabytes of adjacency and the
-//! per-phase work dwarfs what replication-level parallelism can amortize.
-//! This module shards the work *inside* a phase across threads while
-//! keeping the result bitwise-identical for every thread count:
+//! At 10⁶ nodes a single broadcast wave touches hundreds of megabytes of
+//! adjacency and the per-phase work dwarfs what replication-level
+//! parallelism can amortize. This engine shards the work *inside* a slot
+//! across threads while keeping the result bitwise-identical for every
+//! thread count:
 //!
-//! 1. **Stateless randomness.** The sequential executor draws coins from
-//!    one `SmallRng` whose consumption order bakes the thread schedule into
-//!    the trace. Here every random decision — rebroadcast coin and slot
-//!    jitter — is a pure hash of `(seed, phase, node)` (the same
+//! 1. **Stateless randomness.** The sequential engine draws coins from
+//!    one `SmallRng` whose consumption order is part of the trace. Here
+//!    every random decision — rebroadcast coin and slot jitter — is a pure
+//!    hash of `(seed, phase, node)` ([`stateless_draw`], the same
 //!    counter-based discipline [`crate::faults`] uses for link-loss coins),
-//!    so any shard layout computes identical decisions.
+//!    so no decision depends on an order.
 //! 2. **Atomic-claim contention.** `Arbiter::resolve_slot` holds the claim
 //!    protocol. Pass A walks each transmitter's exposure
 //!    (`medium::expose`), accumulates `rx_count`/`cs_count` with relaxed
@@ -22,25 +23,24 @@
 //!    applies `medium::classify` (or `medium::sinr_decode`) and
 //!    `medium::gate`. The claim protocol is modelled in
 //!    `tests/loom_claim.rs`.
-//! 3. **Canonical merges.** Per-worker partial outputs (newly informed
-//!    nodes, slot statistics) are merged in shard order and sorted where
-//!    order is observable, collapsing every schedule to one trace.
+//! 3. **Canonical order.** Per-worker partial outputs are merged in shard
+//!    order, and the slot's deliveries are handed to the loop sorted by
+//!    receiver, collapsing every schedule to one trace.
 //!
 //! The reception rules themselves are the sequential medium's — the same
-//! functions, called in the same order — so the two engines agree slot for
-//! slot (a property test pins this for random fields and transmitter
+//! functions, called in the same order — so the two arbiters agree slot
+//! for slot (a property test pins this for random fields and transmitter
 //! sets). Only the accumulator differs: plain counters there, atomics and
-//! claims here. The RNG stream differs too, so whole traces agree only
-//! where randomness is immaterial (CFM or single-slot SINR flooding with
-//! `p = 1`), which the tests pin down.
+//! claims here. The coin streams differ too, so whole traces of the two
+//! engines agree only where randomness is immaterial (CFM or single-slot
+//! SINR flooding with `p = 1`), which the tests pin down.
 
 use crate::bits::{AtomicBitSet, BitSet};
-use crate::faults::{FaultState, SlotFaults};
+use crate::faults::SlotFaults;
 use crate::medium::{classify, expose, gate, record_obs, sinr_decode, Reach, Rule, SlotStats};
 use crate::slotted::GossipConfig;
-use crate::trace::SimTrace;
 use nss_model::error::ConfigError;
-use nss_model::faults::{hash_unit, FaultPlan};
+use nss_model::faults::hash_unit;
 use nss_model::ids::NodeId;
 use nss_model::par;
 use nss_model::rng::splitmix64;
@@ -58,19 +58,28 @@ fn phase_mix(seed: u64, phase: u32, salt: u64) -> u64 {
     splitmix64(&mut s)
 }
 
+/// Node `u`'s stateless decision in `phase`: the slot (of `s`) of its
+/// rebroadcast, or `None` when its coin of bias `p` says stay silent.
+pub(crate) fn stateless_draw(seed: u64, phase: u32, u: u32, p: f64, s: u32) -> Option<usize> {
+    let u = u64::from(u);
+    (p >= 1.0 || hash_unit(phase_mix(seed, phase, COIN_SALT), u) < p).then(|| {
+        let s = s as usize;
+        ((hash_unit(phase_mix(seed, phase, SLOT_SALT), u) * s as f64) as usize).min(s - 1)
+    })
+}
+
 /// Checks the config feature the sharded engine deliberately omits.
 ///
-/// `track_success_rate` tallies per-transmitter deliveries in the
-/// sequential loop's data-dependent order; porting it would either break
-/// thread-count invariance or silently change its meaning. Use the
-/// sequential engine (`Executor::sequential`) for that study. Node
-/// failures need no such check: they are `FaultPlan` outages, which both
-/// engines interpret through the same `FaultState`.
+/// `track_success_rate` tallies every delivery, duplicates included, but
+/// the atomic arbiter reports only the deliveries to receivers not yet
+/// informed. Use the sequential engine (`Executor::sequential`) for that
+/// study. Node failures need no such check: they are `FaultPlan`
+/// outages, which both engines interpret through the same `FaultState`.
 pub fn validate_sharded(cfg: &GossipConfig) -> Result<(), ConfigError> {
     cfg.validate()?;
     if cfg.track_success_rate {
         return Err(ConfigError::Inconsistent {
-            what: "track_success_rate requires the sequential engine (Executor::sequential)",
+            what: "the sharded engine does not track success rates (use Executor::sequential)",
             at: None,
         });
     }
@@ -91,140 +100,16 @@ fn map_chunks<T: Send>(
     par::map_units(stage, items.chunks(chunk).collect(), f)
 }
 
-/// Core sharded gossip loop; `threads = 0` uses all available cores,
-/// `threads = 1` runs the identical algorithm sequentially. The returned
-/// trace is bitwise-identical for every `threads` value. Public entry is
-/// `Executor::sharded(threads)`.
-pub(crate) fn run_sharded_with(
-    topo: &Topology,
-    cfg: &GossipConfig,
-    seed: u64,
-    faults: Option<(&FaultPlan, u64)>,
-    threads: usize,
-) -> SimTrace {
-    #[expect(
-        clippy::panic,
-        reason = "documented contract: entry points panic on invalid configs; `validate_sharded()` is the fallible path"
-    )]
-    validate_sharded(cfg)
-        .unwrap_or_else(|e| panic!("invalid GossipConfig for sharded engine: {e}"));
-    let n = topo.len();
-    let mut trace = SimTrace::new(n);
-    if n == 0 {
-        return trace;
-    }
-    let workers = par::workers(threads, n);
-    let s = cfg.s as usize;
-    let rule = Rule::of(cfg.model, cfg.backend);
+/// One delivery `tx → rx`, packed so that sorting orders by receiver.
+fn delivery(rx: u32, tx: u32) -> u64 {
+    (u64::from(rx) << 32) | u64::from(tx)
+}
 
-    let mut fault_state = faults.map(|(plan, fseed)| FaultState::new(plan, fseed, n));
-    let mut informed = BitSet::new(n);
-    informed.set(NodeId::SOURCE.index());
-    let mut pending: Vec<u32> = vec![NodeId::SOURCE.0];
-    let mut arbiter = Arbiter::new(rule, n);
-
-    // Memory-footprint gauges: protocol bitsets vs. CAM arbitration
-    // scratch, so a scrape of a live million-node run shows where the
-    // resident bytes are.
-    nss_obs::gauge!("sim.bitset.bytes").set((informed.bytes() + arbiter.claim.bytes()) as f64);
-    nss_obs::gauge!("sim.scratch.bytes").set(arbiter.scratch_bytes() as f64);
-
-    for phase in 1..=cfg.max_phases as u32 {
-        // Per-phase wall-clock histogram (`sim.phase.seconds`), surfaced in
-        // OBS_METRICS.json and nss_bench's layers.json, plus a
-        // flight-recorder event per phase (this loop runs ~10² times per
-        // replication — a `span!` here would intern its name and look up
-        // its histogram every phase; see the obs-hygiene lint).
-        let _phase_span = nss_obs::trace_span!("sim.phase");
-        if let Some(fs) = fault_state.as_mut() {
-            fs.begin_phase(phase);
-        }
-
-        // Transmitter selection: stateless coins, sharded over `pending`.
-        let mut slots: Vec<Vec<u32>> = vec![Vec::new(); s];
-        if phase == 1 {
-            // The source's initial broadcast: unconditional, uncontended.
-            slots[0].push(NodeId::SOURCE.0);
-        } else {
-            let coin_mix = phase_mix(seed, phase, COIN_SALT);
-            let slot_mix = phase_mix(seed, phase, SLOT_SALT);
-            let fs = fault_state.as_ref();
-            let partials = map_chunks("sim.txsel", &pending, workers, |chunk| {
-                let mut local: Vec<Vec<u32>> = vec![Vec::new(); s];
-                for &u in chunk {
-                    if let Some(fs) = fs {
-                        if !fs.is_alive(u as usize) {
-                            continue; // down this phase: forfeits the rebroadcast
-                        }
-                    }
-                    if cfg.prob >= 1.0 || hash_unit(coin_mix, u64::from(u)) < cfg.prob {
-                        let sl =
-                            ((hash_unit(slot_mix, u64::from(u)) * s as f64) as usize).min(s - 1);
-                        local[sl].push(u);
-                    }
-                }
-                local
-            });
-            for local in partials {
-                for (sl, mut part) in local.into_iter().enumerate() {
-                    slots[sl].append(&mut part);
-                }
-            }
-        }
-        let tx_count: u32 = slots.iter().map(|sl| sl.len() as u32).sum();
-        if let Some(fs) = fault_state.as_mut() {
-            for sl in &slots {
-                for &u in sl {
-                    fs.note_broadcast(u);
-                }
-            }
-        }
-        trace.broadcasts_by_phase.push(tx_count);
-        nss_obs::counter!("sim.broadcasts").add(u64::from(tx_count));
-
-        // Slot resolution: slots are sequential; the work inside each is
-        // sharded over transmitters (pass A) and touched receivers (pass B).
-        let mut phase_stats = SlotStats::default();
-        let mut phase_newly: Vec<u32> = Vec::new();
-        for (si, txs) in slots.iter().enumerate() {
-            if txs.is_empty() {
-                continue;
-            }
-            let sf = fault_state.as_ref().map(|fs| fs.slot(phase, si as u32));
-            let (stats, mut newly) =
-                arbiter.resolve_slot(topo, txs, &informed, sf.as_ref(), workers);
-            phase_stats.absorb(stats);
-            // Canonical order: ascending within the slot. Receivers informed
-            // here are visible as duplicates to later slots of this phase.
-            newly.sort_unstable();
-            newly.dedup();
-            for &v in &newly {
-                informed.set(v as usize);
-                trace.first_rx_phase[v as usize] = phase;
-            }
-            phase_newly.append(&mut newly);
-        }
-
-        let sinr = matches!(rule, Rule::Sinr(_));
-        record_obs(&phase_stats, sinr, fault_state.is_some());
-        trace.deliveries_by_phase.push(phase_stats.deliveries);
-        trace.collisions_by_phase.push(phase_stats.collisions);
-        trace.cs_deferrals_by_phase.push(phase_stats.cs_deferrals);
-        if sinr {
-            trace.sinr_rejects_by_phase.push(phase_stats.sinr_rejects);
-        }
-        if let Some(fs) = fault_state.as_ref() {
-            trace.losses_by_phase.push(phase_stats.losses);
-            trace.dead_drops_by_phase.push(phase_stats.dead_drops);
-            trace.alive_by_phase.push(fs.alive_count());
-        }
-
-        pending = phase_newly;
-        if pending.is_empty() {
-            break;
-        }
-    }
-    trace
+/// Sorts a slot's packed deliveries and keeps one per receiver, the one
+/// from the lowest transmitter: the order the loop sees them in.
+fn canonical(deliveries: &mut Vec<u64>) {
+    deliveries.sort_unstable();
+    deliveries.dedup_by_key(|d| *d >> 32);
 }
 
 /// The sharded engine's arbitration state: the [`Rule`] plus the scratch
@@ -235,7 +120,7 @@ pub(crate) fn run_sharded_with(
 /// through `claim`) drains them in pass B. SINR needs no counters — pass B
 /// recomputes exposure from the per-slot transmitter set `tx_bits` — and
 /// CFM needs no state at all.
-struct Arbiter {
+pub(crate) struct Arbiter {
     rule: Rule,
     rx_count: Vec<AtomicU32>,
     cs_count: Vec<AtomicU32>,
@@ -247,7 +132,7 @@ struct Arbiter {
 impl Arbiter {
     /// Sizes each buffer for an `n`-node topology, or empty when `rule`
     /// never touches it.
-    fn new(rule: Rule, n: usize) -> Self {
+    pub(crate) fn new(rule: Rule, n: usize) -> Self {
         let atomics = |len: usize| (0..len).map(|_| AtomicU32::new(0)).collect::<Vec<_>>();
         let unit_disk = if let Rule::Cam { .. } = rule { n } else { 0 };
         Arbiter {
@@ -260,15 +145,42 @@ impl Arbiter {
         }
     }
 
-    /// Bytes held by the exposure counters.
-    fn scratch_bytes(&self) -> usize {
-        (self.rx_count.len() + self.cs_count.len() + self.last_tx.len())
-            * std::mem::size_of::<AtomicU32>()
+    /// Memory-footprint gauges: protocol bitsets vs. CAM arbitration
+    /// scratch, so a scrape of a live million-node run shows where the
+    /// resident bytes are.
+    pub(crate) fn record_footprint(&self, informed: &BitSet) {
+        let scratch = (self.rx_count.len() + self.cs_count.len() + self.last_tx.len())
+            * std::mem::size_of::<AtomicU32>();
+        nss_obs::gauge!("sim.bitset.bytes").set((informed.bytes() + self.claim.bytes()) as f64);
+        nss_obs::gauge!("sim.scratch.bytes").set(scratch as f64);
     }
 
-    /// Resolves one slot: returns its statistics and the receivers that
-    /// got a delivery while not yet `informed` (unsorted, possibly with
-    /// duplicates under CFM).
+    /// Resolves one slot for the phase loop on `workers` threads: calls
+    /// `deliver(rx, tx, false)` once per receiver not yet `informed` that
+    /// got a delivery, in ascending receiver order, marking it informed.
+    pub(crate) fn resolve(
+        &mut self,
+        topo: &Topology,
+        txs: &[u32],
+        sf: Option<&SlotFaults<'_>>,
+        informed: &mut BitSet,
+        workers: usize,
+        mut deliver: impl FnMut(NodeId, NodeId, bool),
+    ) -> SlotStats {
+        let (stats, mut deliveries) = self.resolve_slot(topo, txs, informed, sf, workers);
+        record_obs(&stats, matches!(self.rule, Rule::Sinr(_)), sf.is_some());
+        canonical(&mut deliveries);
+        for d in deliveries {
+            let (rx, tx) = ((d >> 32) as u32, d as u32);
+            informed.set(rx as usize);
+            deliver(NodeId(rx), NodeId(tx), false);
+        }
+        stats
+    }
+
+    /// Resolves one slot: returns its statistics and the packed
+    /// [`delivery`]s to receivers not yet `informed` (unordered, and under
+    /// CFM possibly several per receiver).
     ///
     /// CFM shards the transmitters and gates every `(tx, rx)` pair. CAM
     /// runs two passes. Pass A shards the transmitters over [`expose`]:
@@ -286,16 +198,16 @@ impl Arbiter {
         informed: &BitSet,
         sf: Option<&SlotFaults<'_>>,
         workers: usize,
-    ) -> (SlotStats, Vec<u32>) {
+    ) -> (SlotStats, Vec<u64>) {
         let rule = self.rule;
         if let Rule::Cfm = rule {
             let partials = map_chunks("sim.slot.cfm", txs, workers, |chunk| {
                 let mut st = SlotStats::default();
-                let mut newly: Vec<u32> = Vec::new();
+                let mut newly: Vec<u64> = Vec::new();
                 for &t in chunk {
                     expose(topo, t, None, |v, _| {
                         if gate(&mut st, sf, t, v) && !informed.get(v as usize) {
-                            newly.push(v);
+                            newly.push(delivery(v, t));
                         }
                     });
                 }
@@ -355,7 +267,7 @@ impl Arbiter {
         // Pass B: decide and gate, each receiver owned by one worker.
         let partials = map_chunks("sim.slot.classify", &touched, workers, |chunk| {
             let mut st = SlotStats::default();
-            let mut newly: Vec<u32> = Vec::new();
+            let mut newly: Vec<u64> = Vec::new();
             for &v in chunk {
                 let vi = v as usize;
                 let heard = if let Rule::Sinr(params) = rule {
@@ -373,7 +285,7 @@ impl Arbiter {
                 };
                 if let Some(t) = heard {
                     if gate(&mut st, sf, t, v) && !informed.get(vi) {
-                        newly.push(v);
+                        newly.push(delivery(v, t));
                     }
                 }
             }
@@ -389,16 +301,17 @@ impl Arbiter {
     }
 }
 
-/// Folds per-worker `(stats, newly)` partials; both merges commute, so the
-/// result is shard-layout independent.
-fn merge_partials(partials: Vec<(SlotStats, Vec<u32>)>) -> (SlotStats, Vec<u32>) {
+/// Folds per-worker `(stats, deliveries)` partials in shard order. The
+/// stats sum commutes and [`canonical`] orders the deliveries, so the
+/// slot's outcome is shard-layout independent.
+fn merge_partials(partials: Vec<(SlotStats, Vec<u64>)>) -> (SlotStats, Vec<u64>) {
     let mut stats = SlotStats::default();
-    let mut newly = Vec::new();
+    let mut deliveries = Vec::new();
     for (st, mut part) in partials {
         stats.absorb(st);
-        newly.append(&mut part);
+        deliveries.append(&mut part);
     }
-    (stats, newly)
+    (stats, deliveries)
 }
 
 #[cfg(test)]
@@ -406,8 +319,10 @@ mod tests {
     use super::*;
     use crate::executor::Executor;
     use crate::medium::{Medium, MediumScratch};
+    use crate::trace::SimTrace;
     use nss_model::comm::{CollisionRule, CommunicationModel, MediumBackend, SinrParams};
     use nss_model::deployment::{DeployedNetwork, Deployment};
+    use nss_model::faults::FaultPlan;
     use nss_model::geometry::Point2;
     use proptest::prelude::*;
     use proptest::{collection, option};
@@ -752,18 +667,19 @@ mod tests {
     }
 
     /// Resolves one slot through the sequential medium: its statistics and
-    /// the sorted set of receivers that got a delivery.
+    /// its deliveries in [`canonical`] order.
     fn sequential_slot(
         medium: &Medium,
         topo: &Topology,
         txs: &[u32],
         sf: Option<&SlotFaults<'_>>,
-    ) -> (SlotStats, Vec<u32>) {
+    ) -> (SlotStats, Vec<u64>) {
         let mut scratch = MediumScratch::new(topo.len());
         let mut heard = Vec::new();
-        let stats = medium.resolve_slot(topo, txs, &mut scratch, sf, |rx, _| heard.push(rx.0));
-        heard.sort_unstable();
-        heard.dedup();
+        let stats = medium.resolve_slot(topo, txs, &mut scratch, sf, |rx, tx| {
+            heard.push(delivery(rx.0, tx.0))
+        });
+        canonical(&mut heard);
         (stats, heard)
     }
 
@@ -773,9 +689,10 @@ mod tests {
         /// Per-slot engine agreement: on random fields and transmitter
         /// sets, under every reception rule, with and without a fault
         /// context, the sharded resolver at 1, 2 and 3 workers reports
-        /// the same `SlotStats` and delivered-receiver set as the
-        /// sequential medium. One arbiter serves all three runs, so its
-        /// scratch must also come back clean after every slot.
+        /// the same `SlotStats` and canonical deliveries as the
+        /// sequential medium, down to the transmitter each receiver is
+        /// handed. One arbiter serves all three runs, so its scratch must
+        /// also come back clean after every slot.
         #[test]
         fn slot_resolution_matches_sequential_medium(
             nodes in collection::vec((0.0f64..1.0, 0.0f64..1.0, 0u32..4), 1..200),
@@ -816,8 +733,7 @@ mod tests {
             for workers in 1..=3 {
                 let (stats, mut heard) =
                     arbiter.resolve_slot(&topo, &txs, &nobody, sf.as_ref(), workers);
-                heard.sort_unstable();
-                heard.dedup();
+                canonical(&mut heard);
                 prop_assert_eq!((stats, heard), expect.clone(), "rule {kind}, {workers} workers");
             }
         }

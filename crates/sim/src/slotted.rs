@@ -1,25 +1,36 @@
 //! Slot-synchronous execution of phase-structured gossip (PB_CAM's native
-//! habitat, §4.2).
+//! habitat, §4.2): the simulator's one PB_CAM phase loop.
 //!
 //! Time is organized in phases of `s` slots. A node informed during phase
 //! `i` decides **once** — with probability `p` — whether to rebroadcast; if
 //! it does, it transmits in a uniformly random slot of phase `i+1` (the
 //! paper's jitter/backoff). Phase 1 is the source's uncontended broadcast.
 //!
-//! The executor is model-agnostic: plugging a CFM [`Medium`] gives the
-//! collision-free execution the paper uses as a motivating contrast, and a
-//! CAM medium gives PB_CAM proper (with either collision rule). It is
-//! scheme-agnostic too: who rebroadcasts is a `Rebroadcast` policy, so the
-//! counter- and distance-based schemes run on this same loop.
+//! The loop is model-agnostic: a CFM model gives the collision-free
+//! execution the paper uses as a motivating contrast, and a CAM model
+//! gives PB_CAM proper (with either collision rule or the SINR backend).
+//! It is scheme-agnostic too: who rebroadcasts is a `Rebroadcast` policy,
+//! so the counter- and distance-based schemes and the per-node
+//! success-rate probe ([`crate::probe`]) run on this same loop. And it is
+//! engine-agnostic: both engines run it, each supplying two parts.
+//!
+//! * `Coins` — where the rebroadcast coin and the slot jitter come from:
+//!   the sequential engine's `SmallRng` stream, drawn in `pending` order,
+//!   or the sharded engine's stateless hashes of `(seed, phase, node)`.
+//! * `SlotArbiter` — how a slot is resolved: [`Medium::resolve_slot`]
+//!   with plain counters, or the sharded engine's two-pass atomic arbiter
+//!   ([`crate::sharded`]) on its worker threads.
 
 use crate::bits::BitSet;
-use crate::faults::FaultState;
-use crate::medium::{Medium, MediumScratch, SlotStats};
+use crate::faults::{FaultState, SlotFaults};
+use crate::medium::{Medium, MediumScratch, Rule, SlotStats};
+use crate::sharded::{stateless_draw, validate_sharded, Arbiter};
 use crate::trace::SimTrace;
 use nss_model::comm::{CommunicationModel, MediumBackend};
 use nss_model::error::ConfigError;
 use nss_model::faults::FaultPlan;
 use nss_model::ids::NodeId;
+use nss_model::par;
 use nss_model::topology::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -33,8 +44,6 @@ pub struct GossipConfig {
     pub prob: f64,
     /// Communication model (CFM, or CAM with a collision rule).
     pub model: CommunicationModel,
-    /// Hard cap on phases (safety net; gossip normally dies out on its own).
-    pub max_phases: usize,
     /// Record per-broadcast delivery ratios (Fig. 12 measurement).
     pub track_success_rate: bool,
     /// Physical-layer backend resolving CAM slots (unit-disk reception by
@@ -50,7 +59,6 @@ impl GossipConfig {
             s: 3,
             prob,
             model: CommunicationModel::CAM,
-            max_phases: 10_000,
             track_success_rate: false,
             backend: MediumBackend::UnitDisk,
         }
@@ -64,12 +72,8 @@ impl GossipConfig {
     /// Probability-based gossip under CFM (no collisions).
     pub fn gossip_cfm(prob: f64) -> Self {
         GossipConfig {
-            s: 3,
-            prob,
             model: CommunicationModel::Cfm,
-            max_phases: 10_000,
-            track_success_rate: false,
-            backend: MediumBackend::UnitDisk,
+            ..Self::pb_cam(prob)
         }
     }
 
@@ -92,13 +96,6 @@ impl GossipConfig {
             return Err(ConfigError::OutOfUnitRange {
                 field: "prob",
                 value: self.prob,
-            });
-        }
-        if self.max_phases < 1 {
-            return Err(ConfigError::TooSmall {
-                field: "max_phases",
-                min: 1,
-                value: self.max_phases as u64,
             });
         }
         self.backend.validate()?;
@@ -139,30 +136,121 @@ impl<F: Fn(usize) -> f64> Rebroadcast for F {
     }
 }
 
-/// Core sequential gossip loop: rebroadcast policy, seed, and optional
-/// faults. Public entry is the [`crate::executor::Executor`] builder; the
-/// builder's bitwise-equality tests pin this seam directly.
+/// Where the loop's random decisions come from.
+pub(crate) enum Coins {
+    /// The sequential engine's stream: one `SmallRng`, drawn in `pending`
+    /// order — a coin only when `p < 1`, then the slot.
+    Rng(SmallRng),
+    /// The sharded engine's stateless coins, keyed by this seed: pure
+    /// hashes of `(seed, phase, node)`, so no draw depends on an order.
+    Stateless(u64),
+}
+
+impl Coins {
+    /// The sequential stream seeded with `seed`.
+    pub(crate) fn rng(seed: u64) -> Self {
+        Coins::Rng(SmallRng::seed_from_u64(seed))
+    }
+
+    /// Node `u`'s decision in `phase`: the slot (of `s`) of its
+    /// rebroadcast, or `None` when its coin of bias `p` says stay silent.
+    fn draw(&mut self, phase: u32, u: u32, p: f64, s: u32) -> Option<usize> {
+        match self {
+            Coins::Rng(rng) => {
+                (p >= 1.0 || rng.random::<f64>() < p).then(|| rng.random_range(0..s) as usize)
+            }
+            Coins::Stateless(seed) => stateless_draw(*seed, phase, u, p, s),
+        }
+    }
+}
+
+/// How the loop resolves one slot.
+pub(crate) enum SlotArbiter {
+    /// [`Medium::resolve_slot`] with plain counters: reports every
+    /// delivery, duplicates included, in the medium's order.
+    Plain(Medium, MediumScratch),
+    /// The sharded engine's two-pass atomic arbiter on this many workers.
+    Atomic(Arbiter, usize),
+}
+
+impl SlotArbiter {
+    /// The sequential engine's arbiter for an `n`-node run of `cfg`.
+    pub(crate) fn plain(cfg: &GossipConfig, n: usize) -> Self {
+        SlotArbiter::Plain(
+            Medium::with_backend(cfg.model, cfg.backend),
+            MediumScratch::new(n),
+        )
+    }
+
+    /// The sharded engine's arbiter for an `n`-node run of `cfg` on
+    /// `threads` workers (`0` = all available cores).
+    pub(crate) fn atomic(cfg: &GossipConfig, n: usize, threads: usize) -> Self {
+        SlotArbiter::Atomic(
+            Arbiter::new(Rule::of(cfg.model, cfg.backend), n),
+            par::workers(threads, n),
+        )
+    }
+
+    /// Resolves the slot in which `txs` transmit. Marks every receiver it
+    /// reports in `informed`, and calls `deliver(rx, tx, dup)` per
+    /// delivery, `dup` saying whether `rx` was informed before it.
+    fn resolve(
+        &mut self,
+        topo: &Topology,
+        txs: &[u32],
+        sf: Option<&SlotFaults<'_>>,
+        informed: &mut BitSet,
+        mut deliver: impl FnMut(NodeId, NodeId, bool),
+    ) -> SlotStats {
+        match self {
+            SlotArbiter::Plain(medium, scratch) => {
+                medium.resolve_slot(topo, txs, scratch, sf, |rx, tx| {
+                    let dup = informed.get(rx.index());
+                    informed.set(rx.index());
+                    deliver(rx, tx, dup);
+                })
+            }
+            SlotArbiter::Atomic(arbiter, workers) => {
+                arbiter.resolve(topo, txs, sf, informed, *workers, deliver)
+            }
+        }
+    }
+}
+
+/// The PB_CAM phase loop: one execution of `cfg` under the rebroadcast
+/// `policy`, drawing from `coins` and resolving slots with `arbiter`,
+/// optionally under faults. Public entry is the
+/// [`crate::executor::Executor`] builder, which picks the engine's
+/// `(coins, arbiter)` pair; the counter- and distance-based schemes and
+/// the per-node probe call it directly.
+///
+/// The atomic arbiter reports only the deliveries to receivers not yet
+/// informed when the slot starts, so a policy run on it must not read
+/// duplicates: success-rate tracking is rejected there
+/// ([`validate_sharded`]), and the counter and distance
+/// policies run on the plain arbiter.
 pub(crate) fn run_gossip_with(
     topo: &Topology,
     cfg: &GossipConfig,
-    mut policy: impl Rebroadcast,
-    seed: u64,
+    policy: &mut impl Rebroadcast,
+    mut coins: Coins,
+    mut arbiter: SlotArbiter,
     faults: Option<(&FaultPlan, u64)>,
 ) -> SimTrace {
+    let checked = match arbiter {
+        SlotArbiter::Plain(..) => cfg.validate(),
+        SlotArbiter::Atomic(..) => validate_sharded(cfg),
+    };
     #[expect(
         clippy::panic,
         reason = "documented contract: entry points panic on invalid configs; `validate()` is the fallible path"
     )]
-    cfg.validate()
-        .unwrap_or_else(|e| panic!("invalid GossipConfig: {e}"));
+    checked.unwrap_or_else(|e| panic!("invalid GossipConfig: {e}"));
     let n = topo.len();
     let mut trace = SimTrace::new(n);
     if n == 0 {
         return trace;
     }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let medium = Medium::with_backend(cfg.model, cfg.backend);
-    let mut scratch = MediumScratch::new(n);
 
     // Packed per-node flags: 64 nodes per word keeps the phase loop's
     // working set proportional to the active frontier.
@@ -171,16 +259,27 @@ pub(crate) fn run_gossip_with(
     // Fault interpretation is only instantiated for non-empty plans; the
     // `None` path below is byte-for-byte the pre-fault executor.
     let mut fault_state = faults.map(|(plan, fseed)| FaultState::new(plan, fseed, n));
+    let sinr = matches!(Rule::of(cfg.model, cfg.backend), Rule::Sinr(_));
+    let sharded = matches!(arbiter, SlotArbiter::Atomic(..));
+    if let SlotArbiter::Atomic(arbiter, _) = &arbiter {
+        arbiter.record_footprint(&informed);
+    }
 
     // Nodes informed in the previous phase, pending their (single)
     // rebroadcast decision.
     let mut pending: Vec<u32> = vec![NodeId::SOURCE.0];
     // Per-slot transmitter lists, reused across phases.
     let mut slots: Vec<Vec<u32>> = vec![Vec::new(); cfg.s as usize];
-    // Per-transmitter clean-delivery tally (success-rate tracking).
-    let mut delivered = vec![0u32; n];
+    // Per-transmitter clean-delivery tally (success-rate tracking only).
+    let mut delivered = vec![0u32; if cfg.track_success_rate { n } else { 0 }];
 
-    for phase in 1..=cfg.max_phases as u32 {
+    // A one-shot cascade continues only while the previous phase informed
+    // a new node, so the loop ends within `n` phases.
+    for phase in 1.. {
+        // Per-phase wall time (`sim.phase.seconds`) and a flight-recorder
+        // event, for the sharded engine's long phases only: the sequential
+        // engine's phases run by the million and would flood the recorder.
+        let _phase_span = sharded.then(|| nss_obs::trace_span!("sim.phase"));
         for sl in &mut slots {
             sl.clear();
         }
@@ -194,14 +293,13 @@ pub(crate) fn run_gossip_with(
             for &u in &pending {
                 // A node the fault plan has down this phase forfeits its
                 // (single) rebroadcast opportunity.
-                if let Some(fs) = fault_state.as_ref() {
-                    if !fs.is_alive(u as usize) {
-                        continue;
-                    }
+                if fault_state
+                    .as_ref()
+                    .is_some_and(|fs| !fs.is_alive(u as usize))
+                {
+                    continue;
                 }
-                let p_u = policy.prob(u as usize);
-                if p_u >= 1.0 || rng.random::<f64>() < p_u {
-                    let sl = rng.random_range(0..cfg.s) as usize;
+                if let Some(sl) = coins.draw(phase, u, policy.prob(u as usize), cfg.s) {
                     slots[sl].push(u);
                 }
             }
@@ -213,18 +311,21 @@ pub(crate) fn run_gossip_with(
             if phase > 1 {
                 sl.retain(|&u| policy.transmits(u));
             }
+            if sl.is_empty() {
+                continue;
+            }
             let sf = fault_state.as_ref().map(|fs| fs.slot(phase, si as u32));
-            phase_stats.absorb(medium.resolve_slot(
+            phase_stats.absorb(arbiter.resolve(
                 topo,
                 sl,
-                &mut scratch,
                 sf.as_ref(),
-                |rx, tx| {
-                    delivered[tx.index()] += 1;
-                    let dup = informed.get(rx.index());
+                &mut informed,
+                |rx, tx, dup| {
+                    if let Some(d) = delivered.get_mut(tx.index()) {
+                        *d += 1;
+                    }
                     policy.heard(topo, rx, tx, dup);
                     if !dup {
-                        informed.set(rx.index());
                         trace.first_rx_phase[rx.index()] = phase;
                         newly.push(rx.0);
                     }
@@ -242,7 +343,7 @@ pub(crate) fn run_gossip_with(
         trace.deliveries_by_phase.push(phase_stats.deliveries);
         trace.collisions_by_phase.push(phase_stats.collisions);
         trace.cs_deferrals_by_phase.push(phase_stats.cs_deferrals);
-        if cfg.backend.is_sinr() {
+        if sinr {
             trace.sinr_rejects_by_phase.push(phase_stats.sinr_rejects);
         }
         if let Some(fs) = fault_state.as_ref() {
@@ -260,11 +361,9 @@ pub(crate) fn run_gossip_with(
                     rate_sum += f64::from(delivered[t as usize]) / deg as f64;
                     count += 1;
                 }
+                delivered[t as usize] = 0;
             }
             trace.success_rate_by_phase.push((rate_sum, count));
-        }
-        for &t in slots.iter().flatten() {
-            delivered[t as usize] = 0;
         }
 
         pending = newly;
