@@ -101,22 +101,6 @@ impl RefinedCfm {
     pub fn energy_cost(&self, rho: f64, costs: &CostParams) -> f64 {
         costs.e_a * self.expected_attempts(rho)
     }
-
-    /// Refined CFM flooding prediction at density `ρ`: latency (in `t_a`
-    /// units) for an `ecc`-hop cascade and energy for `n` reliable
-    /// broadcasts.
-    pub fn flooding_prediction(
-        &self,
-        rho: f64,
-        ecc_hops: f64,
-        n_nodes: f64,
-        costs: &CostParams,
-    ) -> (f64, f64) {
-        (
-            ecc_hops * self.time_cost(rho, costs),
-            n_nodes * self.energy_cost(rho, costs),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -173,23 +157,6 @@ mod tests {
     fn zero_success_rate_is_infinite_cost() {
         let model = RefinedCfm::from_samples(vec![(50.0, 0.0)]);
         assert!(model.expected_attempts(50.0).is_infinite());
-    }
-
-    #[test]
-    fn flooding_prediction_shape() {
-        let model = calibrated();
-        let costs = CostParams::UNIT;
-        let (t20, e20) = model.flooding_prediction(20.0, 5.0, 500.0, &costs);
-        let (t140, e140) = model.flooding_prediction(140.0, 5.0, 3500.0, &costs);
-        // Refined latency exceeds the naive 5 hops at any density...
-        assert!(t20 > 5.0);
-        // ...and grows superlinearly with density (retries compound on top
-        // of the larger node count).
-        assert!(t140 > t20);
-        assert!(
-            e140 / e20 > 3500.0 / 500.0,
-            "energy must grow faster than N"
-        );
     }
 
     #[test]

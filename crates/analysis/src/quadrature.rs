@@ -2,8 +2,7 @@
 //!
 //! The integrands are smooth except for kinks where lens configurations
 //! change (tangency radii), so composite Simpson with a moderate fixed point
-//! count is both fast and accurate; an adaptive variant is provided for
-//! verification and for users integrating rougher functions.
+//! count is both fast and accurate.
 
 /// Composite trapezoid rule with `n ≥ 1` panels.
 pub fn trapezoid(f: impl Fn(f64) -> f64, a: f64, b: f64, n: usize) -> f64 {
@@ -32,53 +31,6 @@ pub fn simpson(f: impl Fn(f64) -> f64, a: f64, b: f64, n: usize) -> f64 {
         acc += w * f(a + i as f64 * h);
     }
     acc * h / 3.0
-}
-
-/// Adaptive Simpson integration to absolute tolerance `eps`.
-///
-/// Recursion depth is capped (50) to guarantee termination on pathological
-/// integrands; the cap is far beyond what smooth integrands need.
-pub fn adaptive_simpson(f: impl Fn(f64) -> f64 + Copy, a: f64, b: f64, eps: f64) -> f64 {
-    if a == b {
-        return 0.0;
-    }
-    let fa = f(a);
-    let fb = f(b);
-    let m = 0.5 * (a + b);
-    let fm = f(m);
-    let whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb);
-    adaptive_rec(f, a, b, fa, fb, fm, whole, eps, 50)
-}
-
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the recursion carries the cached endpoint and midpoint values"
-)]
-fn adaptive_rec(
-    f: impl Fn(f64) -> f64 + Copy,
-    a: f64,
-    b: f64,
-    fa: f64,
-    fb: f64,
-    fm: f64,
-    whole: f64,
-    eps: f64,
-    depth: u32,
-) -> f64 {
-    let m = 0.5 * (a + b);
-    let lm = 0.5 * (a + m);
-    let rm = 0.5 * (m + b);
-    let flm = f(lm);
-    let frm = f(rm);
-    let left = (m - a) / 6.0 * (fa + 4.0 * flm + fm);
-    let right = (b - m) / 6.0 * (fm + 4.0 * frm + fb);
-    let delta = left + right - whole;
-    if depth == 0 || delta.abs() <= 15.0 * eps {
-        left + right + delta / 15.0
-    } else {
-        adaptive_rec(f, a, m, fa, fm, flm, left, eps * 0.5, depth - 1)
-            + adaptive_rec(f, m, b, fm, fb, frm, right, eps * 0.5, depth - 1)
-    }
 }
 
 #[cfg(test)]
@@ -121,21 +73,6 @@ mod tests {
     fn empty_interval_is_zero() {
         assert_eq!(trapezoid(|x| x, 1.0, 1.0, 4), 0.0);
         assert_eq!(simpson(|x| x, 1.0, 1.0, 4), 0.0);
-        assert_eq!(adaptive_simpson(|x| x, 1.0, 1.0, 1e-9), 0.0);
-    }
-
-    #[test]
-    fn adaptive_matches_analytic() {
-        let v = adaptive_simpson(|x| (-x * x).exp(), 0.0, 5.0, 1e-10);
-        // erf-based reference: ∫₀⁵ e^{−x²} dx = √π/2 · erf(5) ≈ √π/2
-        assert!((v - PI.sqrt() / 2.0).abs() < 1e-8, "{v}");
-    }
-
-    #[test]
-    fn adaptive_handles_kink() {
-        let v = adaptive_simpson(|x| (x - 0.3).abs(), 0.0, 1.0, 1e-10);
-        let exact = 0.3f64.powi(2) / 2.0 + 0.7f64.powi(2) / 2.0;
-        assert!((v - exact).abs() < 1e-8);
     }
 
     #[test]

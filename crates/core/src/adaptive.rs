@@ -20,6 +20,7 @@ use nss_model::deployment::Deployment;
 use nss_model::rng::{SeedFactory, Stream};
 use nss_model::topology::Topology;
 use nss_sim::executor::Executor;
+use nss_sim::runner::Replication;
 use nss_sim::slotted::GossipConfig;
 
 /// A calibrated success-rate → probability controller.
@@ -114,12 +115,14 @@ impl AdaptiveOutcome {
 
 /// Evaluates the adaptive rule end-to-end on the paper's network model:
 /// probe → choose `p` → run PB_CAM, compared against the analytical oracle.
+/// The replications run on `threads` workers (0 = available parallelism).
 pub fn evaluate_adaptive(
     model: &NetworkModel,
     controller: &AdaptiveController,
     latency_phases: f64,
     replications: u32,
     master_seed: u64,
+    threads: usize,
 ) -> AdaptiveOutcome {
     #[expect(
         clippy::panic,
@@ -129,7 +132,6 @@ pub fn evaluate_adaptive(
     else {
         panic!("adaptive evaluation requires the disk deployment");
     };
-    let factory = SeedFactory::new(master_seed);
 
     // Oracle: analytical optimum at the true (unknown to the node) density.
     let mut ring = RingModelConfig::paper(d.rho(), 0.0);
@@ -147,38 +149,29 @@ pub fn evaluate_adaptive(
         .expect("max objective always feasible");
 
     // Probe + run on fresh deployments per replication.
+    let mut cfg = GossipConfig::pb_cam(oracle.prob);
+    cfg.s = model.slots;
+    let fields = Replication::paper(model.deployment, cfg, master_seed)
+        .with_runs(replications)
+        .with_threads(threads)
+        .map(|f| {
+            let sr = measure_success_rate(&f.topo, model.slots, 1, f.seed(Stream::Jitter));
+            let seed = f.seed(Stream::Protocol);
+            let reach = |exec: Executor<'_>| {
+                exec.run(seed)
+                    .phase_series()
+                    .reachability_at_latency(latency_phases)
+            };
+            let adaptive = reach(f.executor().prob(controller.probability(sr)));
+            (sr, adaptive, reach(f.executor()))
+        });
     let mut sr_total = 0.0;
     let mut adaptive_total = 0.0;
     let mut oracle_total = 0.0;
-    for rep in 0..replications {
-        let net = model
-            .deployment
-            .sample(factory.seed(Stream::Deployment, u64::from(rep)));
-        let topo = Topology::build(&net);
-        let sr = measure_success_rate(
-            &topo,
-            model.slots,
-            1,
-            factory.seed(Stream::Jitter, u64::from(rep)),
-        );
+    for (sr, adaptive, oracle) in fields {
         sr_total += sr;
-        let p_adaptive = controller.probability(sr);
-
-        let seed = factory.seed(Stream::Protocol, u64::from(rep));
-        let mut cfg = GossipConfig::pb_cam(p_adaptive);
-        cfg.s = model.slots;
-        adaptive_total += Executor::new(&topo)
-            .gossip(cfg)
-            .run(seed)
-            .phase_series()
-            .reachability_at_latency(latency_phases);
-        let mut cfg = GossipConfig::pb_cam(oracle.prob);
-        cfg.s = model.slots;
-        oracle_total += Executor::new(&topo)
-            .gossip(cfg)
-            .run(seed)
-            .phase_series()
-            .reachability_at_latency(latency_phases);
+        adaptive_total += adaptive;
+        oracle_total += oracle;
     }
     let n = f64::from(replications.max(1));
     let sr_mean = sr_total / n;
@@ -250,7 +243,7 @@ mod tests {
     fn adaptive_rule_competitive_with_oracle() {
         let model = NetworkModel::paper(80.0);
         let ctl = AdaptiveController::calibrate(fast_ring(), &[40.0, 100.0], 5.0);
-        let out = evaluate_adaptive(&model, &ctl, 5.0, 4, 99);
+        let out = evaluate_adaptive(&model, &ctl, 5.0, 4, 99, 0);
         assert!(out.measured_success_rate > 0.0);
         assert!(out.adaptive_prob > 0.0 && out.adaptive_prob <= 1.0);
         assert!(

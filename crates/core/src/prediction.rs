@@ -9,9 +9,8 @@
 
 use crate::network::NetworkModel;
 use nss_model::ids::NodeId;
-use nss_model::rng::{SeedFactory, Stream};
-use nss_model::topology::Topology;
-use nss_sim::executor::Executor;
+use nss_model::rng::Stream;
+use nss_sim::runner::Replication;
 use nss_sim::slotted::GossipConfig;
 use nss_sim::stats::Summary;
 
@@ -72,57 +71,57 @@ impl GapReport {
 }
 
 /// Computes the CFM prediction and the CAM measurement for simple flooding
-/// on `replications` fresh deployments of `model`.
-pub fn flooding_gap(model: &NetworkModel, replications: u32, master_seed: u64) -> GapReport {
-    let factory = SeedFactory::new(master_seed);
-    let mut cfm_reach = Vec::new();
-    let mut cfm_lat = Vec::new();
-    let mut cfm_bc = Vec::new();
-    let mut cam_reach = Vec::new();
-    let mut cam_reach_at = Vec::new();
-    let mut cam_lat = Vec::new();
-    let mut cam_bc = Vec::new();
-
-    for rep in 0..replications {
-        let net = model
-            .deployment
-            .sample(factory.seed(Stream::Deployment, u64::from(rep)));
-        let topo = Topology::build(&net);
-
-        // CFM prediction: pure graph analysis, no simulation needed.
-        let ecc = f64::from(topo.source_eccentricity(NodeId::SOURCE));
-        cfm_reach.push(topo.reachable_fraction(NodeId::SOURCE));
-        cfm_lat.push(ecc);
-        cfm_bc.push(
-            topo.bfs_levels(NodeId::SOURCE)
-                .iter()
-                .filter(|&&l| l != u32::MAX)
-                .count() as f64,
-        );
-
-        // CAM reality.
-        let mut cfg = GossipConfig::flooding_cam();
-        cfg.s = model.slots;
-        let trace = Executor::new(&topo)
-            .gossip(cfg)
-            .run(factory.seed(Stream::Protocol, u64::from(rep)));
-        cam_reach.push(trace.final_reachability());
-        cam_reach_at.push(trace.phase_series().reachability_at_latency(ecc));
-        cam_lat.push(trace.phases() as f64);
-        cam_bc.push(trace.total_broadcasts() as f64);
-    }
-
+/// on `replications` fresh deployments of `model`, run on `threads`
+/// workers (0 = available parallelism).
+pub fn flooding_gap(
+    model: &NetworkModel,
+    replications: u32,
+    master_seed: u64,
+    threads: usize,
+) -> GapReport {
+    let mut cfg = GossipConfig::flooding_cam();
+    cfg.s = model.slots;
+    let fields = Replication::paper(model.deployment, cfg, master_seed)
+        .with_runs(replications)
+        .with_threads(threads)
+        .map(|f| {
+            let topo = &f.topo;
+            // CFM prediction: pure graph analysis, no simulation needed.
+            let ecc = f64::from(topo.source_eccentricity(NodeId::SOURCE));
+            let cfm = CfmPrediction {
+                reachability: topo.reachable_fraction(NodeId::SOURCE),
+                latency_phases: ecc,
+                broadcasts: topo
+                    .bfs_levels(NodeId::SOURCE)
+                    .iter()
+                    .filter(|&&l| l != u32::MAX)
+                    .count() as f64,
+            };
+            // CAM reality.
+            let trace = f.executor().run(f.seed(Stream::Protocol));
+            let cam = [
+                trace.final_reachability(),
+                trace.phase_series().reachability_at_latency(ecc),
+                trace.phases() as f64,
+                trace.total_broadcasts() as f64,
+            ];
+            (cfm, cam)
+        });
+    let cfm = |get: fn(&CfmPrediction) -> f64| {
+        mean(&fields.iter().map(|(c, _)| get(c)).collect::<Vec<_>>())
+    };
+    let cam = |i: usize| Summary::of(&fields.iter().map(|(_, m)| m[i]).collect::<Vec<_>>());
     GapReport {
         cfm: CfmPrediction {
-            reachability: mean(&cfm_reach),
-            latency_phases: mean(&cfm_lat),
-            broadcasts: mean(&cfm_bc),
+            reachability: cfm(|c| c.reachability),
+            latency_phases: cfm(|c| c.latency_phases),
+            broadcasts: cfm(|c| c.broadcasts),
         },
         cam: CamMeasurement {
-            final_reachability: Summary::of(&cam_reach),
-            reachability_at_cfm_latency: Summary::of(&cam_reach_at),
-            latency_phases: Summary::of(&cam_lat),
-            broadcasts: Summary::of(&cam_bc),
+            final_reachability: cam(0),
+            reachability_at_cfm_latency: cam(1),
+            latency_phases: cam(2),
+            broadcasts: cam(3),
         },
     }
 }
@@ -141,8 +140,8 @@ mod tests {
 
     #[test]
     fn gap_grows_with_density() {
-        let sparse = flooding_gap(&NetworkModel::paper(20.0), 4, 5);
-        let dense = flooding_gap(&NetworkModel::paper(120.0), 4, 5);
+        let sparse = flooding_gap(&NetworkModel::paper(20.0), 4, 5, 0);
+        let dense = flooding_gap(&NetworkModel::paper(120.0), 4, 5, 0);
         // CFM promises ≈ full coverage at both densities...
         assert!(sparse.cfm.reachability > 0.9);
         assert!(dense.cfm.reachability > 0.99);
@@ -167,7 +166,7 @@ mod tests {
 
     #[test]
     fn cfm_broadcast_prediction_counts_reached_nodes() {
-        let report = flooding_gap(&NetworkModel::paper(40.0), 3, 9);
+        let report = flooding_gap(&NetworkModel::paper(40.0), 3, 9, 0);
         // Under CFM every reached node broadcasts once: count ≈ reach · N.
         let n = 40.0 * 25.0;
         assert!(
@@ -181,7 +180,7 @@ mod tests {
     #[test]
     fn cam_never_beats_cfm_reachability() {
         for rho in [20.0, 60.0] {
-            let r = flooding_gap(&NetworkModel::paper(rho), 3, 11);
+            let r = flooding_gap(&NetworkModel::paper(rho), 3, 11, 0);
             assert!(
                 r.cam.final_reachability.mean <= r.cfm.reachability + 1e-9,
                 "rho={rho}: CAM {} > CFM {}",

@@ -15,12 +15,20 @@ use nss_model::comm::CollisionRule;
 use nss_model::deployment::{Deployment, GridDeployment};
 use nss_model::faults::FaultPlan;
 use nss_model::rng::{SeedFactory, Stream};
-use nss_model::topology::Topology;
 use nss_sim::executor::Executor;
 use nss_sim::protocols::ack_flood::{run_ack_flood, AckFloodConfig};
 use nss_sim::protocols::async_gossip::{run_async_gossip, AsyncGossipConfig};
+use nss_sim::runner::Replication;
 use nss_sim::slotted::GossipConfig;
 use nss_sim::stats::Summary;
+
+/// `runs` fields of `deployment` under `gossip`, seeded from the master
+/// seed and replicated on `--threads` workers.
+fn replication(ctx: &Ctx, deployment: Deployment, gossip: GossipConfig, runs: u32) -> Replication {
+    Replication::paper(deployment, gossip, ctx.seed)
+        .with_runs(runs)
+        .with_threads(ctx.threads)
+}
 
 /// Ext A — Appendix-A carrier-sense variant of Fig. 4(b).
 #[expect(
@@ -60,7 +68,7 @@ pub fn ext_cfm_gap(ctx: &Ctx) {
     let runs = if ctx.fast { 5 } else { 15 };
     let mut csv = Vec::new();
     for rho in ctx.rhos() {
-        let report = flooding_gap(&NetworkModel::paper(rho), runs, ctx.seed);
+        let report = flooding_gap(&NetworkModel::paper(rho), runs, ctx.seed, ctx.threads);
         csv.push(format!(
             "{rho},{},{},{},{},{}",
             report.cfm.reachability,
@@ -84,22 +92,25 @@ pub fn ext_grid_percolation(ctx: &Ctx) {
     heading("Ext C: CFM gossip on a grid — percolation-style threshold");
     let side = if ctx.fast { 21 } else { 41 };
     let runs = if ctx.fast { 5 } else { 20 };
+    let probs: Vec<f64> = (1..=20).map(|i| f64::from(i) / 20.0).collect();
+    // Every p runs on each field; run i (p = i/20) of field k takes the
+    // protocol seed of index k ^ (i << 8).
     let factory = SeedFactory::new(ctx.seed);
+    let dep = Deployment::Grid(GridDeployment::new(side, 1.0, 1.0));
+    let reach = replication(ctx, dep, GossipConfig::gossip_cfm(1.0), runs).map(|f| {
+        (1..)
+            .zip(&probs)
+            .map(|(i, &p)| {
+                let seed = factory.seed(Stream::Protocol, f.index ^ (i << 8));
+                f.executor().prob(p).run(seed).final_reachability()
+            })
+            .collect::<Vec<_>>()
+    });
     let mut csv = Vec::new();
     let mut series = Vec::new();
-    for i in 1..=20 {
-        let p = f64::from(i) / 20.0;
-        let mut total = 0.0;
-        for rep in 0..runs {
-            let dep = Deployment::Grid(GridDeployment::new(side, 1.0, 1.0));
-            let topo = Topology::build(&dep.sample(factory.seed(Stream::Deployment, rep)));
-            let cfg = GossipConfig::gossip_cfm(p);
-            let trace = Executor::new(&topo)
-                .gossip(cfg)
-                .run(factory.seed(Stream::Protocol, rep ^ (i as u64) << 8));
-            total += trace.final_reachability();
-        }
-        let mean = total / runs as f64;
+    for (pi, &p) in probs.iter().enumerate() {
+        let total: f64 = reach.iter().map(|r| r[pi]).sum();
+        let mean = total / f64::from(runs);
         csv.push(format!("{p},{mean}"));
         series.push((p, mean));
     }
@@ -132,6 +143,7 @@ pub fn ext_adaptive(ctx: &Ctx) {
             LATENCY_BUDGET,
             runs,
             ctx.seed,
+            ctx.threads,
         );
         csv.push(format!(
             "{rho},{},{},{},{},{},{}",
@@ -156,32 +168,23 @@ pub fn ext_adaptive(ctx: &Ctx) {
 pub fn ext_ack_flood(ctx: &Ctx) {
     heading("Ext E: ACK-based reliable flooding cost vs plain flooding");
     let runs = if ctx.fast { 2 } else { 5 };
-    let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
     for rho in [20.0, 40.0, 60.0, 80.0] {
-        let mut plain_tx = Vec::new();
-        let mut rel_tx = Vec::new();
-        let mut rel_reach = Vec::new();
-        let mut gave_up = 0usize;
-        for rep in 0..runs {
-            let dep = Deployment::disk(4, 1.0, rho);
-            let topo = Topology::build(&dep.sample(factory.seed(Stream::Deployment, rep)));
-            let plain = Executor::new(&topo)
-                .gossip(GossipConfig::flooding_cam())
-                .run(factory.seed(Stream::Protocol, rep));
-            plain_tx.push(plain.total_broadcasts() as f64);
-            let rel = run_ack_flood(
-                &topo,
-                &AckFloodConfig::default(),
-                factory.seed(Stream::Jitter, rep),
-            );
-            rel_tx.push(rel.total_tx() as f64);
-            rel_reach.push(rel.reachability());
-            gave_up += rel.gave_up;
-        }
-        let plain = Summary::of(&plain_tx);
-        let rel = Summary::of(&rel_tx);
-        let reach = Summary::of(&rel_reach);
+        let dep = Deployment::disk(4, 1.0, rho);
+        let fields = replication(ctx, dep, GossipConfig::flooding_cam(), runs).map(|f| {
+            let plain = f.executor().run(f.seed(Stream::Protocol));
+            let rel = run_ack_flood(&f.topo, &AckFloodConfig::default(), f.seed(Stream::Jitter));
+            (
+                plain.total_broadcasts() as f64,
+                rel.total_tx() as f64,
+                rel.reachability(),
+                rel.gave_up,
+            )
+        });
+        let plain = Summary::of(&fields.iter().map(|r| r.0).collect::<Vec<_>>());
+        let rel = Summary::of(&fields.iter().map(|r| r.1).collect::<Vec<_>>());
+        let reach = Summary::of(&fields.iter().map(|r| r.2).collect::<Vec<_>>());
+        let gave_up: usize = fields.iter().map(|r| r.3).sum();
         let overhead = rel.mean / plain.mean.max(1.0);
         csv.push(format!(
             "{rho},{},{},{},{},{}",
@@ -203,29 +206,20 @@ pub fn ext_ack_flood(ctx: &Ctx) {
 pub fn ext_async(ctx: &Ctx) {
     heading("Ext F: slotted (analysis assumption) vs asynchronous execution");
     let runs = if ctx.fast { 3 } else { 10 };
-    let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
     for rho in [20.0f64, 60.0, 100.0, 140.0] {
         // Use a sensible probability for each density (from the Fig. 4 rule
         // of thumb p* ≈ 13/rho).
         let p = (13.0 / rho).clamp(0.05, 1.0);
-        let mut sync_total = 0.0;
-        let mut async_total = 0.0;
-        for rep in 0..runs {
-            let dep = Deployment::disk(5, 1.0, rho);
-            let topo = Topology::build(&dep.sample(factory.seed(Stream::Deployment, rep)));
-            let seed = factory.seed(Stream::Protocol, rep);
-            sync_total += Executor::new(&topo)
-                .gossip(GossipConfig::pb_cam(p))
-                .run(seed)
-                .phase_series()
-                .reachability_at_latency(LATENCY_BUDGET);
-            async_total += run_async_gossip(&topo, &AsyncGossipConfig::paper(p), seed)
-                .phase_series()
-                .reachability_at_latency(LATENCY_BUDGET);
-        }
-        let sync_mean = sync_total / runs as f64;
-        let async_mean = async_total / runs as f64;
+        let dep = Deployment::disk(5, 1.0, rho);
+        let fields = replication(ctx, dep, GossipConfig::pb_cam(p), runs).map(|f| {
+            let seed = f.seed(Stream::Protocol);
+            let sync = f.executor().run(seed);
+            let asynchronous = run_async_gossip(&f.topo, &AsyncGossipConfig::paper(p), seed);
+            [sync, asynchronous].map(|t| t.phase_series().reachability_at_latency(LATENCY_BUDGET))
+        });
+        let sync_mean = fields.iter().map(|r| r[0]).sum::<f64>() / f64::from(runs);
+        let async_mean = fields.iter().map(|r| r[1]).sum::<f64>() / f64::from(runs);
         csv.push(format!("{rho},{p},{sync_mean},{async_mean}"));
     }
     ctx.write_csv("ext_async.csv", "rho,p,sync_reach,async_reach", &csv);
@@ -243,34 +237,33 @@ pub fn ext_survival(ctx: &Ctx) {
     use nss_analysis::survival::survival_estimate;
     heading("Ext H: extinction-corrected analytical reachability at small p");
     let runs = if ctx.fast { 5 } else { 20 };
-    let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
-    for &(rho, p) in &[
-        (40.0, 0.03),
-        (40.0, 0.10),
-        (80.0, 0.02),
-        (80.0, 0.05),
-        (140.0, 0.02),
-    ] {
-        let mut cfg = ctx.ring_base();
-        cfg.rho = rho;
-        cfg.prob = p;
-        let est = survival_estimate(&RingModel::cached(cfg).run());
-        let mut total = 0.0;
-        for rep in 0..runs {
-            let topo = Topology::build(
-                &Deployment::disk(5, 1.0, rho).sample(factory.seed(Stream::Deployment, rep)),
-            );
-            total += Executor::new(&topo)
-                .gossip(GossipConfig::pb_cam(p))
-                .run(factory.seed(Stream::Protocol, rep))
-                .final_reachability();
+    // Each density's fields run every probability listed for it.
+    let points: [(f64, &[f64]); 3] = [
+        (40.0, &[0.03, 0.10]),
+        (80.0, &[0.02, 0.05]),
+        (140.0, &[0.02]),
+    ];
+    for (rho, probs) in points {
+        let dep = Deployment::disk(5, 1.0, rho);
+        let reach = replication(ctx, dep, GossipConfig::pb_cam(1.0), runs).map(|f| {
+            let seed = f.seed(Stream::Protocol);
+            probs
+                .iter()
+                .map(|&p| f.executor().prob(p).run(seed).final_reachability())
+                .collect::<Vec<_>>()
+        });
+        for (pi, &p) in probs.iter().enumerate() {
+            let mut cfg = ctx.ring_base();
+            cfg.rho = rho;
+            cfg.prob = p;
+            let est = survival_estimate(&RingModel::cached(cfg).run());
+            let sim = reach.iter().map(|r| r[pi]).sum::<f64>() / f64::from(runs);
+            csv.push(format!(
+                "{rho},{p},{},{},{},{sim}",
+                est.cascade_survival, est.mean_field_reachability, est.adjusted_reachability
+            ));
         }
-        let sim = total / runs as f64;
-        csv.push(format!(
-            "{rho},{p},{},{},{},{sim}",
-            est.cascade_survival, est.mean_field_reachability, est.adjusted_reachability
-        ));
     }
     ctx.write_csv(
         "ext_survival.csv",
@@ -295,7 +288,7 @@ pub fn ext_cfm_cost(ctx: &Ctx) {
     let runs = if ctx.fast { 3 } else { 10 };
     let mut csv = Vec::new();
     for rho in ctx.rhos() {
-        let report = flooding_gap(&NetworkModel::paper(rho), runs, ctx.seed);
+        let report = flooding_gap(&NetworkModel::paper(rho), runs, ctx.seed, ctx.threads);
         // Naive CFM: one phase per hop. Refined: expected attempts per hop.
         let naive = report.cfm.latency_phases;
         let attempts = refined.expected_attempts(rho);
@@ -324,27 +317,25 @@ pub fn ext_schemes(ctx: &Ctx) {
     use nss_sim::protocols::distance::{run_distance_broadcast, DistanceConfig};
     heading("Ext J: PB_CAM vs counter-based vs distance-based (final reach / broadcasts)");
     let runs = if ctx.fast { 3 } else { 10 };
-    let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
     for rho in [20.0f64, 60.0, 100.0, 140.0] {
         let p = (13.0 / rho).clamp(0.05, 1.0);
+        let dep = Deployment::disk(5, 1.0, rho);
+        let fields = replication(ctx, dep, GossipConfig::pb_cam(p), runs).map(|f| {
+            let seed = f.seed(Stream::Protocol);
+            [
+                f.executor().run(seed),
+                run_counter_broadcast(&f.topo, &CounterConfig::paper(3), seed),
+                run_distance_broadcast(&f.topo, &DistanceConfig::paper(0.4), seed),
+            ]
+            .map(|t| (t.final_reachability(), t.total_broadcasts()))
+        });
         let mut acc = [(0.0f64, 0u64); 3];
-        for rep in 0..runs {
-            let topo = Topology::build(
-                &Deployment::disk(5, 1.0, rho).sample(factory.seed(Stream::Deployment, rep)),
-            );
-            let seed = factory.seed(Stream::Protocol, rep);
-            let t = Executor::new(&topo)
-                .gossip(GossipConfig::pb_cam(p))
-                .run(seed);
-            acc[0].0 += t.final_reachability();
-            acc[0].1 += t.total_broadcasts();
-            let t = run_counter_broadcast(&topo, &CounterConfig::paper(3), seed);
-            acc[1].0 += t.final_reachability();
-            acc[1].1 += t.total_broadcasts();
-            let t = run_distance_broadcast(&topo, &DistanceConfig::paper(0.4), seed);
-            acc[2].0 += t.final_reachability();
-            acc[2].1 += t.total_broadcasts();
+        for field in fields {
+            for (a, (reach, tx)) in acc.iter_mut().zip(field) {
+                a.0 += reach;
+                a.1 += tx;
+            }
         }
         let mut row = format!("{rho}");
         for (reach, tx) in acc {
@@ -375,32 +366,25 @@ pub fn ext_convergecast(ctx: &Ctx) {
     use nss_sim::protocols::convergecast::{run_convergecast, ConvergecastConfig};
     heading("Ext K: unicast convergecast (data gathering) under CAM");
     let runs = if ctx.fast { 2 } else { 5 };
-    let factory = SeedFactory::new(ctx.seed);
     let mut csv = Vec::new();
     for rho in [20.0f64, 40.0, 60.0] {
-        let mut reach = 0usize;
-        let mut deliv = 0usize;
-        let mut tx = 0u64;
-        let mut phases = 0usize;
-        for rep in 0..runs {
-            let topo = Topology::build(
-                &Deployment::disk(4, 1.0, rho).sample(factory.seed(Stream::Deployment, rep)),
-            );
-            let out = run_convergecast(
-                &topo,
+        let dep = Deployment::disk(4, 1.0, rho);
+        let outs = replication(ctx, dep, GossipConfig::flooding_cam(), runs).map(|f| {
+            run_convergecast(
+                &f.topo,
                 &ConvergecastConfig::default(),
-                factory.seed(Stream::Protocol, rep),
-            );
-            reach += out.reachable;
-            deliv += out.delivered;
-            tx += out.transmissions;
-            phases += out.phases;
-        }
+                f.seed(Stream::Protocol),
+            )
+        });
+        let reach: usize = outs.iter().map(|o| o.reachable).sum();
+        let deliv: usize = outs.iter().map(|o| o.delivered).sum();
+        let tx: u64 = outs.iter().map(|o| o.transmissions).sum();
+        let phases: usize = outs.iter().map(|o| o.phases).sum();
         csv.push(format!(
             "{rho},{},{},{},{}",
             reach / runs as usize,
             deliv / runs as usize,
-            tx / runs,
+            tx / u64::from(runs),
             phases / runs as usize
         ));
     }
@@ -419,32 +403,39 @@ pub fn ext_convergecast(ctx: &Ctx) {
 pub fn ext_failures(ctx: &Ctx) {
     heading("Ext L: PB_CAM under per-phase node failures");
     let runs = if ctx.fast { 3 } else { 10 };
-    let factory = SeedFactory::new(ctx.seed);
-    let mut csv = Vec::new();
-    for q in [0.0, 0.02, 0.05, 0.1, 0.2] {
-        let mut row = format!("{q}");
-        for rho in [40.0f64, 80.0, 140.0] {
+    let hazards = [0.0, 0.02, 0.05, 0.1, 0.2];
+    // `reach[rho][field][q]`: every hazard runs on each field.
+    let reach: Vec<Vec<Vec<f64>>> = [40.0f64, 80.0, 140.0]
+        .into_iter()
+        .map(|rho| {
             let p = (13.0 / rho).clamp(0.05, 1.0);
-            let mut total = 0.0;
-            for rep in 0..runs {
-                let topo = Topology::build(
-                    &Deployment::disk(5, 1.0, rho).sample(factory.seed(Stream::Deployment, rep)),
-                );
-                let faults_seed = factory.seed(Stream::Faults, rep);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "every hazard q in the sweep is a probability"
-                )]
-                let plan = FaultPlan::per_phase_crashes(topo.len(), q, faults_seed)
-                    .expect("hazards in the sweep are probabilities");
-                total += Executor::new(&topo)
-                    .gossip(GossipConfig::pb_cam(p))
-                    .faults(plan)
-                    .faults_seed(faults_seed)
-                    .run(factory.seed(Stream::Protocol, rep))
-                    .final_reachability();
-            }
-            row.push_str(&format!(",{}", total / runs as f64));
+            let dep = Deployment::disk(5, 1.0, rho);
+            replication(ctx, dep, GossipConfig::pb_cam(p), runs).map(|f| {
+                hazards
+                    .iter()
+                    .map(|&q| {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "every hazard q in the sweep is a probability"
+                        )]
+                        let plan =
+                            FaultPlan::per_phase_crashes(f.topo.len(), q, f.seed(Stream::Faults))
+                                .expect("hazards in the sweep are probabilities");
+                        f.executor()
+                            .faults(plan)
+                            .run(f.seed(Stream::Protocol))
+                            .final_reachability()
+                    })
+                    .collect()
+            })
+        })
+        .collect();
+    let mut csv = Vec::new();
+    for (qi, q) in hazards.iter().enumerate() {
+        let mut row = format!("{q}");
+        for fields in &reach {
+            let total: f64 = fields.iter().map(|r| r[qi]).sum();
+            row.push_str(&format!(",{}", total / f64::from(runs)));
         }
         csv.push(row);
     }
@@ -462,29 +453,31 @@ pub fn ext_tdma(ctx: &Ctx) {
     use nss_sim::tdma::TdmaSchedule;
     heading("Ext M: TDMA-implemented CFM flooding vs CAM flooding");
     let runs = if ctx.fast { 2 } else { 5 };
-    let factory = SeedFactory::new(ctx.seed);
+    let cam = GossipConfig::flooding_cam();
     let mut csv = Vec::new();
     for rho in [20.0f64, 60.0, 100.0, 140.0] {
+        let dep = Deployment::disk(4, 1.0, rho);
+        let fields = replication(ctx, dep, cam, runs).map(|f| {
+            let out = f.executor().run_tdma(&TdmaSchedule::build(&f.topo));
+            assert_eq!(out.collisions, 0, "schedule must be collision-free");
+            let trace = f.executor().run(f.seed(Stream::Protocol));
+            (
+                out,
+                trace.phases() as u64 * u64::from(cam.s),
+                trace.final_reachability(),
+            )
+        });
         let mut frame = 0u64;
         let mut tdma_slots = 0u64;
         let mut tdma_reach = 0.0;
         let mut cam_slots = 0u64;
         let mut cam_reach = 0.0;
-        for rep in 0..runs {
-            let topo = Topology::build(
-                &Deployment::disk(4, 1.0, rho).sample(factory.seed(Stream::Deployment, rep)),
-            );
-            let schedule = TdmaSchedule::build(&topo);
-            let out = Executor::new(&topo).run_tdma(&schedule);
-            assert_eq!(out.collisions, 0, "schedule must be collision-free");
+        for (out, slots, reach) in fields {
             frame += u64::from(out.frame_len);
             tdma_slots += out.slots_elapsed;
             tdma_reach += out.reachability();
-            let trace = Executor::new(&topo)
-                .gossip(GossipConfig::flooding_cam())
-                .run(factory.seed(Stream::Protocol, rep));
-            cam_slots += trace.phases() as u64 * 3; // s = 3 slots per phase
-            cam_reach += trace.final_reachability();
+            cam_slots += slots;
+            cam_reach += reach;
         }
         let r = runs as f64;
         csv.push(format!(
@@ -560,22 +553,17 @@ pub fn ext_hetero(ctx: &Ctx) {
     nss_obs::status!("calibrated ratio = {:.2}", controller.ratio);
 
     let runs = if ctx.fast { 3 } else { 10 };
-    let factory = SeedFactory::new(ctx.seed);
+    let probe_rounds = if ctx.fast { 1 } else { 2 };
     let mut csv = Vec::new();
     // Sweep hotspot contrast: children per cluster grows, background thins.
     for &(children, bg) in &[(40.0, 3.0), (80.0, 2.0), (160.0, 1.0)] {
         let cdep = ClusterDeployment::new(5, 1.0, 6, children, 1.0, bg);
         let dep = Deployment::Cluster(cdep);
-        let mut deg_sum = 0.0;
-        let mut fixed = (0.0, 0.0); // (reach@5, final)
-        let mut global = (0.0, 0.0);
-        let mut local = (0.0, 0.0);
-        for rep in 0..runs {
-            let topo = Topology::build(&dep.sample(factory.seed(Stream::Deployment, rep)));
-            deg_sum += topo.mean_degree();
-            let seed = factory.seed(Stream::Protocol, rep);
-            let eval = |trace: nss_sim::trace::SimTrace| {
-                let s = trace.phase_series();
+        let fields = replication(ctx, dep, GossipConfig::pb_cam(0.5), runs).map(|f| {
+            let seed = f.seed(Stream::Protocol);
+            // (reach@5, final) of one run.
+            let eval = |exec: Executor<'_>| {
+                let s = exec.run(seed).phase_series();
                 (
                     s.reachability_at_latency(LATENCY_BUDGET),
                     s.final_reachability(),
@@ -583,46 +571,31 @@ pub fn ext_hetero(ctx: &Ctx) {
             };
 
             // (a) fixed p tuned for the MEAN density via the 13/rho rule.
-            let p_fixed = (13.0 / topo.mean_degree().max(1.0)).clamp(0.02, 1.0);
-            let (a, b) = eval(
-                Executor::new(&topo)
-                    .gossip(GossipConfig::pb_cam(p_fixed))
-                    .run(seed),
-            );
-            fixed.0 += a;
-            fixed.1 += b;
+            let p_fixed = (13.0 / f.topo.mean_degree().max(1.0)).clamp(0.02, 1.0);
+            let fixed = eval(f.executor().prob(p_fixed));
 
             // (b) global adaptive: one measured success rate for everyone.
-            let rates = probe_per_node_success(
-                &topo,
-                3,
-                if ctx.fast { 1 } else { 2 },
-                factory.seed(Stream::Jitter, rep),
-            );
+            let rates = probe_per_node_success(&f.topo, 3, probe_rounds, f.seed(Stream::Jitter));
             let global_sr = rates.iter().sum::<f64>() / rates.len() as f64;
-            let p_global = controller.probability(global_sr);
-            let (a, b) = eval(
-                Executor::new(&topo)
-                    .gossip(GossipConfig::pb_cam(p_global))
-                    .run(seed),
-            );
-            global.0 += a;
-            global.1 += b;
+            let global = eval(f.executor().prob(controller.probability(global_sr)));
 
             // (c) per-node adaptive: each node from its own measured rate.
             let probs = per_node_probabilities(&controller, &rates);
-            let (a, b) = eval(
-                Executor::new(&topo)
-                    .gossip(GossipConfig::pb_cam(0.5))
-                    .per_node_probs(probs)
-                    .run(seed),
-            );
-            local.0 += a;
-            local.1 += b;
+            let local = eval(f.executor().per_node_probs(probs));
+            (f.topo.mean_degree(), [fixed, global, local])
+        });
+        let mut deg_sum = 0.0;
+        let mut sums = [(0.0, 0.0); 3]; // fixed, global, local
+        for (deg, evals) in fields {
+            deg_sum += deg;
+            for (sum, (reach5, fin)) in sums.iter_mut().zip(evals) {
+                sum.0 += reach5;
+                sum.1 += fin;
+            }
         }
-        let r = runs as f64;
+        let r = f64::from(runs);
         let mut row = format!("{children},{bg},{}", deg_sum / r);
-        for (reach5, fin) in [fixed, global, local] {
+        for (reach5, fin) in sums {
             row.push_str(&format!(",{},{}", reach5 / r, fin / r));
         }
         csv.push(row);

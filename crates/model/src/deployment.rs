@@ -4,7 +4,7 @@
 //! circle of radius `P·r`** with the broadcast source at the center and
 //! `N = δ·π·(P·r)²` (§4). That layout is [`Deployment::disk`]. A square
 //! grid layout (used by ref. 32 of the paper for the percolation-style
-//! extension experiment) and a Poisson-count variant are also provided.
+//! extension experiment) and a clustered layout are also provided.
 
 use crate::error::ConfigError;
 use crate::geometry::Point2;
@@ -12,16 +12,6 @@ use crate::ids::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::PI;
-
-/// How the node count of a disk deployment is drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CountModel {
-    /// Exactly `round(δ·π·(P·r)²)` nodes — the paper's setting.
-    #[default]
-    Fixed,
-    /// `N ~ Poisson(δ·π·(P·r)²)`, the spatial-Poisson-process view.
-    Poisson,
-}
 
 /// Uniform deployment in a disk of radius `P·r`, source at the center.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,8 +22,6 @@ pub struct DiskDeployment {
     pub comm_radius: f64,
     /// Node density `δ` (expected nodes per unit area).
     pub density: f64,
-    /// Whether the node count is fixed or Poisson-distributed.
-    pub count_model: CountModel,
 }
 
 impl DiskDeployment {
@@ -46,7 +34,6 @@ impl DiskDeployment {
             p_factor,
             comm_radius,
             density,
-            count_model: CountModel::Fixed,
         }
     }
 
@@ -75,7 +62,7 @@ impl DiskDeployment {
     }
 }
 
-/// Square-grid deployment with optional uniform jitter, used by the
+/// Square-grid deployment, used by the
 /// percolation extension experiment (ref. 32 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridDeployment {
@@ -85,9 +72,6 @@ pub struct GridDeployment {
     pub spacing: f64,
     /// Communication radius of every node.
     pub comm_radius: f64,
-    /// Uniform jitter amplitude applied to each coordinate, as a fraction
-    /// of `spacing` (0 = perfect grid).
-    pub jitter: f64,
 }
 
 impl GridDeployment {
@@ -99,14 +83,7 @@ impl GridDeployment {
             side,
             spacing,
             comm_radius,
-            jitter: 0.0,
         }
-    }
-
-    /// Sets the jitter fraction (clamped to [0, 0.5)).
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter.clamp(0.0, 0.499);
-        self
     }
 }
 
@@ -200,7 +177,7 @@ impl Deployment {
         let mut rng = SmallRng::seed_from_u64(seed);
         let positions = match self {
             Deployment::Disk(d) => sample_disk(d, &mut rng),
-            Deployment::Grid(g) => sample_grid(g, &mut rng),
+            Deployment::Grid(g) => sample_grid(g),
             Deployment::Cluster(c) => sample_cluster(c, &mut rng),
         };
         DeployedNetwork {
@@ -213,12 +190,7 @@ impl Deployment {
 }
 
 fn sample_disk(d: &DiskDeployment, rng: &mut SmallRng) -> Vec<Point2> {
-    let expected = d.expected_count();
-    let n = match d.count_model {
-        CountModel::Fixed => expected.round() as usize,
-        CountModel::Poisson => sample_poisson(expected, rng),
-    }
-    .max(1);
+    let n = (d.expected_count().round() as usize).max(1);
     let radius = d.field_radius();
     let mut pts = Vec::with_capacity(n);
     pts.push(Point2::ORIGIN); // the source
@@ -231,7 +203,7 @@ fn sample_disk(d: &DiskDeployment, rng: &mut SmallRng) -> Vec<Point2> {
     pts
 }
 
-fn sample_grid(g: &GridDeployment, rng: &mut SmallRng) -> Vec<Point2> {
+fn sample_grid(g: &GridDeployment) -> Vec<Point2> {
     let side = g.side as usize;
     let mut pts = Vec::with_capacity(side * side);
     // Center the grid on the origin and make the node nearest the center the
@@ -247,19 +219,9 @@ fn sample_grid(g: &GridDeployment, rng: &mut SmallRng) -> Vec<Point2> {
         da.total_cmp(&db)
     });
     for (i, j) in cells {
-        let jx = if g.jitter > 0.0 {
-            rng.random_range(-g.jitter..g.jitter) * g.spacing
-        } else {
-            0.0
-        };
-        let jy = if g.jitter > 0.0 {
-            rng.random_range(-g.jitter..g.jitter) * g.spacing
-        } else {
-            0.0
-        };
         pts.push(Point2::new(
-            (i as f64 - half) * g.spacing + jx,
-            (j as f64 - half) * g.spacing + jy,
+            (i as f64 - half) * g.spacing,
+            (j as f64 - half) * g.spacing,
         ));
     }
     pts
@@ -495,17 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_count_varies_but_centers_on_lambda() {
-        let mut d = DiskDeployment::from_rho(5, 1.0, 20.0);
-        d.count_model = CountModel::Poisson;
-        let spec = Deployment::Disk(d);
-        let counts: Vec<usize> = (0..50).map(|s| spec.sample(s).len()).collect();
-        let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
-        assert!((mean - 500.0).abs() < 25.0, "Poisson mean {mean} off");
-        assert!(counts.iter().any(|&c| c != counts[0]), "no variation");
-    }
-
-    #[test]
     fn poisson_small_lambda() {
         let mut rng = SmallRng::seed_from_u64(5);
         let n = 4000;
@@ -528,22 +479,6 @@ mod tests {
             assert!(p.x.abs() <= 2.0 + 1e-9 && p.y.abs() <= 2.0 + 1e-9);
             assert!((p.x - p.x.round()).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn grid_jitter_perturbs_but_bounds() {
-        let g = GridDeployment::new(4, 2.0, 1.5).with_jitter(0.25);
-        let net = Deployment::Grid(g).sample(11);
-        let perfect = Deployment::Grid(GridDeployment::new(4, 2.0, 1.5)).sample(11);
-        let mut moved = 0;
-        for (a, b) in net.positions().iter().zip(perfect.positions()) {
-            let d = a.dist(b);
-            assert!(d <= 2.0 * 0.25 * 2.0 * 2.0f64.sqrt() + 1e-9);
-            if d > 0.0 {
-                moved += 1;
-            }
-        }
-        assert!(moved > 0, "jitter had no effect");
     }
 
     #[test]

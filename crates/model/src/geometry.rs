@@ -121,14 +121,6 @@ pub fn lens_area_border(d1: f64, d2: f64, x: f64) -> f64 {
     lens_area(d1, d2, d)
 }
 
-/// Returns true if `p` lies strictly inside the disk of radius `r` centered
-/// at `c` (boundary counts as inside; the unit-disk model treats nodes at
-/// exactly distance `r` as neighbors).
-#[inline]
-pub fn in_disk(p: &Point2, c: &Point2, r: f64) -> bool {
-    p.dist_sq(c) <= r * r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,12 +231,5 @@ mod tests {
         for d in [0.0, 0.3, 1.0, 2.4, 3.0] {
             assert!((lens_area(2.0, 1.5, d) - lens_area(1.5, 2.0, d)).abs() < TOL);
         }
-    }
-
-    #[test]
-    fn in_disk_boundary_counts() {
-        let c = Point2::ORIGIN;
-        assert!(in_disk(&Point2::new(1.0, 0.0), &c, 1.0));
-        assert!(!in_disk(&Point2::new(1.0 + 1e-9, 0.0), &c, 1.0));
     }
 }

@@ -56,7 +56,7 @@ pub mod topology;
 pub mod prelude {
     pub use crate::comm::{CollisionRule, CommunicationModel, CostParams, Primitive};
     pub use crate::deployment::{
-        ClusterDeployment, CountModel, DeployedNetwork, Deployment, DiskDeployment, GridDeployment,
+        ClusterDeployment, DeployedNetwork, Deployment, DiskDeployment, GridDeployment,
     };
     pub use crate::error::ConfigError;
     pub use crate::faults::{DutyCycle, FaultPlan, NodeOutage};

@@ -1,6 +1,6 @@
-//! Snapshot exporters: console table, JSON, and Prometheus text format.
+//! Snapshot exporters: JSON and Prometheus text format.
 //!
-//! All three render the same point-in-time snapshot of the global
+//! Both render the same point-in-time snapshot of the global
 //! [`Registry`]: labels, counters, gauges, and histogram aggregates
 //! (including p50/p90/p99 estimates). JSON is hand-rolled (no
 //! serializer dependency — this crate must stay dependency-free) but emits
@@ -37,55 +37,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Renders the registry as a human-readable table.
-pub fn console_table(reg: &Registry) -> String {
-    let mut out = String::new();
-    let labels = reg.labels_snapshot();
-    let counters = reg.counters_snapshot();
-    let gauges = reg.gauges_snapshot();
-    let hists = reg.histograms_snapshot();
-    if !labels.is_empty() {
-        out.push_str("labels:\n");
-        for (k, v) in &labels {
-            let _ = writeln!(out, "  {k} = {v}");
-        }
-    }
-    if !counters.is_empty() {
-        let width = counters.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-        out.push_str("counters:\n");
-        for (k, v) in &counters {
-            let _ = writeln!(out, "  {k:<width$}  {v:>12}");
-        }
-    }
-    if !gauges.is_empty() {
-        let width = gauges.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-        out.push_str("gauges:\n");
-        for (k, v) in &gauges {
-            let _ = writeln!(out, "  {k:<width$}  {v:>16.6}");
-        }
-    }
-    if !hists.is_empty() {
-        out.push_str("histograms (count / mean / p50 / p99 / max):\n");
-        let width = hists.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-        for (k, h) in &hists {
-            let (p50, _, p99) = h.percentiles();
-            let _ = writeln!(
-                out,
-                "  {k:<width$}  {:>8}  {:>12.6}  {:>12.6}  {:>12.6}  {:>12.6}",
-                h.count,
-                h.mean(),
-                p50.unwrap_or(0.0),
-                p99.unwrap_or(0.0),
-                h.max.unwrap_or(0.0),
-            );
-        }
-    }
-    if out.is_empty() {
-        out.push_str("(no metrics recorded)\n");
-    }
-    out
 }
 
 fn histogram_json(h: &HistogramSnapshot) -> String {
@@ -272,25 +223,6 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("plain"), "plain");
         assert_eq!(json_escape("\u{01}"), "\\u0001");
-    }
-
-    #[test]
-    fn console_table_mentions_everything() {
-        let t = console_table(&sample_registry());
-        for needle in [
-            "a.hits",
-            "a.misses",
-            "mem.bytes",
-            "t.seconds",
-            "seed = 2005",
-            "10",
-        ] {
-            assert!(t.contains(needle), "missing {needle:?} in:\n{t}");
-        }
-        assert_eq!(
-            console_table(&Registry::default()),
-            "(no metrics recorded)\n"
-        );
     }
 
     #[test]

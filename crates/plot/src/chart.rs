@@ -10,6 +10,10 @@ const PALETTE: [&str; 8] = [
     "#0072B2", "#D55E00", "#009E73", "#CC79A7", "#E69F00", "#56B4E9", "#F0E442", "#000000",
 ];
 
+// Canvas size in pixels.
+const WIDTH: u32 = 720;
+const HEIGHT: u32 = 480;
+
 /// One plotted series: a label and data points. `None` y-values break the
 /// line (the paper's figures omit infeasible parameter combinations).
 #[derive(Debug, Clone)]
@@ -63,16 +67,14 @@ impl Series {
     }
 }
 
-/// A line chart under construction.
+/// A line chart under construction: a 720×480 canvas whose y-axis spans
+/// the data with 5% padding.
 #[derive(Debug, Clone)]
 pub struct Chart {
     title: String,
     x_label: String,
     y_label: String,
     series: Vec<Series>,
-    width: u32,
-    height: u32,
-    y_range: Option<(f64, f64)>,
 }
 
 impl Chart {
@@ -87,30 +89,12 @@ impl Chart {
             x_label: x_label.into(),
             y_label: y_label.into(),
             series: Vec::new(),
-            width: 720,
-            height: 480,
-            y_range: None,
         }
     }
 
     /// Adds a series (builder style).
     pub fn with_series(mut self, s: Series) -> Self {
         self.series.push(s);
-        self
-    }
-
-    /// Overrides the canvas size (default 720×480).
-    pub fn with_size(mut self, width: u32, height: u32) -> Self {
-        assert!(width >= 200 && height >= 150, "canvas too small to render");
-        self.width = width;
-        self.height = height;
-        self
-    }
-
-    /// Pins the y-axis range (default: auto from the data with 5% padding).
-    pub fn with_y_range(mut self, lo: f64, hi: f64) -> Self {
-        assert!(lo < hi, "empty y range");
-        self.y_range = Some((lo, hi));
         self
     }
 
@@ -142,18 +126,17 @@ impl Chart {
 
     /// Renders the chart to an SVG string.
     pub fn render_svg(&self) -> String {
-        let w = f64::from(self.width);
-        let h = f64::from(self.height);
+        let w = f64::from(WIDTH);
+        let h = f64::from(HEIGHT);
         let (ml, mr, mt, mb) = (64.0, 16.0, 36.0, 48.0); // margins
         let legend_w = if self.series.len() > 1 { 120.0 } else { 0.0 };
         let plot = (ml, w - mr - legend_w, mt, h - mb); // x0, x1, y0, y1
 
-        let ((dx0, dx1), auto_y) = self.data_extent();
-        let (dy0, dy1) = self.y_range.unwrap_or(auto_y);
+        let ((dx0, dx1), (dy0, dy1)) = self.data_extent();
         let xs = LinearScale::new(dx0, dx1, plot.0, plot.1);
         let ys = LinearScale::new(dy0, dy1, plot.3, plot.2); // inverted
 
-        let mut doc = SvgDoc::new(self.width, self.height);
+        let mut doc = SvgDoc::new(WIDTH, HEIGHT);
 
         // Frame.
         doc.line(plot.0, plot.3, plot.1, plot.3, "#333", 1.0); // x axis
@@ -294,14 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_y_range_respected() {
-        let svg = sample_chart().with_y_range(0.0, 1.0).render_svg();
-        assert!(svg.contains(">1</text>"));
-        // padding from auto-range would have produced 1.05-ish ticks
-        assert!(!svg.contains(">1.1<"));
-    }
-
-    #[test]
     fn save_writes_file() {
         let dir = std::env::temp_dir().join("nss_plot_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -310,17 +285,5 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("<svg"));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "canvas too small")]
-    fn tiny_canvas_rejected() {
-        let _ = Chart::new("t", "x", "y").with_size(10, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty y range")]
-    fn empty_y_range_rejected() {
-        let _ = Chart::new("t", "x", "y").with_y_range(1.0, 1.0);
     }
 }

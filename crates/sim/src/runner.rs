@@ -4,6 +4,12 @@
 //! point. Each replication gets an independent deployment and protocol RNG
 //! stream derived from one master seed ([`nss_model::rng::SeedFactory`]),
 //! so results are bit-reproducible regardless of thread scheduling.
+//!
+//! [`Replication::map`] is the one per-field loop: it samples and builds
+//! replication `i`'s field from the `Stream::Deployment` seed for `i` and
+//! hands it to a closure as a [`Field`]. [`Replication::run`] is the
+//! paper's protocol on it; experiments that run several protocols or
+//! parameter values on each field map their own closure.
 
 use crate::executor::Executor;
 use crate::slotted::GossipConfig;
@@ -98,7 +104,6 @@ impl Replication {
     /// Runs all replications and collects their traces (ordered by
     /// replication index).
     pub fn run(&self) -> ReplicatedTraces {
-        let factory = SeedFactory::new(self.master_seed);
         nss_obs::set_label!("sim.master_seed", self.master_seed);
         nss_obs::set_label!(
             "sim.rng_streams",
@@ -111,39 +116,86 @@ impl Replication {
                 Stream::Misc.label()
             )
         );
-        let n = self.replications as usize;
         ReplicatedTraces {
-            traces: par::map_indexed(n, par::workers(self.threads, n), |i| {
-                self.run_one(&factory, i as u64)
+            traces: self.map(|field| {
+                let trace = field.executor().run(field.seed(Stream::Protocol));
+                field.observe(&trace);
+                trace
             }),
         }
     }
 
-    fn run_one(&self, factory: &SeedFactory, rep: u64) -> SimTrace {
-        let start = nss_obs::enabled().then(std::time::Instant::now);
-        let net = self
-            .deployment
-            .sample(factory.seed(Stream::Deployment, rep));
-        let topo = Topology::build(&net);
-        let trace = Executor::new(&topo)
-            .gossip(self.gossip)
-            .faults(self.faults.clone())
-            .faults_seed(factory.seed(Stream::Faults, rep))
-            .threads(self.intra_threads)
-            .run(factory.seed(Stream::Protocol, rep));
-        if let Some(start) = start {
-            let secs = start.elapsed().as_secs_f64();
-            nss_obs::observe!("sim.replication_seconds", secs);
-            nss_obs::counter!("sim.replications").inc();
-            // Throughput in node-phases per second: the scale-engine figure
-            // of merit.
-            let node_phases = (topo.len() as u64) * trace.phases() as u64;
-            nss_obs::counter!("sim.node_phases").add(node_phases);
-            if secs > 0.0 {
-                nss_obs::observe!("sim.nodes_per_sec", node_phases as f64 / secs);
-            }
+    /// Samples and builds every replication's field and applies `f` to
+    /// each, on [`threads`](Replication::threads) workers. Results come
+    /// back in replication order at any thread count.
+    pub fn map<T, F>(&self, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&Field<'_>) -> T + Sync,
+    {
+        let factory = SeedFactory::new(self.master_seed);
+        let n = self.replications as usize;
+        par::map_indexed(n, par::workers(self.threads, n), |i| {
+            let started = nss_obs::enabled().then(std::time::Instant::now);
+            let index = i as u64;
+            let net = self
+                .deployment
+                .sample(factory.seed(Stream::Deployment, index));
+            f(&Field {
+                index,
+                topo: Topology::build(&net),
+                replication: self,
+                started,
+            })
+        })
+    }
+}
+
+/// One replication's sampled field, as [`Replication::map`] hands it out.
+#[derive(Debug)]
+pub struct Field<'a> {
+    /// Replication index (`0..replications`).
+    pub index: u64,
+    /// The field's topology, built from the `Stream::Deployment` seed for
+    /// [`index`](Field::index).
+    pub topo: Topology,
+    replication: &'a Replication,
+    started: Option<std::time::Instant>,
+}
+
+impl Field<'_> {
+    /// This replication's seed for `stream`.
+    pub fn seed(&self, stream: Stream) -> u64 {
+        SeedFactory::new(self.replication.master_seed).seed(stream, self.index)
+    }
+
+    /// An executor over this field with the replication's gossip config,
+    /// fault plan, `Stream::Faults` seed and engine.
+    pub fn executor(&self) -> Executor<'_> {
+        let rep = self.replication;
+        Executor::new(&self.topo)
+            .gossip(rep.gossip)
+            .faults(rep.faults.clone())
+            .faults_seed(self.seed(Stream::Faults))
+            .threads(rep.intra_threads)
+    }
+
+    /// Publishes the replication's wall time (sampling included) and
+    /// node-phase throughput; a no-op unless instrumentation is live.
+    fn observe(&self, trace: &SimTrace) {
+        let Some(started) = self.started else {
+            return;
+        };
+        let secs = started.elapsed().as_secs_f64();
+        nss_obs::observe!("sim.replication_seconds", secs);
+        nss_obs::counter!("sim.replications").inc();
+        // Throughput in node-phases per second: the scale-engine figure
+        // of merit.
+        let node_phases = (self.topo.len() as u64) * trace.phases() as u64;
+        nss_obs::counter!("sim.node_phases").add(node_phases);
+        if secs > 0.0 {
+            nss_obs::observe!("sim.nodes_per_sec", node_phases as f64 / secs);
         }
-        trace
     }
 }
 
@@ -255,6 +307,24 @@ mod tests {
         for (a, b) in seq.traces.iter().zip(&par.traces) {
             assert_eq!(a.first_rx_phase, b.first_rx_phase);
             assert_eq!(a.broadcasts_by_phase, b.broadcasts_by_phase);
+        }
+        // `map` hands out the same fields in the same order at any worker
+        // count, and `run` is `map` over each field's executor.
+        let field = |f: &Field<'_>| {
+            (
+                f.index,
+                f.topo.len(),
+                f.seed(Stream::Jitter),
+                f.executor().run(f.seed(Stream::Protocol)),
+            )
+        };
+        let mapped = small_replication(1).map(field);
+        for threads in [2, 4] {
+            assert_eq!(small_replication(threads).map(field), mapped);
+        }
+        for (k, (index, _, _, trace)) in mapped.iter().enumerate() {
+            assert_eq!(*index, k as u64);
+            assert_eq!(trace, &seq.traces[k]);
         }
     }
 

@@ -29,7 +29,7 @@ fn main() {
         "rho", "measured_sr", "p_adapt", "reach_adapt", "p_oracle", "reach_oracle", "eff"
     );
     for rho in [20.0, 60.0, 100.0, 140.0] {
-        let out = evaluate_adaptive(&NetworkModel::paper(rho), &controller, 5.0, 6, 11);
+        let out = evaluate_adaptive(&NetworkModel::paper(rho), &controller, 5.0, 6, 11, 0);
         println!(
             "{rho:>6.0} {:>12.4} {:>10.2} {:>12.3} {:>10.2} {:>12.3} {:>6.2}",
             out.measured_success_rate,

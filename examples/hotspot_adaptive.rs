@@ -32,44 +32,32 @@ fn main() {
     let mut local_series = Vec::new();
     for children in [30.0, 60.0, 120.0, 200.0] {
         let dep = Deployment::Cluster(ClusterDeployment::new(5, 1.0, 6, children, 1.0, 2.0));
-        let mut sums = (0.0, 0.0, 0.0, 0.0);
         let runs = 6;
-        for rep in 0..runs {
-            let topo = Topology::build(&dep.sample(1000 + rep));
-            sums.3 += topo.mean_degree();
-            let seed = 77 ^ rep;
+        // Per field: final reachability of the fixed, global and per-node
+        // rules, then the field's mean degree.
+        let fields = Replication::paper(dep, GossipConfig::pb_cam(0.5), 77)
+            .with_runs(runs)
+            .map(|f| {
+                let final_reach =
+                    |exec: Executor<'_>| exec.run(f.seed(Stream::Protocol)).final_reachability();
+                let p_fixed = (13.0 / f.topo.mean_degree().max(1.0)).clamp(0.02, 1.0);
+                let fixed = final_reach(f.executor().prob(p_fixed));
 
-            let p_fixed = (13.0 / topo.mean_degree().max(1.0)).clamp(0.02, 1.0);
-            sums.0 += Executor::new(&topo)
-                .gossip(GossipConfig::pb_cam(p_fixed))
-                .run(seed)
-                .final_reachability();
+                let rates = probe_per_node_success(&f.topo, 3, 2, f.seed(Stream::Jitter));
+                let global_sr = rates.iter().sum::<f64>() / rates.len() as f64;
+                let global = final_reach(f.executor().prob(controller.probability(global_sr)));
 
-            let rates = probe_per_node_success(&topo, 3, 2, 55 + rep);
-            let global_sr = rates.iter().sum::<f64>() / rates.len() as f64;
-            sums.1 += Executor::new(&topo)
-                .gossip(GossipConfig::pb_cam(controller.probability(global_sr)))
-                .run(seed)
-                .final_reachability();
-
-            let probs = per_node_probabilities(&controller, &rates);
-            sums.2 += Executor::new(&topo)
-                .gossip(GossipConfig::pb_cam(0.5))
-                .per_node_probs(probs)
-                .run(seed)
-                .final_reachability();
-        }
-        let r = runs as f64;
-        println!(
-            "{children:>10.0} {:>10.1} {:>12.3} {:>12.3} {:>12.3}",
-            sums.3 / r,
-            sums.0 / r,
-            sums.1 / r,
-            sums.2 / r
-        );
-        fixed_series.push((children, sums.0 / r));
-        global_series.push((children, sums.1 / r));
-        local_series.push((children, sums.2 / r));
+                let probs = per_node_probabilities(&controller, &rates);
+                let local = final_reach(f.executor().per_node_probs(probs));
+                [fixed, global, local, f.topo.mean_degree()]
+            });
+        let r = f64::from(runs);
+        let mean = |k: usize| fields.iter().map(|v| v[k]).sum::<f64>() / r;
+        let (fixed, global, local, degree) = (mean(0), mean(1), mean(2), mean(3));
+        println!("{children:>10.0} {degree:>10.1} {fixed:>12.3} {global:>12.3} {local:>12.3}");
+        fixed_series.push((children, fixed));
+        global_series.push((children, global));
+        local_series.push((children, local));
     }
 
     let chart = Chart::new(
