@@ -16,11 +16,11 @@
 //! `t_f(ρ) = t_a / sr(ρ)`, `e_f(ρ) = e_a / sr(ρ)`.
 //!
 //! [`RefinedCfm`] tabulates `sr` over a density range once (each entry is
-//! one ring-model run) and interpolates between entries.
+//! one ring-model run) and interpolates between entries; its
+//! `expected_attempts` is the `1 / sr(ρ)` factor.
 
 use crate::flooding::flooding_success_rate;
 use crate::ring_model::RingModelConfig;
-use nss_model::comm::CostParams;
 
 /// Density-dependent CFM cost model (the paper's §6 proposal).
 #[derive(Debug, Clone, PartialEq)]
@@ -91,16 +91,6 @@ impl RefinedCfm {
             1.0 / sr
         }
     }
-
-    /// Density-dependent reliable-transmission time cost `t_f(ρ)`.
-    pub fn time_cost(&self, rho: f64, costs: &CostParams) -> f64 {
-        costs.t_a * self.expected_attempts(rho)
-    }
-
-    /// Density-dependent reliable-transmission energy cost `e_f(ρ)`.
-    pub fn energy_cost(&self, rho: f64, costs: &CostParams) -> f64 {
-        costs.e_a * self.expected_attempts(rho)
-    }
 }
 
 #[cfg(test)]
@@ -138,19 +128,6 @@ mod tests {
         assert_eq!(model.success_rate(500.0), 0.1);
         // Midpoint linear.
         assert!((model.success_rate(60.0) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn costs_scale_with_base_costs() {
-        let model = RefinedCfm::from_samples(vec![(50.0, 0.25)]);
-        let costs = CostParams {
-            t_f: 10.0,
-            e_f: 20.0,
-            t_a: 2.0,
-            e_a: 3.0,
-        };
-        assert!((model.time_cost(50.0, &costs) - 8.0).abs() < 1e-12); // 2/0.25
-        assert!((model.energy_cost(50.0, &costs) - 12.0).abs() < 1e-12); // 3/0.25
     }
 
     #[test]

@@ -116,11 +116,16 @@ fn main() {
         }
     );
 
-    for fig in &selected {
-        fig.run(&ctx);
-    }
+    let timed: Vec<_> = selected
+        .iter()
+        .map(|fig| {
+            let t0 = Instant::now();
+            fig.run(&ctx);
+            (fig.name.to_string(), t0.elapsed().as_secs_f64())
+        })
+        .collect();
 
-    write_run_records(&ctx, &selected, started.elapsed().as_secs_f64());
+    write_run_records(&ctx, timed, started.elapsed().as_secs_f64());
 
     if let Some(path) = &ctx.trace_out {
         match nss_obs::trace::write_chrome_trace(path) {
@@ -297,10 +302,11 @@ fn select(commands: &[String]) -> Result<Vec<&'static FigureDef>, String> {
 }
 
 /// Emits the run's provenance next to its artifacts: `RUN_MANIFEST.json`
-/// (config fingerprint, seed, artifact hashes, counter snapshot) and
-/// `OBS_METRICS.json` (full registry dump; all zeros without `--features
-/// obs`). Both are written unconditionally — provenance is not optional.
-fn write_run_records(ctx: &Ctx, selected: &[&FigureDef], wall_s: f64) {
+/// (config fingerprint, seed, per-command wall seconds, artifact hashes,
+/// counter snapshot) and `OBS_METRICS.json` (full registry dump; all zeros
+/// without `--features obs`). Both are written unconditionally —
+/// provenance is not optional.
+fn write_run_records(ctx: &Ctx, commands: Vec<(String, f64)>, wall_s: f64) {
     let mut manifest = nss_obs::manifest::RunManifest::new("repro", ctx.seed);
     manifest.wall_s = wall_s;
     manifest.config_entry("fast", ctx.fast);
@@ -310,9 +316,7 @@ fn write_run_records(ctx: &Ctx, selected: &[&FigureDef], wall_s: f64) {
     manifest.config_entry("faults", ctx.faults.to_spec());
     manifest.config_entry("medium", ctx.medium.to_spec());
     manifest.config_entry("obs_enabled", nss_obs::enabled());
-    for fig in selected {
-        manifest.commands.push(fig.name.to_string());
-    }
+    manifest.commands = commands;
     for path in ctx.artifacts() {
         manifest.add_artifact(&path);
     }

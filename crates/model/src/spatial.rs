@@ -182,8 +182,14 @@ impl GridIndex {
         &self,
         center: &Point2,
         radius: f64,
-        mut scan: impl FnMut(&[u32], &[f64], &[f64]),
+        scan: impl FnMut(&[u32], &[f64], &[f64]),
     ) {
+        self.for_each_block_row(self.stencil(center, radius), scan);
+    }
+
+    /// The cell block `[x_lo, x_hi, y_lo, y_hi]` (inclusive, in cells) that
+    /// `for_each_row(center, radius, ..)` scans.
+    pub(crate) fn stencil(&self, center: &Point2, radius: f64) -> [usize; 4] {
         let reach = (radius / self.cell).abs();
         let span = |v: f64, min: f64, cells: usize| {
             let f = (v - min) / self.cell;
@@ -195,11 +201,30 @@ impl GridIndex {
         };
         let (x_lo, x_hi) = span(center.x, self.min_x, self.nx);
         let (y_lo, y_hi) = span(center.y, self.min_y, self.ny);
+        [x_lo, x_hi, y_lo, y_hi]
+    }
+
+    /// Calls `scan(ids, xs, ys)` once per grid row of the cell block
+    /// `[x_lo, x_hi, y_lo, y_hi]`, lowest row first, as `for_each_row` does.
+    pub(crate) fn for_each_block_row(
+        &self,
+        [x_lo, x_hi, y_lo, y_hi]: [usize; 4],
+        mut scan: impl FnMut(&[u32], &[f64], &[f64]),
+    ) {
         for y in y_lo..=y_hi {
             let lo = self.starts[y * self.nx + x_lo] as usize;
             let hi = self.starts[y * self.nx + x_hi + 1] as usize;
             scan(&self.ids[lo..hi], &self.xs[lo..hi], &self.ys[lo..hi]);
         }
+    }
+
+    /// Each cell's run of the cell-ordered arrays, `(ids, xs, ys)`, in
+    /// cell-major order; ids ascend within a run.
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (&[u32], &[f64], &[f64])> {
+        self.starts.windows(2).map(|w| {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            (&self.ids[lo..hi], &self.xs[lo..hi], &self.ys[lo..hi])
+        })
     }
 
     /// Calls `f(id)` for every indexed point within distance `radius` of

@@ -80,9 +80,9 @@ impl Topology {
 
     /// Builds the unit-disk graph with a two-pass counting CSR layout,
     /// sharding the grid-query passes over `threads` workers (0 = pick
-    /// automatically). Each node's neighbor row is computed independently
-    /// and sorted ascending, so the result is bit-identical at any thread
-    /// count.
+    /// automatically). Each node's neighbor row is cut, in ascending id
+    /// order, from its cell's candidate block, sorted once per cell, so the
+    /// result is bit-identical at any thread count.
     pub fn try_build_with_threads(
         net: &DeployedNetwork,
         threads: usize,
@@ -99,12 +99,13 @@ impl Topology {
             par::workers(threads, n)
         };
 
-        // Both passes scan each node's 3×3 cell block as three contiguous
-        // runs of the index's cell-ordered coordinates (the stencil of
-        // `GridIndex::for_each_row`), and neither branches on the distance
-        // test: pass 1 sums it, pass 2 advances a cursor by it. Candidate
-        // cells, `dist_sq` and `<=` are those of `for_each_within`, so rows
-        // hold exactly the unit-disk neighbors.
+        // Both passes scan cell blocks as one contiguous run of the index's
+        // cell-ordered coordinates per grid row (pass 1 each node's stencil
+        // of `GridIndex::for_each_row`, pass 2 the union of a cell's), and
+        // neither branches on the distance test: pass 1 sums it, pass 2
+        // advances a cursor by it. Every stencil cell is a candidate, and
+        // `dist_sq` and `<=` are those of `for_each_within`, so rows hold
+        // exactly the unit-disk neighbors.
         let r2 = r * r;
 
         // Pass 1: count each node's degree (disjoint chunks of `degrees`).
@@ -138,10 +139,14 @@ impl Topology {
             starts.push(total as u32);
         }
 
-        // Pass 2: fill each row. Every candidate is stored into a per-worker
-        // scratch row and kept by advancing the cursor; the kept prefix is
-        // sorted, so rows are in ascending id order at any thread count,
-        // and copied into its disjoint sub-slice of the adjacency buffer.
+        // Pass 2: fill the rows cell by cell. The chunk's members in one
+        // cell share a candidate block, the union of their stencils (not
+        // the centre cell ± 1: a stencil can reach two cells away at
+        // exactly distance r). The block's ids are sorted once and its
+        // coordinates gathered into that order, so each member's cursor
+        // keeps its row in ascending id order at any thread count, with no
+        // per-row sort. The row is copied into its disjoint sub-slice of
+        // the adjacency buffer.
         let mut adj = vec![0u32; total as usize];
         let mut units = Vec::with_capacity(nworkers);
         let mut rest: &mut [u32] = &mut adj;
@@ -153,23 +158,44 @@ impl Topology {
         }
         par::map_units("topo.fill", units, |(lo, hi, out)| {
             let base = starts[lo] as usize;
-            let mut row = Vec::new();
-            for i in lo..hi {
-                let me = i as u32;
-                let p = positions[i];
-                let mut len = 0;
-                index.for_each_row(&p, r, |ids, xs, ys| {
-                    if row.len() < len + ids.len() {
-                        row.resize(len + ids.len(), 0);
-                    }
-                    for ((&id, &x), &y) in ids.iter().zip(xs).zip(ys) {
+            let (mut bids, mut bx, mut by, mut row) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for (ids, xs, ys) in index.cells() {
+                let first = ids.partition_point(|&id| (id as usize) < lo);
+                let members = first..first + ids[first..].partition_point(|&id| (id as usize) < hi);
+                if members.is_empty() {
+                    continue;
+                }
+                let block = members.clone().fold(
+                    [usize::MAX, 0, usize::MAX, 0],
+                    |[x_lo, x_hi, y_lo, y_hi], k| {
+                        let [a, b, c, d] = index.stencil(&Point2::new(xs[k], ys[k]), r);
+                        [x_lo.min(a), x_hi.max(b), y_lo.min(c), y_hi.max(d)]
+                    },
+                );
+                bids.clear();
+                index.for_each_block_row(block, |rids, _, _| bids.extend_from_slice(rids));
+                bids.sort_unstable();
+                bx.clear();
+                by.clear();
+                for &id in &bids {
+                    let q = index.position(NodeId(id));
+                    bx.push(q.x);
+                    by.push(q.y);
+                }
+                row.resize(row.len().max(bids.len()), 0);
+                for k in members {
+                    let me = ids[k];
+                    let p = Point2::new(xs[k], ys[k]);
+                    let mut len = 0;
+                    for ((&id, &x), &y) in bids.iter().zip(&bx).zip(&by) {
                         row[len] = id;
                         len += usize::from((Point2::new(x, y).dist_sq(&p) <= r2) & (id != me));
                     }
-                });
-                row[..len].sort_unstable();
-                out[starts[i] as usize - base..starts[i + 1] as usize - base]
-                    .copy_from_slice(&row[..len]);
+                    let i = me as usize;
+                    out[starts[i] as usize - base..starts[i + 1] as usize - base]
+                        .copy_from_slice(&row[..len]);
+                }
             }
         });
 
@@ -466,6 +492,52 @@ mod tests {
             assert_eq!(seq.starts, par.starts, "threads={threads}");
             assert_eq!(seq.adj, par.adj, "threads={threads}");
         }
+    }
+
+    /// Checks every CSR row, at 1–4 threads, against the brute-force
+    /// ascending list of the ids within the radius.
+    fn assert_rows_match_brute_force(net: &DeployedNetwork, what: &str) {
+        let (pts, r) = (net.positions(), net.comm_radius());
+        for threads in 1..=4 {
+            let topo = Topology::try_build_with_threads(net, threads).unwrap();
+            for (u, p) in pts.iter().enumerate() {
+                let want: Vec<u32> = (0..pts.len() as u32)
+                    .filter(|&v| v as usize != u && pts[v as usize].dist_sq(p) <= r * r)
+                    .collect();
+                assert_eq!(
+                    topo.neighbors(NodeId(u as u32)),
+                    want,
+                    "{what}: node {u} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    /// The fill's cell block must cover each member's whole stencil: at
+    /// exactly distance r, node 2's neighbour sits two cells away (the
+    /// field of `spatial`'s `pair_at_exactly_the_radius_across_a_cell_edge`),
+    /// and a sparse extent widens the cells beyond r (the field of its
+    /// `sparse_extent_widens_cells_and_stays_exact`).
+    #[test]
+    fn rows_match_brute_force_at_the_block_edges() {
+        let pair = [-0.0075, -0.0025, 0.0025].map(|x| Point2::new(x, 0.0));
+        let net = DeployedNetwork::from_positions(pair.to_vec(), 0.005);
+        assert_rows_match_brute_force(&net, "pair at exactly r");
+        assert_eq!(Topology::build(&net).neighbors(NodeId(2)), [1]);
+
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut pts: Vec<Point2> = (0..300)
+            .map(|_| Point2::new(rng.random_range(-3.0..3.0), rng.random_range(-3.0..3.0)))
+            .collect();
+        pts.extend([
+            Point2::new(-2e6, 5e5),
+            Point2::new(1e6, -1e6),
+            Point2::new(1e6, -1e6 + 0.5),
+        ]);
+        let net = DeployedNetwork::from_positions(pts, 1.0);
+        assert_rows_match_brute_force(&net, "widened cells");
     }
 
     /// FNV-1a digest of the CSR arrays, `starts` then `adj`, little-endian.

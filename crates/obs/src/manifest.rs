@@ -4,9 +4,9 @@
 //! seed produced this CSV?" — the question a production sweep service (or a
 //! reviewer re-checking a figure) asks first. It records a config
 //! fingerprint, the RNG master seed, `git describe` of the working tree,
-//! total wall time, an FNV-64 content hash per emitted artifact, and (in
-//! instrumented builds) a counter snapshot. Serialized as hand-rolled JSON
-//! next to the artifacts it describes.
+//! total and per-command wall time, an FNV-64 content hash per emitted
+//! artifact, and (in instrumented builds) a counter snapshot. Serialized
+//! as hand-rolled JSON next to the artifacts it describes.
 
 use crate::export::json_escape;
 use crate::registry::Registry;
@@ -67,8 +67,9 @@ pub struct RunManifest {
     pub wall_s: f64,
     /// Ordered configuration fingerprint (`key`, `value`) pairs.
     pub config: Vec<(String, String)>,
-    /// The commands/figures the run executed.
-    pub commands: Vec<String>,
+    /// The commands/figures the run executed, in run order, each with its
+    /// wall time in seconds.
+    pub commands: Vec<(String, f64)>,
     /// Every artifact the run wrote, in emission order.
     pub artifacts: Vec<Artifact>,
     /// Counter snapshot at write time (empty in uninstrumented builds).
@@ -127,6 +128,14 @@ impl RunManifest {
         );
         let _ = writeln!(out, "  \"master_seed\": {},", self.master_seed);
         let _ = writeln!(out, "  \"wall_s\": {:.3},", self.wall_s);
+        out.push_str("  \"command_s\": {");
+        for (i, (c, secs)) in self.commands.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\n    \"{}\": {secs:.3}", json_escape(c));
+        }
+        out.push_str("\n  },\n");
         out.push_str("  \"config\": {");
         for (i, (k, v)) in self.config.iter().enumerate() {
             if i > 0 {
@@ -135,7 +144,7 @@ impl RunManifest {
             let _ = write!(out, "\n    \"{}\": \"{}\"", json_escape(k), json_escape(v));
         }
         out.push_str("\n  },\n  \"commands\": [");
-        for (i, c) in self.commands.iter().enumerate() {
+        for (i, (c, _)) in self.commands.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
@@ -189,7 +198,7 @@ mod tests {
         m.wall_s = 1.5;
         m.config_entry("rho_axis", "20..140");
         m.config_entry("quad_points", 64);
-        m.commands.push("fig4".into());
+        m.commands.push(("fig4".into(), 0.25));
         let dir = std::env::temp_dir().join("nss_obs_manifest_test");
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("sample.csv");
@@ -199,6 +208,8 @@ mod tests {
         assert!(json.contains("\"schema_version\": 1"));
         assert!(json.contains("\"master_seed\": 2005"));
         assert!(json.contains("\"quad_points\": \"64\""));
+        assert!(json.contains("\"command_s\": {\n    \"fig4\": 0.250\n  },"));
+        assert!(json.contains("\"commands\": [\"fig4\"]"));
         assert!(json.contains("\"fnv64\""));
         assert!(json.contains(&format!("{:016x}", fnv64(b"a,b\n1,2\n"))));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

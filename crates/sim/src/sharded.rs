@@ -10,7 +10,7 @@
 //! 1. **Stateless randomness.** The sequential engine draws coins from
 //!    one `SmallRng` whose consumption order is part of the trace. Here
 //!    every random decision — rebroadcast coin and slot jitter — is a pure
-//!    hash of `(seed, phase, node)` ([`stateless_draw`], the same
+//!    hash of `(seed, phase, node)` (`stateless_draw`, the same
 //!    counter-based discipline [`crate::faults`] uses for link-loss coins),
 //!    so no decision depends on an order.
 //! 2. **Atomic-claim contention.** `Arbiter::resolve_slot` holds the claim
