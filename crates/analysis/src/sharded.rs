@@ -9,8 +9,8 @@
 //!
 //! * **Sharding** — `shards` independent maps selected by a deterministic
 //!   FNV-64 fingerprint of the key ([`Fingerprint`]), each behind its own
-//!   [`std::sync::Mutex`], so concurrent queries for different keys never
-//!   serialize on one lock.
+//!   [`nss_obs::sync::Mutex`], so concurrent queries for different keys
+//!   never serialize on one lock.
 //! * **Cold-miss coalescing** — the first thread to miss a key installs a
 //!   `Slot::Building` placeholder and computes the value *outside* the
 //!   shard lock; every concurrent miss for the same key blocks on a
@@ -31,12 +31,14 @@
 //!
 //! Per-shard state uses `BTreeMap` (not a hash map) for the same reason as
 //! `KernelCache`: deterministic traversal order in reports and debug
-//! dumps. Coalescing uses `std::sync::{Mutex, Condvar}`; like every lock
-//! in the crate, a poisoned one is recovered with `PoisonError::into_inner`.
+//! dumps. Coalescing waits on a `Condvar` under the build's own mutex. No
+//! site holds a shard guard and a build guard at once, which the checked
+//! mutex enforces in debug builds.
 
+use nss_obs::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar};
 
 use crate::tables::KernelKey;
 use nss_obs::manifest::fnv64;
@@ -220,7 +222,7 @@ impl<K: Ord + Clone + Fingerprint, V: CacheWeight> ShardedCache<K, V> {
         loop {
             // Fast path + build-slot installation, under the shard lock.
             let build_slot = {
-                let mut state = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut state = shard.state.lock();
                 state.tick += 1;
                 let tick = state.tick;
                 match state.map.get_mut(key) {
@@ -255,11 +257,11 @@ impl<K: Ord + Clone + Fingerprint, V: CacheWeight> ShardedCache<K, V> {
             // Coalesced path: wait for the in-flight build, outside the
             // shard lock.
             if let Some(b) = build_slot {
-                let mut st = b.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut st = b.state.lock();
                 loop {
                     match &*st {
                         BuildState::Pending => {
-                            st = b.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+                            st = st.wait(&b.cv);
                         }
                         BuildState::Done(value, admitted) => {
                             self.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -286,7 +288,8 @@ impl<K: Ord + Clone + Fingerprint, V: CacheWeight> ShardedCache<K, V> {
         build_slot: Arc<Build<V>>,
         build: impl FnOnce() -> V,
     ) -> Outcome<V> {
-        // If the builder panics, this guard flips the slot to Failed and
+        // If the builder (or the caller's `cache_bytes`) panics before the
+        // value is published, this guard flips the slot to Failed and
         // removes the placeholder so waiters retry instead of hanging.
         struct Abort<'a, K: Ord + Clone + Fingerprint, V: CacheWeight> {
             shard: &'a Shard<K, V>,
@@ -299,20 +302,12 @@ impl<K: Ord + Clone + Fingerprint, V: CacheWeight> ShardedCache<K, V> {
                 if !self.armed {
                     return;
                 }
-                let mut state = self
-                    .shard
-                    .state
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
+                let mut state = self.shard.state.lock();
                 if matches!(state.map.get(self.key), Some(Slot::Building(_))) {
                     state.map.remove(self.key);
                 }
                 drop(state);
-                *self
-                    .build
-                    .state
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner) = BuildState::Failed;
+                *self.build.state.lock() = BuildState::Failed;
                 self.build.cv.notify_all();
             }
         }
@@ -324,13 +319,12 @@ impl<K: Ord + Clone + Fingerprint, V: CacheWeight> ShardedCache<K, V> {
         };
 
         let value = Arc::new(build());
-        abort.armed = false;
 
         let bytes = value.cache_bytes();
         let admitted = bytes <= self.per_shard_budget;
         let mut evicted = 0usize;
         {
-            let mut state = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut state = shard.state.lock();
             if admitted {
                 // Evict LRU Ready entries until the newcomer fits. Building
                 // placeholders are never evicted (they hold waiters).
@@ -377,12 +371,9 @@ impl<K: Ord + Clone + Fingerprint, V: CacheWeight> ShardedCache<K, V> {
             }
         }
 
-        *build_slot
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) =
-            BuildState::Done(Arc::clone(&value), admitted);
+        *build_slot.state.lock() = BuildState::Done(Arc::clone(&value), admitted);
         build_slot.cv.notify_all();
+        abort.armed = false;
 
         Outcome {
             value,
@@ -409,7 +400,7 @@ impl<K: Ord + Clone + Fingerprint, V: CacheWeight> ShardedCache<K, V> {
     /// waiters still receive the built value; it just isn't re-admitted).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut state = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut state = shard.state.lock();
             let mut freed_bytes = 0usize;
             let mut freed_entries = 0usize;
             state.map.retain(|_, slot| match slot {
@@ -521,6 +512,21 @@ mod tests {
         // The next lookup is a fresh miss, not a hit.
         let out = cache.get_or_build(&Key(9), || Val { id: 9, weight: 999 });
         assert_eq!(out.kind, OutcomeKind::Built);
+    }
+
+    #[test]
+    fn builder_runs_outside_the_shard_lock() {
+        // One shard, so the inner key lives behind the same lock as the
+        // outer one: a builder run under the guard would deadlock (or, in
+        // debug builds, panic on the nested lock).
+        let cache: ShardedCache<Key, Val> = ShardedCache::new(1, 4096);
+        let outer = cache.get_or_build(&Key(1), || {
+            let inner = cache.get_or_build(&Key(2), || Val { id: 2, weight: 10 });
+            assert_eq!(inner.kind, OutcomeKind::Built);
+            Val { id: 1, weight: 10 }
+        });
+        assert_eq!(outer.kind, OutcomeKind::Built);
+        assert_eq!(cache.stats().resident_entries, 2);
     }
 
     #[test]

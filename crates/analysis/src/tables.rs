@@ -30,9 +30,10 @@ use crate::mu_cs::{mu_cs_closed_form, MuCsEvaluator};
 use crate::ring_geometry::RingGeometry;
 use crate::ring_model::RingModelConfig;
 use nss_model::comm::CollisionRule;
+use nss_obs::sync::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// Precomputed lens-area tables at the Simpson abscissae.
 ///
@@ -460,7 +461,7 @@ impl KernelKey {
 /// Interning cache of [`SharedKernel`]s keyed by [`KernelKey`].
 ///
 /// Read-mostly: after the first sweep over a configuration every lookup is
-/// a shared-lock probe returning an `Arc` clone. A `BTreeMap` (rather than
+/// a brief locked probe returning an `Arc` clone. A `BTreeMap` (rather than
 /// a hash map) keeps every traversal — `bytes()`, debug dumps — in key
 /// order, so cache reports are deterministic across runs. Use
 /// [`KernelCache::global`] for the process-wide instance the sweep and
@@ -482,7 +483,7 @@ impl KernelKey {
 /// ```
 #[derive(Debug, Default)]
 pub struct KernelCache {
-    map: RwLock<BTreeMap<KernelKey, Arc<SharedKernel>>>,
+    map: Mutex<BTreeMap<KernelKey, Arc<SharedKernel>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -500,53 +501,45 @@ impl KernelCache {
     }
 
     /// Returns the interned kernel for `config`, building it on first use.
+    ///
+    /// The build runs under the map's lock, so concurrent misses on one
+    /// key build it once. Metrics are taken only after the guard drops:
+    /// an obs macro's first call locks the registry.
     pub fn get(&self, config: &RingModelConfig) -> Arc<SharedKernel> {
         let key = KernelKey::of(config);
-        if let Some(kernel) = self
-            .map
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            nss_obs::counter!("analysis.kernel_cache.hit").inc();
-            return Arc::clone(kernel);
-        }
-        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
-        // Double-checked: another thread may have built it while we waited.
+        let mut map = self.map.lock();
         if let Some(kernel) = map.get(&key) {
+            let kernel = Arc::clone(kernel);
+            drop(map);
             self.hits.fetch_add(1, Ordering::Relaxed);
             nss_obs::counter!("analysis.kernel_cache.hit").inc();
-            return Arc::clone(kernel);
+            return kernel;
         }
         let kernel = Arc::new(SharedKernel::build(config));
+        map.insert(key, Arc::clone(&kernel));
+        // Live footprint (counterpart of the cumulative interned_bytes
+        // counter), summed while the map is in hand.
+        let resident = if nss_obs::enabled() {
+            map.values().map(|k| k.bytes()).sum::<usize>()
+        } else {
+            0
+        };
+        drop(map);
         self.misses.fetch_add(1, Ordering::Relaxed);
         nss_obs::counter!("analysis.kernel_cache.miss").inc();
         nss_obs::counter!("analysis.kernel_cache.interned_bytes").add(kernel.bytes() as u64);
-        map.insert(key, Arc::clone(&kernel));
-        if nss_obs::enabled() {
-            // Live footprint (counterpart of the cumulative interned_bytes
-            // counter): summed under the write lock we already hold.
-            nss_obs::gauge!("analysis.kernel_cache.bytes")
-                .set(map.values().map(|k| k.bytes()).sum::<usize>() as f64);
-        }
+        nss_obs::gauge!("analysis.kernel_cache.bytes").set(resident as f64);
         kernel
     }
 
     /// Number of interned kernels.
     pub fn len(&self) -> usize {
-        self.map
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.map.lock().len()
     }
 
     /// True if no kernel has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.map
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_empty()
+        self.map.lock().is_empty()
     }
 
     /// `(hits, misses)` over the cache's lifetime. Maintained in every
@@ -561,21 +554,13 @@ impl KernelCache {
 
     /// Approximate heap footprint of every currently interned kernel.
     pub fn bytes(&self) -> usize {
-        self.map
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .map(|k| k.bytes())
-            .sum()
+        self.map.lock().values().map(|k| k.bytes()).sum()
     }
 
     /// Drops every interned kernel (outstanding `Arc`s stay valid).
     /// Hit/miss statistics are preserved.
     pub fn clear(&self) {
-        self.map
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        self.map.lock().clear();
         nss_obs::gauge!("analysis.kernel_cache.bytes").set(0.0);
     }
 }
@@ -773,8 +758,8 @@ mod tests {
     }
 
     #[test]
-    fn cache_survives_a_build_that_panics_under_the_write_lock() {
-        // Building a kernel for s = 0 panics while `get` holds the write
+    fn cache_survives_a_build_that_panics_under_the_lock() {
+        // Building a kernel for s = 0 panics while `get` holds the map's
         // guard, which poisons the lock; later calls must recover the map.
         let cache = KernelCache::new();
         let bad = RingModelConfig { s: 0, ..cfg() };

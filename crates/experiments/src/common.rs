@@ -7,12 +7,13 @@ use nss_analysis::sweep::DensitySweep;
 use nss_model::comm::MediumBackend;
 use nss_model::deployment::Deployment;
 use nss_model::faults::FaultPlan;
+use nss_obs::sync::Mutex;
 use nss_sim::runner::{ReplicatedTraces, Replication};
 use nss_sim::slotted::GossipConfig;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// Harness-wide options parsed from the command line.
 #[derive(Debug, Clone)]
@@ -89,26 +90,24 @@ impl Ctx {
         })
     }
 
-    /// The §4.1 calibrations, indexed like `sec41`'s source table.
-    pub fn calibrations(&self) -> MutexGuard<'_, [Option<Calibration>; 2]> {
-        self.calibrations
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// The §4.1 calibration of source `si` (indexed like `sec41`'s source
+    /// table), once a figure has set it.
+    pub fn calibration(&self, si: usize) -> Option<Calibration> {
+        self.calibrations.lock()[si]
+    }
+
+    /// Records source `si`'s §4.1 calibration for the figures after it.
+    pub fn set_calibration(&self, si: usize, cal: Calibration) {
+        self.calibrations.lock()[si] = Some(cal);
     }
 
     /// Paths of every artifact written through this context so far.
     pub fn artifacts(&self) -> Vec<PathBuf> {
-        self.artifacts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        self.artifacts.lock().clone()
     }
 
     fn record_artifact(&self, path: &Path) {
-        self.artifacts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(path.to_path_buf());
+        self.artifacts.lock().push(path.to_path_buf());
     }
 
     /// The density axis (always the paper's 20..140).

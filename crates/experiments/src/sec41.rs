@@ -199,7 +199,7 @@ fn sim_grid(ctx: &Ctx, obj: Objective) -> Grid {
 pub fn run(ctx: &Ctx, fig: usize) {
     let si = (fig - 4) / 4;
     let (src, metric) = (&SOURCES[si], &METRICS[(fig - 4) % 4]);
-    let mut cal = ctx.calibrations()[si].unwrap_or(src.defaults);
+    let mut cal = ctx.calibration(si).unwrap_or(src.defaults);
     let obj = (metric.objective)(cal);
     let grid = (src.read)(ctx, obj);
     let csv_prec = metric.csv_prec;
@@ -282,7 +282,7 @@ pub fn run(ctx: &Ctx, fig: usize) {
         }
         _ => return,
     }
-    ctx.calibrations()[si] = Some(cal);
+    ctx.set_calibration(si, cal);
 }
 
 /// The panel-(a) subject: "reachability within 5 phases", …

@@ -21,9 +21,9 @@ pub const RULES_END: &str = "<!-- END nss-lint rules -->";
 pub fn render_rules() -> String {
     let mut out = String::new();
     out.push_str(RULES_BEGIN);
-    out.push_str("\n\n| id | scope | invariant |\n|---|---|---|\n");
-    for (id, scope, describe) in rules::catalogue() {
-        out.push_str(&format!("| `{id}` | {scope} | {} |\n", oneline(describe)));
+    out.push_str("\n\n| id | invariant |\n|---|---|\n");
+    for (id, describe) in rules::catalogue() {
+        out.push_str(&format!("| `{id}` | {} |\n", oneline(describe)));
     }
     out.push('\n');
     out.push_str(RULES_END);

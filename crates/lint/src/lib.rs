@@ -1,26 +1,29 @@
 //! `nss-lint` — workspace static analysis for RNG-stream discipline,
-//! numerical safety, obs feature hygiene, atomic orderings and locking.
+//! numerical safety, obs feature hygiene, atomic orderings and route
+//! handlers.
 //!
 //! The repo's promise is that analytical predictions are validated against
 //! **bitwise-reproducible** simulation. Most of what that promise rests on
 //! is checked elsewhere: the workspace lint table and `clippy.toml` ban
-//! panics in library code, hash-order iteration and `unsafe`;
-//! `derive_seed` takes a `Stream`, not a string; and CI's output-identity
-//! step diffs every artifact of `repro all` across thread counts and the
-//! obs feature (see DESIGN.md §8). This crate checks the rest
-//! mechanically as a CI gate: no literal-seeded RNG streams, lens-geometry
-//! math inside its domain, zero-cost obs macros, proven atomic orderings,
-//! lock-free route handlers, and a cycle-free lock graph:
+//! panics in library code, hash-order iteration, `unsafe` and the std
+//! locks; `nss_obs::sync::Mutex` panics in debug builds when a thread takes
+//! a guard while holding another, so no lock-order deadlock survives the
+//! tests; `derive_seed` takes a `Stream`, not a string; and CI's
+//! output-identity step diffs every artifact of `repro all` across thread
+//! counts and the obs feature (see DESIGN.md §8). This crate checks the
+//! rest mechanically as a CI gate: no literal-seeded RNG streams,
+//! lens-geometry math inside its domain, zero-cost obs macros, proven
+//! atomic orderings and lock-free route handlers:
 //!
 //! ```text
 //! cargo run -p nss-lint -- check [--sarif report.sarif]
 //! ```
 //!
 //! The pass is deliberately **lexical** (see [`lexer`]): a comment- and
-//! string-aware token scanner plus call-shape pattern rules. That keeps the
-//! crate dependency-free (no `syn` under the no-network vendoring
-//! constraint) at the cost of heuristic precision — which is why every rule
-//! has an inline escape hatch, the
+//! string-aware token scanner plus call-shape pattern rules, run file by
+//! file. That keeps the crate dependency-free (no `syn` under the
+//! no-network vendoring constraint) at the cost of heuristic precision —
+//! which is why every rule has an inline escape hatch, the
 //! [`// nss-lint: allow(<rule>) — <reason>`](pragma) pragma, whose reason
 //! text is mandatory and machine-checked.
 //!
@@ -33,23 +36,17 @@
 //! | `feature-hygiene` | obs macros must be `nss_obs::`-qualified and carry effect-free arguments, so `--no-default-features` builds stay identical |
 //! | `atomic-protocol` | `Relaxed` only for counter accumulate; claim/CAS RMWs and load/store in fence-bearing files need the proven ordering or a pragma citing a loom/Miri proof |
 //! | `blocking-in-handler` | route handlers hold no lock guard across kernel computation |
-//! | `lock-order` | no cycles in the workspace lock-acquisition graph; no blocking calls or caller-supplied closures under a Mutex guard |
 //!
-//! `lock-order` is **interprocedural**: it runs over a cross-crate call
-//! graph ([`callgraph::Workspace`], built from the [`parser`] item model)
-//! rather than file by file, so a deadlock seeded in one crate and closed
-//! in another is still caught. `nss-lint rules --check` keeps
-//! `docs/LINTS.md` in sync with this catalogue; `--sarif` emits the
-//! findings as a SARIF 2.1.0 artifact for CI upload.
+//! `nss-lint rules --check` keeps `docs/LINTS.md` in sync with this
+//! catalogue; `--sarif` emits the findings as a SARIF 2.1.0 artifact for
+//! CI upload.
 //!
 //! Malformed pragmas (missing reason, unknown rule) and pragmas that no
 //! longer suppress anything are reported under the reserved id `pragma`.
 
-pub mod callgraph;
 pub mod docsync;
 pub mod lexer;
 pub mod metrics;
-pub mod parser;
 pub mod pragma;
 pub mod rules;
 pub mod sarif;
@@ -247,39 +244,18 @@ fn mark_test_regions(toks: &[Tok], test_lines: &mut [bool]) {
     }
 }
 
-/// Lints a single in-memory source (the fixture-test entry point). Runs
-/// the per-file rules *and* the workspace rules over the one-file
-/// workspace.
+/// Lints a single in-memory source (the fixture-test entry point).
 pub fn lint_source(path: &str, crate_name: &str, kind: FileKind, src: &str) -> Vec<Violation> {
-    lint_sources(vec![SourceFile::parse(path, crate_name, kind, src)])
+    lint_file(&SourceFile::parse(path, crate_name, kind, src))
 }
 
-/// Lints a set of parsed files as one workspace: per-file rules on each
-/// file, workspace (interprocedural) rules over the shared call graph,
-/// then pragma application per file. The multi-file fixture entry point
-/// and the core of [`lint_workspace`].
-pub fn lint_sources(files: Vec<SourceFile>) -> Vec<Violation> {
-    let ws = callgraph::Workspace::build(files);
-    let mut raw: Vec<Violation> = Vec::new();
-    for file in &ws.files {
-        for rule in rules::all() {
-            rule.check(file, &mut raw);
-        }
+/// Runs every rule over `file`, then applies its pragmas.
+fn lint_file(file: &SourceFile) -> Vec<Violation> {
+    let mut raw = Vec::new();
+    for rule in rules::all() {
+        rule.check(file, &mut raw);
     }
-    for rule in rules::workspace_rules() {
-        rule.check(&ws, &mut raw);
-    }
-    let mut out = Vec::new();
-    for file in &ws.files {
-        let for_file: Vec<Violation> = raw
-            .iter()
-            .filter(|v| v.path == file.path)
-            .cloned()
-            .collect();
-        out.extend(finalize(file, for_file));
-    }
-    out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    out
+    finalize(file, raw)
 }
 
 /// Applies pragma suppression to `raw`, appends pragma-hygiene findings,
@@ -386,10 +362,11 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         parsed.push(SourceFile::parse(&rel, &crate_name, kind, &src));
     }
-    let file_names: Vec<String> = parsed.iter().map(|f| f.path.clone()).collect();
+    let mut violations: Vec<Violation> = parsed.iter().flat_map(lint_file).collect();
+    violations.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(Report {
-        files: file_names,
-        violations: lint_sources(parsed),
+        files: parsed.into_iter().map(|f| f.path).collect(),
+        violations,
     })
 }
 

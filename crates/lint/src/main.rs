@@ -120,7 +120,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 );
                 Ok(ExitCode::SUCCESS)
             } else {
-                for (id, _, describe) in nss_lint::rules::catalogue() {
+                for (id, describe) in nss_lint::rules::catalogue() {
                     println!("{id:<20} {describe}");
                 }
                 Ok(ExitCode::SUCCESS)

@@ -12,8 +12,8 @@
 //! is the `ShardedCache` one: compute outside, lock briefly to install.
 //!
 //! Nothing else catches this: the response is unchanged, so no test,
-//! digest or output diff sees it, and `lock-order` only follows calls that
-//! park the thread, which a sweep does not. The fixture
+//! digest or output diff sees it, and `nss_obs::sync::Mutex`'s debug check
+//! only fires on a second lock, which a sweep does not take. The fixture
 //! `bad/crates/serve/src/bad_handler.rs` is the seeded case (a guard held
 //! across `ProbabilitySweep::run` in the `/v1/reachability` route).
 //! Request bodies need no rule: a handler is `Fn(&Request) -> Response`

@@ -1,21 +1,16 @@
 //! The rule catalogue.
 //!
-//! Rules come in two shapes. A [`Rule`] is a pure function over one parsed
-//! [`SourceFile`]; a [`WorkspaceRule`] sees the whole parsed workspace —
-//! the cross-crate call graph in [`Workspace`] — and powers the one
-//! interprocedural check, lock ordering.
-//! Adding a rule means adding a module here, registering it in [`all`] or
-//! [`workspace_rules`], giving it a fixture pair under `tests/fixtures/`
-//! (see DESIGN.md §8 for the recipe), and re-running
+//! A [`Rule`] is a pure function over one parsed [`SourceFile`].
+//! Adding a rule means adding a module here, registering it in [`all`],
+//! giving it a fixture pair under `tests/fixtures/` (see DESIGN.md §8 for
+//! the recipe), and re-running
 //! `cargo run -p nss-lint -- rules --write docs/LINTS.md`.
 
-use crate::callgraph::Workspace;
 use crate::{SourceFile, Violation};
 
 mod atomic;
 mod blocking;
 mod float;
-mod lock_order;
 mod obs;
 mod rng;
 
@@ -29,17 +24,7 @@ pub trait Rule {
     fn check(&self, file: &SourceFile, out: &mut Vec<Violation>);
 }
 
-/// An interprocedural rule over the whole parsed workspace.
-pub trait WorkspaceRule {
-    /// Stable id, as named by pragmas and SARIF reports.
-    fn id(&self) -> &'static str;
-    /// One-line description for `nss-lint rules`.
-    fn describe(&self) -> &'static str;
-    /// Appends findings across `ws` to `out` (paths identify the files).
-    fn check(&self, ws: &Workspace, out: &mut Vec<Violation>);
-}
-
-/// Every registered per-file rule, in reporting order.
+/// Every registered rule, in reporting order.
 pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(rng::RngDiscipline),
@@ -50,37 +35,21 @@ pub fn all() -> Vec<Box<dyn Rule>> {
     ]
 }
 
-/// Every registered workspace rule, in reporting order.
-pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
-    vec![Box::new(lock_order::LockOrder)]
-}
-
-/// The catalogue as `(id, scope, description)` rows, ending with the
-/// reserved `pragma` id: what `nss-lint rules`, `docs/LINTS.md` and the
-/// SARIF report list.
-pub fn catalogue() -> Vec<(&'static str, &'static str, &'static str)> {
-    let mut out: Vec<_> = all()
-        .iter()
-        .map(|r| (r.id(), "file", r.describe()))
-        .collect();
-    out.extend(
-        workspace_rules()
-            .iter()
-            .map(|r| (r.id(), "workspace", r.describe())),
-    );
+/// The catalogue as `(id, description)` rows, ending with the reserved
+/// `pragma` id: what `nss-lint rules`, `docs/LINTS.md` and the SARIF
+/// report list.
+pub fn catalogue() -> Vec<(&'static str, &'static str)> {
+    let mut out: Vec<_> = all().iter().map(|r| (r.id(), r.describe())).collect();
     out.push((
         "pragma",
-        "—",
         "reserved: malformed or stale `// nss-lint: allow(…) — reason` pragmas",
     ));
     out
 }
 
-/// Ids of every rule, per-file and workspace (pragma validation).
+/// Ids of every rule (pragma validation).
 pub fn ids() -> Vec<&'static str> {
-    let mut out: Vec<&'static str> = all().iter().map(|r| r.id()).collect();
-    out.extend(workspace_rules().iter().map(|r| r.id()));
-    out
+    all().iter().map(|r| r.id()).collect()
 }
 
 /// Shorthand used by the rule modules.

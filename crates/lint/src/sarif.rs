@@ -20,7 +20,7 @@ pub fn render(report: &Report) -> String {
     s.push_str("          \"informationUri\": \"https://example.invalid/nss-lint\",\n");
     s.push_str("          \"rules\": [");
     let mut first = true;
-    for (id, _, describe) in rules::catalogue() {
+    for (id, describe) in rules::catalogue() {
         if !first {
             s.push(',');
         }
@@ -84,15 +84,15 @@ mod tests {
             violations: vec![Violation {
                 path: "a.rs".into(),
                 line: 7,
-                rule: "lock-order",
-                message: "cycle: \"a\" → b".into(),
+                rule: "blocking-in-handler",
+                message: "guard held across \"run\" → b".into(),
             }],
         };
         let s = render(&report);
         assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"ruleId\": \"lock-order\""));
+        assert!(s.contains("\"ruleId\": \"blocking-in-handler\""));
         assert!(s.contains("\"startLine\": 7"));
-        assert!(s.contains("cycle: \\\"a\\\" → b"));
+        assert!(s.contains("guard held across \\\"run\\\" → b"));
         // Every registered rule appears in the driver catalogue.
         for id in crate::rules::ids() {
             assert!(s.contains(&format!("\"id\": \"{id}\"")), "{id}");

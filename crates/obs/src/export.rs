@@ -76,29 +76,30 @@ fn histogram_json(h: &HistogramSnapshot) -> String {
 /// Renders the registry as a JSON object:
 /// `{"labels": {...}, "counters": {...}, "gauges": {...}, "histograms": {...}}`.
 pub fn json(reg: &Registry) -> String {
+    let snap = reg.snapshot();
     let mut out = String::from("{\n  \"labels\": {");
-    for (i, (k, v)) in reg.labels_snapshot().iter().enumerate() {
+    for (i, (k, v)) in snap.labels.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(out, "\n    \"{}\": \"{}\"", json_escape(k), json_escape(v));
     }
     out.push_str("\n  },\n  \"counters\": {");
-    for (i, (k, v)) in reg.counters_snapshot().iter().enumerate() {
+    for (i, (k, v)) in snap.counters.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(out, "\n    \"{}\": {v}", json_escape(k));
     }
     out.push_str("\n  },\n  \"gauges\": {");
-    for (i, (k, v)) in reg.gauges_snapshot().iter().enumerate() {
+    for (i, (k, v)) in snap.gauges.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(out, "\n    \"{}\": {}", json_escape(k), json_f64(*v));
     }
     out.push_str("\n  },\n  \"histograms\": {");
-    for (i, (k, h)) in reg.histograms_snapshot().iter().enumerate() {
+    for (i, (k, h)) in snap.histograms.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -141,8 +142,9 @@ fn prom_help_text(v: &str) -> String {
 /// `info`-style gauge. Every family carries `# HELP` (echoing the
 /// registry-side dotted name) and `# TYPE` lines.
 pub fn prometheus(reg: &Registry) -> String {
+    let snap = reg.snapshot();
     let mut out = String::new();
-    for (k, v) in reg.counters_snapshot() {
+    for (k, v) in snap.counters {
         let n = prom_name(&k);
         let _ = writeln!(
             out,
@@ -150,7 +152,7 @@ pub fn prometheus(reg: &Registry) -> String {
             prom_help_text(&k)
         );
     }
-    for (k, v) in reg.gauges_snapshot() {
+    for (k, v) in snap.gauges {
         let n = prom_name(&k);
         let _ = writeln!(
             out,
@@ -158,7 +160,7 @@ pub fn prometheus(reg: &Registry) -> String {
             prom_help_text(&k)
         );
     }
-    for (k, h) in reg.histograms_snapshot() {
+    for (k, h) in snap.histograms {
         let n = prom_name(&k);
         let _ = writeln!(
             out,
@@ -180,7 +182,7 @@ pub fn prometheus(reg: &Registry) -> String {
         }
         let _ = writeln!(out, "{n}_sum {}\n{n}_count {}", h.sum, h.count);
     }
-    let labels = reg.labels_snapshot();
+    let labels = snap.labels;
     if !labels.is_empty() {
         let mut pairs = String::new();
         for (i, (k, v)) in labels.iter().enumerate() {

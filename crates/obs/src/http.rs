@@ -20,11 +20,12 @@
 //! HEAD-vs-GET body suppression each live in exactly one place —
 //! previously the scrape endpoint repeated them per method arm.
 
+use crate::sync::Mutex;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Hard cap on request-head bytes (request line + headers).
@@ -305,14 +306,9 @@ impl HttpServer {
                     std::thread::Builder::new()
                         .name(format!("{}-w{i}", opts.thread_name))
                         .spawn(move || loop {
-                            // The guard only spans recv(); recover from a
-                            // poisoned lock anyway — one lost worker must
-                            // not strand the rest of the pool.
-                            let conn = rx
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                // nss-lint: allow(lock-order) — single-consumer handoff: this mutex exists solely to serialize recv() among the workers, is the only lock a worker holds, and nothing else ever takes it
-                                .recv();
+                            // The guard only spans recv(): the mutex
+                            // serializes the workers' receives.
+                            let conn = rx.lock().recv();
                             match conn {
                                 Ok(stream) => serve_connection(stream, &router, &opts),
                                 Err(_) => return, // sender dropped: shutdown

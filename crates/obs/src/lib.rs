@@ -57,6 +57,7 @@ pub mod jsonval;
 pub mod manifest;
 pub mod registry;
 pub mod serve;
+pub mod sync;
 pub mod trace;
 
 /// True iff this build carries live instrumentation (`enabled` feature).

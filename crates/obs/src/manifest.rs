@@ -113,7 +113,7 @@ impl RunManifest {
 
     /// Captures the current global counter snapshot into the manifest.
     pub fn capture_counters(&mut self) {
-        self.counters = Registry::global().counters_snapshot();
+        self.counters = Registry::global().snapshot().counters;
     }
 
     /// Serializes to JSON.

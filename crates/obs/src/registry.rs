@@ -9,9 +9,10 @@
 //! per-call-site `OnceLock`, so the registry lock is taken once per call
 //! site, ever.
 
+use crate::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
@@ -423,10 +424,26 @@ impl RegistrySnapshot {
 /// The process-global metric registry.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<String, &'static Counter>>,
-    gauges: Mutex<BTreeMap<String, &'static Gauge>>,
-    histograms: Mutex<BTreeMap<String, &'static Histogram>>,
-    labels: Mutex<BTreeMap<String, String>>,
+    maps: Mutex<Maps>,
+}
+
+/// Every name the registry has interned, behind the registry's one lock.
+#[derive(Debug, Default)]
+struct Maps {
+    counters: BTreeMap<String, &'static Counter>,
+    gauges: BTreeMap<String, &'static Gauge>,
+    histograms: BTreeMap<String, &'static Histogram>,
+    labels: BTreeMap<String, String>,
+}
+
+/// Returns the handle interned under `name`, leaking a fresh one first.
+fn intern<M>(map: &mut BTreeMap<String, &'static M>, name: &str, new: fn() -> M) -> &'static M {
+    if let Some(m) = map.get(name) {
+        return m;
+    }
+    let m: &'static M = Box::leak(Box::new(new()));
+    map.insert(name.to_string(), m);
+    m
 }
 
 impl Registry {
@@ -437,143 +454,64 @@ impl Registry {
     }
 
     /// Interns (on first use) and returns the counter named `name`.
-    ///
-    /// Lock poisoning is recovered with `into_inner` here and throughout
-    /// the registry: the maps hold plain interned handles, so state left by
-    /// a panicking thread is still structurally valid, and instrumentation
-    /// must never turn an unrelated panic into a second one.
     pub fn counter(&self, name: &str) -> &'static Counter {
-        let mut map = self
-            .counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(c) = map.get(name) {
-            return c;
-        }
-        let c: &'static Counter = Box::leak(Box::new(Counter::new()));
-        map.insert(name.to_string(), c);
-        c
+        intern(&mut self.maps.lock().counters, name, Counter::new)
     }
 
     /// Interns (on first use) and returns the gauge named `name`.
     pub fn gauge(&self, name: &str) -> &'static Gauge {
-        let mut map = self
-            .gauges
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(g) = map.get(name) {
-            return g;
-        }
-        let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-        map.insert(name.to_string(), g);
-        g
+        intern(&mut self.maps.lock().gauges, name, Gauge::new)
     }
 
     /// Interns (on first use) and returns the histogram named `name`.
     pub fn histogram(&self, name: &str) -> &'static Histogram {
-        let mut map = self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(h) = map.get(name) {
-            return h;
-        }
-        let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
-        map.insert(name.to_string(), h);
-        h
+        intern(&mut self.maps.lock().histograms, name, Histogram::new)
     }
 
     /// Sets (or replaces) a string label.
     pub fn set_label(&self, key: &str, value: String) {
-        self.labels
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key.to_string(), value);
-    }
-
-    /// Sorted `(name, value)` snapshot of every registered counter.
-    pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
-        self.counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|(k, c)| (k.clone(), c.get()))
-            .collect()
-    }
-
-    /// Sorted `(name, value)` snapshot of every registered gauge.
-    pub fn gauges_snapshot(&self) -> Vec<(String, f64)> {
-        self.gauges
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|(k, g)| (k.clone(), g.get()))
-            .collect()
+        self.maps.lock().labels.insert(key.to_string(), value);
     }
 
     /// A full point-in-time [`RegistrySnapshot`] — the unit the delta API
-    /// ([`RegistrySnapshot::delta_since`]) works over.
+    /// ([`RegistrySnapshot::delta_since`]) works over. All four maps are
+    /// read under one guard, so no metric registered mid-snapshot shows in
+    /// one section and not another.
     pub fn snapshot(&self) -> RegistrySnapshot {
+        let maps = self.maps.lock();
         RegistrySnapshot {
-            counters: self.counters_snapshot(),
-            gauges: self.gauges_snapshot(),
-            histograms: self.histograms_snapshot(),
-            labels: self.labels_snapshot(),
+            counters: maps
+                .counters
+                .iter()
+                .map(|(k, c)| (k.clone(), c.get()))
+                .collect(),
+            gauges: maps
+                .gauges
+                .iter()
+                .map(|(k, g)| (k.clone(), g.get()))
+                .collect(),
+            histograms: maps
+                .histograms
+                .iter()
+                .map(|(k, h)| (k.clone(), h.snapshot()))
+                .collect(),
+            labels: maps
+                .labels
+                .iter()
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect(),
         }
-    }
-
-    /// Sorted `(name, snapshot)` of every registered histogram.
-    pub fn histograms_snapshot(&self) -> Vec<(String, HistogramSnapshot)> {
-        self.histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|(k, h)| (k.clone(), h.snapshot()))
-            .collect()
-    }
-
-    /// Sorted `(key, value)` of every label.
-    pub fn labels_snapshot(&self) -> Vec<(String, String)> {
-        self.labels
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
     }
 
     /// Zeroes every counter and histogram and clears labels. Registered
     /// handles stay valid (tests and repeated bench runs use this to take
     /// clean deltas).
     pub fn reset(&self) {
-        for c in self
-            .counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            c.reset();
-        }
-        for g in self
-            .gauges
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            g.reset();
-        }
-        for h in self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            h.reset();
-        }
-        self.labels
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
+        let mut maps = self.maps.lock();
+        maps.counters.values().for_each(|c| c.reset());
+        maps.gauges.values().for_each(|g| g.reset());
+        maps.histograms.values().for_each(|h| h.reset());
+        maps.labels.clear();
     }
 }
 
@@ -655,9 +593,10 @@ mod tests {
         reg.histogram("h").record(1.0);
         reg.set_label("k", "v".into());
         reg.reset();
-        assert_eq!(reg.counters_snapshot(), vec![("a".into(), 0)]);
-        assert_eq!(reg.histograms_snapshot()[0].1.count, 0);
-        assert!(reg.labels_snapshot().is_empty());
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters, vec![("a".into(), 0)]);
+        assert_eq!(snap.histograms[0].1.count, 0);
+        assert!(snap.labels.is_empty());
     }
 
     #[test]
@@ -668,7 +607,7 @@ mod tests {
         g.set(1024.0);
         g.set(2048.0);
         assert_eq!(reg.gauge("mem.bytes").get(), 2048.0);
-        assert_eq!(reg.gauges_snapshot(), vec![("mem.bytes".into(), 2048.0)]);
+        assert_eq!(reg.snapshot().gauges, vec![("mem.bytes".into(), 2048.0)]);
         reg.reset();
         assert_eq!(reg.gauge("mem.bytes").get(), 0.0);
     }

@@ -32,8 +32,9 @@
 //! ids once per `trace_span!` call site.
 
 use crate::registry::Histogram;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use crate::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Events retained per ring. Power of two so the slot index is a mask;
@@ -99,24 +100,27 @@ impl Ring {
 }
 
 struct Recorder {
-    rings: Mutex<Vec<&'static Ring>>,
+    state: Mutex<RecorderState>,
+    epoch: Instant,
+}
+
+#[derive(Default)]
+struct RecorderState {
+    /// Every ring ever allocated, in allocation order; a ring's index here
+    /// is its `tid`.
+    rings: Vec<&'static Ring>,
     /// Rings whose owning thread has exited, available for reuse. A pooled
     /// ring stays registered in `rings` (its events remain visible to
-    /// [`events`]); the pool mutex hands single-writer ownership to the
-    /// next thread.
-    free: Mutex<Vec<&'static Ring>>,
-    names: Mutex<Vec<&'static str>>,
-    next_tid: AtomicU32,
-    epoch: Instant,
+    /// [`events`]); the lock hands single-writer ownership to the next
+    /// thread.
+    free: Vec<&'static Ring>,
+    names: Vec<&'static str>,
 }
 
 fn recorder() -> &'static Recorder {
     static RECORDER: OnceLock<Recorder> = OnceLock::new();
     RECORDER.get_or_init(|| Recorder {
-        rings: Mutex::new(Vec::new()),
-        free: Mutex::new(Vec::new()),
-        names: Mutex::new(Vec::new()),
-        next_tid: AtomicU32::new(0),
+        state: Mutex::default(),
         epoch: Instant::now(),
     })
 }
@@ -127,11 +131,7 @@ struct RingGuard(&'static Ring);
 
 impl Drop for RingGuard {
     fn drop(&mut self) {
-        recorder()
-            .free
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(self.0);
+        recorder().state.lock().free.push(self.0);
     }
 }
 
@@ -141,13 +141,8 @@ thread_local! {
 }
 
 fn acquire_ring() -> &'static Ring {
-    let rec = recorder();
-    if let Some(ring) = rec
-        .free
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .pop()
-    {
+    let mut state = recorder().state.lock();
+    if let Some(ring) = state.free.pop() {
         return ring;
     }
     let ring: &'static Ring = Box::leak(Box::new(Ring {
@@ -160,12 +155,9 @@ fn acquire_ring() -> &'static Ring {
             })
             .collect(),
         head: AtomicU64::new(0),
-        tid: rec.next_tid.fetch_add(1, Ordering::Relaxed),
+        tid: state.rings.len() as u32,
     }));
-    rec.rings
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .push(ring);
+    state.rings.push(ring);
     ring
 }
 
@@ -185,20 +177,13 @@ fn with_local_ring<R>(f: impl FnOnce(&'static Ring) -> R) -> Option<R> {
 /// Rings allocated so far (live + pooled). Bounded by the peak number of
 /// concurrently recording threads, not by the total threads ever spawned.
 pub fn ring_count() -> usize {
-    recorder()
-        .rings
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .len()
+    recorder().state.lock().rings.len()
 }
 
 /// Interns a span name, returning its dense id. Call once per call site
 /// (the [`crate::trace_span!`] macro caches the id in a `OnceLock`).
 pub fn intern(name: &'static str) -> u32 {
-    let mut names = recorder()
-        .names
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let names = &mut recorder().state.lock().names;
     if let Some(i) = names.iter().position(|&n| n == name) {
         return i as u32;
     }
@@ -209,9 +194,9 @@ pub fn intern(name: &'static str) -> u32 {
 /// Resolves an interned id back to its name (`"?"` for unknown ids).
 pub fn name_of(id: u32) -> &'static str {
     recorder()
-        .names
+        .state
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .names
         .get(id as usize)
         .copied()
         .unwrap_or("?")
@@ -266,11 +251,7 @@ pub struct NoopSpan;
 /// Snapshot of the recorder: all retained events (sorted by start time)
 /// plus the number of events overwritten by ring wrap-around.
 pub fn events() -> (Vec<TraceEvent>, u64) {
-    let rings: Vec<&'static Ring> = recorder()
-        .rings
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone();
+    let rings = recorder().state.lock().rings.clone();
     let mut out = Vec::new();
     let mut overwritten = 0u64;
     for ring in rings {
@@ -355,6 +336,12 @@ mod tests {
     /// Serializes the tests whose threads take rings from the shared pool:
     /// a flood that recycles another test's ring overwrites that test's
     /// events, and concurrent pool traffic can merge or grow lanes.
+    /// It stays a `std` mutex: the tests hold it across calls that take
+    /// the recorder's checked lock.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "held across calls that take a checked nss_obs::sync::Mutex"
+    )]
     static POOL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn pool_guard() -> std::sync::MutexGuard<'static, ()> {

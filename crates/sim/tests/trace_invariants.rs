@@ -28,12 +28,17 @@ use nss_sim::protocols::{
 };
 use nss_sim::slotted::GossipConfig;
 use nss_sim::trace::{SimTrace, NEVER};
-use std::sync::{Mutex, MutexGuard};
 
 /// Serializes every simulation in this binary: with `obs` on, the counter
 /// tests read global-counter deltas that a concurrent run would inflate.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
+/// It stays a `std` mutex because it is held across simulations, which
+/// take checked locks.
+#[expect(
+    clippy::disallowed_types,
+    reason = "held across calls that take a checked nss_obs::sync::Mutex"
+)]
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 

@@ -96,3 +96,13 @@ fn hash_iteration_methods_are_disallowed() {
     }
     assert!(clippy.contains("allow-panic-in-tests = true"));
 }
+
+#[test]
+fn std_locks_are_disallowed() {
+    let clippy = read("clippy.toml");
+    for ty in ["Mutex", "RwLock"] {
+        let entry = format!("path = \"std::sync::{ty}\"");
+        assert!(clippy.contains(&entry), "clippy.toml lacks `{entry}`");
+    }
+    assert!(clippy.contains("nss_obs::sync::Mutex"));
+}
