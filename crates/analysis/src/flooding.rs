@@ -16,7 +16,7 @@ use crate::ring_model::{RingModel, RingModelConfig};
 pub fn flooding_success_rate(base: RingModelConfig) -> f64 {
     let mut cfg = base;
     cfg.prob = 1.0;
-    RingModel::cached(cfg)
+    RingModel::new(cfg)
         .with_success_rate_tracking()
         .run()
         .mean_success_rate()

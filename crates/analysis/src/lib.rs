@@ -19,8 +19,8 @@
 //! 4. [`tables`] — precomputed geometry/μ kernels ([`tables::GeometryTables`],
 //!    [`tables::KernelCache`]) shared across every cell of a sweep; bitwise
 //!    equivalent to direct evaluation, ~an order of magnitude cheaper.
-//! 5. [`optimize`] / [`sweep`] — probability sweeps and per-density optima
-//!    for the four §4.1 metrics (the Fig. 4–7 machinery).
+//! 5. [`optimize`] / [`sweep`] — probability sweeps and their optima for
+//!    the four §4.1 metrics (the Fig. 4–7 machinery).
 //! 6. [`flooding`] — the Fig. 12 success-rate correlation.
 //!
 //! ```

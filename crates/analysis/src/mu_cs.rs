@@ -200,8 +200,10 @@ impl MuCsEvaluator {
     }
 }
 
+/// Splits `x ≥ 0` into its bracketing integer lattice points and the
+/// fractional offset: `(⌊x⌋, ⌈x⌉, x − ⌊x⌋)`.
 #[inline]
-fn lattice(x: f64) -> (u64, u64, f64) {
+pub(crate) fn lattice(x: f64) -> (u64, u64, f64) {
     let lo = x.floor();
     (lo as u64, x.ceil() as u64, x - lo)
 }

@@ -6,9 +6,8 @@
 //! implements that sweep.
 
 use crate::ring_model::{RingModel, RingModelConfig};
-use crate::tables::KernelCache;
+use crate::sharded::CacheWeight;
 use nss_model::metrics::PhaseSeries;
-use std::sync::Arc;
 
 /// One of the four §4.1 optimization objectives.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,15 +100,12 @@ pub struct ProbabilitySweep {
 
 impl ProbabilitySweep {
     /// Runs the ring model at every probability in `probs`. All grid points
-    /// share one interned kernel (see [`KernelCache`]).
+    /// share one interned kernel (see [`crate::tables::KernelCache`]).
     pub fn run(base: RingModelConfig, probs: &[f64]) -> Self {
-        let kernel = KernelCache::global().get(&base);
         let series = probs
             .iter()
-            .map(|&p| {
-                let mut cfg = base;
-                cfg.prob = p;
-                RingModel::with_kernel(cfg, Arc::clone(&kernel))
+            .map(|&prob| {
+                RingModel::new(RingModelConfig { prob, ..base })
                     .run()
                     .phase_series()
             })
@@ -131,15 +127,6 @@ impl ProbabilitySweep {
         (1..=20).map(|i| f64::from(i) / 20.0).collect()
     }
 
-    /// Objective value at every grid point (`None` = infeasible).
-    pub fn evaluate(&self, obj: Objective) -> Vec<(f64, Option<f64>)> {
-        self.probs
-            .iter()
-            .zip(&self.series)
-            .map(|(&p, s)| (p, obj.evaluate(s)))
-            .collect()
-    }
-
     /// The best grid point for the objective, if any point is feasible.
     pub fn optimum(&self, obj: Objective) -> Option<Optimum> {
         obj.best(
@@ -148,6 +135,23 @@ impl ProbabilitySweep {
                 .zip(&self.series)
                 .map(|(&p, s)| (p, obj.evaluate(s))),
         )
+    }
+}
+
+/// A resident sweep is charged its probability grid plus each point's
+/// per-phase series.
+impl CacheWeight for ProbabilitySweep {
+    fn cache_bytes(&self) -> usize {
+        let series_heap: usize = self
+            .series
+            .iter()
+            .map(|s| {
+                (s.informed_cum.capacity() + s.broadcasts_cum.capacity())
+                    * std::mem::size_of::<f64>()
+                    + std::mem::size_of::<PhaseSeries>()
+            })
+            .sum();
+        self.probs.capacity() * std::mem::size_of::<f64>() + series_heap
     }
 }
 
@@ -227,19 +231,19 @@ mod tests {
         assert!(sweep
             .optimum(Objective::MinLatencyForReach { target: 1.01 })
             .is_none());
-        // Some points infeasible, others not → evaluate reflects gaps.
-        let vals = sweep.evaluate(Objective::MinLatencyForReach { target: 0.7 });
-        assert!(vals.iter().any(|(_, v)| v.is_some()));
+        // Some points infeasible, others not → the series reflect gaps.
+        let obj = Objective::MinLatencyForReach { target: 0.7 };
+        assert!(sweep.series.iter().any(|s| obj.evaluate(s).is_some()));
     }
 
     #[test]
     fn max_objectives_always_feasible() {
         let sweep = coarse_sweep(40.0);
-        for (_, v) in sweep.evaluate(Objective::MaxReachAtLatency { phases: 5.0 }) {
-            assert!(v.is_some());
-        }
-        for (_, v) in sweep.evaluate(Objective::MaxReachUnderBudget { budget: 35.0 }) {
-            assert!(v.is_some());
+        for obj in [
+            Objective::MaxReachAtLatency { phases: 5.0 },
+            Objective::MaxReachUnderBudget { budget: 35.0 },
+        ] {
+            assert!(sweep.series.iter().all(|s| obj.evaluate(s).is_some()));
         }
     }
 

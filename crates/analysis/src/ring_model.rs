@@ -229,11 +229,10 @@ impl RingProfile {
 /// The analytical PB_CAM model.
 ///
 /// All ρ/p-independent state (geometry tables, μ evaluators) lives in a
-/// [`SharedKernel`]; [`RingModel::new`] builds a private one, while
-/// [`RingModel::cached`] / [`RingModel::with_kernel`] share an interned
-/// kernel across every cell of a parameter sweep. The three constructors
-/// produce **bitwise identical** results — the kernel's tables store the
-/// exact values the closure-driven seed implementation recomputed per call.
+/// [`SharedKernel`] interned in the process-wide [`KernelCache`], so every
+/// cell of a parameter sweep shares one kernel. The kernel's tables store
+/// the exact values the closure-driven seed implementation recomputed per
+/// call, so runs are **bitwise identical** to it.
 #[derive(Debug, Clone)]
 pub struct RingModel {
     config: RingModelConfig,
@@ -244,31 +243,13 @@ pub struct RingModel {
 impl RingModel {
     /// Creates a model for the given configuration (panics on invalid
     /// configurations; use [`RingModelConfig::validate`] to check first).
-    /// Builds a private kernel; prefer [`RingModel::cached`] when evaluating
-    /// many configurations that differ only in `ρ` or `prob`.
+    /// The first model per `(P, r, quad_points, s, mode, cs_factor)`
+    /// fingerprint builds the kernel; every later one, from any thread,
+    /// reuses it.
     pub fn new(config: RingModelConfig) -> Self {
         #[expect(
             clippy::panic,
-            reason = "documented contract: constructors panic on invalid configs; `validate()` is the fallible path"
-        )]
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid RingModelConfig: {e}"));
-        RingModel {
-            config,
-            kernel: Arc::new(SharedKernel::build(&config)),
-            track_success_rate: false,
-        }
-    }
-
-    /// Creates a model whose kernel is interned in the process-wide
-    /// [`KernelCache`]: the first call per `(P, r, quad_points, s, mode,
-    /// cs_factor)` fingerprint builds the tables, every later call — from
-    /// any thread — reuses them.
-    pub fn cached(config: RingModelConfig) -> Self {
-        #[expect(
-            clippy::panic,
-            reason = "documented contract: constructors panic on invalid configs; `validate()` is the fallible path"
+            reason = "documented contract: the constructor panics on invalid configs; `validate()` is the fallible path"
         )]
         config
             .validate()
@@ -278,34 +259,6 @@ impl RingModel {
             kernel: KernelCache::global().get(&config),
             track_success_rate: false,
         }
-    }
-
-    /// Creates a model over an explicitly shared kernel (e.g. one
-    /// [`KernelCache::get`] handed to every worker of a sweep). Panics if
-    /// the kernel was built for a different fingerprint.
-    pub fn with_kernel(config: RingModelConfig, kernel: Arc<SharedKernel>) -> Self {
-        #[expect(
-            clippy::panic,
-            reason = "documented contract: constructors panic on invalid configs; `validate()` is the fallible path"
-        )]
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid RingModelConfig: {e}"));
-        assert!(
-            kernel.matches(&config),
-            "kernel fingerprint {:?} does not serve this configuration",
-            kernel.key()
-        );
-        RingModel {
-            config,
-            kernel,
-            track_success_rate: false,
-        }
-    }
-
-    /// The shared kernel backing this model.
-    pub fn kernel(&self) -> &Arc<SharedKernel> {
-        &self.kernel
     }
 
     /// Enables per-phase success-rate tracking (costs one extra integral
@@ -522,58 +475,10 @@ impl RingModel {
 mod tests {
     use super::*;
     use crate::ring_geometry::RingGeometry;
+    use crate::tables::KernelKey;
 
     fn run(rho: f64, prob: f64) -> RingProfile {
         RingModel::new(RingModelConfig::paper(rho, prob)).run()
-    }
-
-    #[test]
-    fn constructors_agree_bitwise() {
-        for collision in [
-            CollisionRule::TransmissionRange,
-            CollisionRule::CARRIER_SENSE_2R,
-        ] {
-            let mut cfg = RingModelConfig::paper(80.0, 0.4);
-            cfg.collision = collision;
-            let fresh = RingModel::new(cfg).with_success_rate_tracking().run();
-            let cached = RingModel::cached(cfg).with_success_rate_tracking().run();
-            let explicit = RingModel::with_kernel(cfg, KernelCache::global().get(&cfg))
-                .with_success_rate_tracking()
-                .run();
-            for other in [&cached, &explicit] {
-                assert_eq!(fresh.new_by_phase.len(), other.new_by_phase.len());
-                for (a, b) in fresh.new_by_phase.iter().zip(&other.new_by_phase) {
-                    for (x, y) in a.iter().zip(b) {
-                        assert_eq!(x.to_bits(), y.to_bits());
-                    }
-                }
-                for (x, y) in fresh
-                    .broadcasts_by_phase
-                    .iter()
-                    .zip(&other.broadcasts_by_phase)
-                {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-                for (&(r1, w1), &(r2, w2)) in fresh
-                    .success_rate_by_phase
-                    .iter()
-                    .zip(&other.success_rate_by_phase)
-                {
-                    assert_eq!(r1.to_bits(), r2.to_bits());
-                    assert_eq!(w1.to_bits(), w2.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not serve")]
-    fn mismatched_kernel_rejected() {
-        let cfg = RingModelConfig::paper(80.0, 0.4);
-        let kernel = KernelCache::global().get(&cfg);
-        let mut other = cfg;
-        other.quad_points = 48;
-        let _ = RingModel::with_kernel(other, kernel);
     }
 
     #[test]
@@ -815,14 +720,13 @@ mod tests {
         let cfg = RingModelConfig::paper(80.0, 0.4);
         assert_eq!(cfg.link_q, 1.0);
         assert_eq!(cfg.alive_frac, 1.0);
-        let a = RingModel::cached(cfg).run();
+        let a = RingModel::new(cfg).run();
         let mut lossy = cfg;
         lossy.link_q = 0.8;
         // Fault fields are not part of the kernel fingerprint: the lossy
         // config shares the interned kernel with the lossless one.
-        let m = RingModel::cached(lossy);
-        assert!(Arc::ptr_eq(RingModel::cached(cfg).kernel(), m.kernel()));
-        let b = m.run();
+        assert_eq!(KernelKey::of(&cfg), KernelKey::of(&lossy));
+        let b = RingModel::new(lossy).run();
         assert!(
             a.total_informed() > b.total_informed(),
             "20% loss must shrink expected informed count"

@@ -5,12 +5,10 @@
 //! parallelize embarrassingly; this module fans them out with
 //! [`nss_model::par::map_indexed`] and reassembles the grid in order.
 
-use crate::optimize::{Objective, Optimum};
+use crate::optimize::Objective;
 use crate::ring_model::{RingModel, RingModelConfig};
-use crate::tables::KernelCache;
 use nss_model::metrics::PhaseSeries;
 use nss_model::par;
-use std::sync::Arc;
 
 /// Results of a full (ρ × p) sweep of the analytical model.
 #[derive(Debug, Clone)]
@@ -32,14 +30,11 @@ impl DensitySweep {
     }
 
     /// Runs the sweep on up to `threads` worker threads (0 = available
-    /// parallelism).
+    /// parallelism). Every cell shares one interned kernel: the geometry
+    /// tables and μ evaluators do not depend on ρ or p, so workers only run
+    /// the phase recursion.
     pub fn run(base: RingModelConfig, rhos: &[f64], probs: &[f64], threads: usize) -> Self {
         let cells = rhos.len() * probs.len();
-        // One shared kernel serves every cell: the geometry tables and μ
-        // evaluators do not depend on ρ or p, so workers only run the phase
-        // recursion.
-        let kernel = KernelCache::global().get(&base);
-
         // Cell i is (ρ index i / |probs|, p index i % |probs|): row-major,
         // so the results chunk straight into the grid's rows.
         let mut series = par::map_indexed(cells, par::workers(threads, cells), |i| {
@@ -49,9 +44,7 @@ impl DensitySweep {
             // Gate the clock reads themselves on the obs feature so
             // uninstrumented builds pay nothing.
             let cell_start = nss_obs::enabled().then(std::time::Instant::now);
-            let series = RingModel::with_kernel(cfg, Arc::clone(&kernel))
-                .run()
-                .phase_series();
+            let series = RingModel::new(cfg).run().phase_series();
             if let Some(start) = cell_start {
                 nss_obs::observe!("analysis.sweep.cell_seconds", start.elapsed().as_secs_f64());
                 nss_obs::counter!("analysis.sweep.cells").inc();
@@ -77,23 +70,6 @@ impl DensitySweep {
         self.grid
             .iter()
             .map(|row| row.iter().map(|s| obj.evaluate(s)).collect())
-            .collect()
-    }
-
-    /// Per-density optimum (the Fig. Nb panels): `(rho, Optimum)` for each
-    /// density where at least one grid point is feasible.
-    pub fn optima(&self, obj: Objective) -> Vec<(f64, Option<Optimum>)> {
-        self.grid
-            .iter()
-            .zip(&self.rhos)
-            .map(|(row, &rho)| {
-                let points = self
-                    .probs
-                    .iter()
-                    .zip(row)
-                    .map(|(&p, s)| (p, obj.evaluate(s)));
-                (rho, obj.best(points))
-            })
             .collect()
     }
 }
@@ -130,22 +106,6 @@ mod tests {
                 assert_eq!(sa.broadcasts_cum, sb.broadcasts_cum);
             }
         }
-    }
-
-    #[test]
-    fn optima_extraction() {
-        let s = small_sweep(0);
-        let optima = s.optima(Objective::MaxReachAtLatency { phases: 5.0 });
-        assert_eq!(optima.len(), 3);
-        for (rho, opt) in &optima {
-            let opt = opt.expect("max objective always feasible");
-            assert!(opt.value > 0.0 && opt.value <= 1.0, "rho={rho}");
-            assert!(s.probs.contains(&opt.prob));
-        }
-        // Optimal p falls (weakly) with density.
-        let p0 = optima[0].1.unwrap().prob;
-        let p2 = optima[2].1.unwrap().prob;
-        assert!(p2 <= p0, "p* should not grow with density: {p0} → {p2}");
     }
 
     #[test]

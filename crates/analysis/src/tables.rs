@@ -26,7 +26,7 @@
 //!   while removing the `O(s)` `powf` chain from the inner loop.
 
 use crate::mu::{MuEvaluator, MuMode};
-use crate::mu_cs::{mu_cs_closed_form, MuCsEvaluator};
+use crate::mu_cs::{lattice, mu_cs_closed_form, MuCsEvaluator};
 use crate::ring_geometry::RingGeometry;
 use crate::ring_model::RingModelConfig;
 use nss_model::comm::CollisionRule;
@@ -46,8 +46,6 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 pub struct GeometryTables {
     p: u32,
-    r: f64,
-    quad_points: usize,
     cs_factor: Option<f64>,
     /// Number of Simpson panels (even); there are `n + 1` abscissae.
     n: usize,
@@ -112,8 +110,6 @@ impl GeometryTables {
 
         GeometryTables {
             p,
-            r,
-            quad_points,
             cs_factor,
             n,
             h,
@@ -121,21 +117,6 @@ impl GeometryTables {
             a,
             b,
         }
-    }
-
-    /// Ring count `P`.
-    pub fn rings(&self) -> u32 {
-        self.p
-    }
-
-    /// Ring width (= transmission radius) `r`.
-    pub fn r(&self) -> f64 {
-        self.r
-    }
-
-    /// The `quad_points` the tables were built for (pre-rounding).
-    pub fn quad_points(&self) -> usize {
-        self.quad_points
     }
 
     /// The carrier-sense factor the `B` table was built for, if any.
@@ -357,12 +338,6 @@ impl MuCsMemo {
     }
 }
 
-#[inline]
-fn lattice(x: f64) -> (u64, u64, f64) {
-    let lo = x.floor();
-    (lo as u64, x.ceil() as u64, x - lo)
-}
-
 /// Everything a [`crate::ring_model::RingModel`] run needs that does *not*
 /// depend on `ρ` or the broadcast probability — built once, shared by
 /// reference across all cells of a sweep.
@@ -398,28 +373,10 @@ impl SharedKernel {
         }
     }
 
-    /// True if this kernel serves the given configuration (same
-    /// ρ/p-independent fingerprint).
-    pub fn matches(&self, config: &RingModelConfig) -> bool {
-        KernelKey::of(config) == self.key()
-    }
-
     /// Approximate heap footprint of the kernel in bytes: geometry tables
     /// and ring areas.
     pub fn bytes(&self) -> usize {
         self.tables.bytes() + self.ring_areas.capacity() * std::mem::size_of::<f64>()
-    }
-
-    /// The fingerprint this kernel was built from.
-    pub fn key(&self) -> KernelKey {
-        KernelKey {
-            p: self.geom.p,
-            s: self.mu.slots(),
-            r_bits: self.geom.r.to_bits(),
-            quad_points: self.tables.quad_points(),
-            mu_mode: self.mu.mode(),
-            cs_bits: self.tables.cs_factor().map(f64::to_bits),
-        }
     }
 }
 
@@ -700,6 +657,10 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &d));
         assert!(d.tables.cs_factor().is_some());
         assert_eq!(cache.len(), 3);
+        // So does another slot count, whose μ evaluators differ.
+        let e = cache.get(&RingModelConfig { s: 5, ..cfg() });
+        assert_eq!(e.mu.slots(), 5);
+        assert_eq!(cache.len(), 4);
     }
 
     #[test]
@@ -732,18 +693,6 @@ mod tests {
         } else {
             assert_eq!((hits, misses), (0, 0));
         }
-    }
-
-    #[test]
-    fn kernel_matches_its_config() {
-        let kernel = SharedKernel::build(&cfg());
-        assert!(kernel.matches(&cfg()));
-        let mut other = cfg();
-        other.rho = 999.0; // ρ is not part of the fingerprint
-        assert!(kernel.matches(&other));
-        other = cfg();
-        other.s = 5;
-        assert!(!kernel.matches(&other));
     }
 
     #[test]

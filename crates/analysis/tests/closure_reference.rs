@@ -17,11 +17,9 @@ use nss_analysis::mu_cs::MuCsEvaluator;
 use nss_analysis::quadrature::simpson;
 use nss_analysis::ring_geometry::RingGeometry;
 use nss_analysis::ring_model::{RingModel, RingModelConfig};
-use nss_analysis::tables::KernelCache;
 use nss_model::comm::CollisionRule;
 use nss_model::metrics::PhaseSeries;
 use std::f64::consts::PI;
-use std::sync::Arc;
 
 /// The seed implementation of the Eq. 4 recursion.
 fn legacy_phase_series(cfg: RingModelConfig) -> PhaseSeries {
@@ -129,15 +127,12 @@ fn legacy_phase_series(cfg: RingModelConfig) -> PhaseSeries {
 fn assert_grid_bitwise_equal(collision: CollisionRule, probs: &[f64]) {
     let mut base = RingModelConfig::paper(20.0, 0.5);
     base.collision = collision;
-    let kernel = KernelCache::global().get(&base);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for rho in (1..=7).map(|i| f64::from(i) * 20.0) {
         for &prob in probs {
             let cfg = RingModelConfig { rho, prob, ..base };
             let legacy = legacy_phase_series(cfg);
-            let table = RingModel::with_kernel(cfg, Arc::clone(&kernel))
-                .run()
-                .phase_series();
+            let table = RingModel::new(cfg).run().phase_series();
             let cell = format!("{collision:?} rho={rho} p={prob}");
             assert_eq!(
                 legacy.n_total.to_bits(),

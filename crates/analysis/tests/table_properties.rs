@@ -1,10 +1,9 @@
-//! Property tests for the table-driven kernel cache: the precomputed
-//! geometry tables must agree with direct lens-area evaluation, and a
-//! cached model run must be indistinguishable from an uncached one.
+//! Property tests for the table-driven kernel: the precomputed geometry
+//! tables must agree with direct lens-area evaluation, and their quadrature
+//! must replay Simpson integration bitwise.
 
 use nss_analysis::prelude::*;
 use nss_analysis::tables::GeometryTables;
-use nss_model::comm::CollisionRule;
 use proptest::prelude::*;
 
 proptest! {
@@ -56,59 +55,5 @@ proptest! {
         let direct = nss_analysis::quadrature::simpson(f, 0.0, r, quad);
         let tabled = tables.integrate(|_, x| f(x));
         prop_assert_eq!(direct.to_bits(), tabled.to_bits());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Running through the kernel cache is observationally identical to a
-    /// fresh uncached model, across densities, probabilities, and both
-    /// collision rules.
-    #[test]
-    fn cached_run_identical_to_uncached(
-        rho in 5.0f64..150.0,
-        prob in 0.01f64..1.0,
-        quad in 8usize..48,
-        carrier in 0u32..2,
-    ) {
-        let mut cfg = RingModelConfig::paper(rho, prob);
-        cfg.quad_points = quad;
-        if carrier == 1 {
-            cfg.collision = CollisionRule::CARRIER_SENSE_2R;
-        }
-        let fresh = RingModel::new(cfg).run().phase_series();
-        let cached = RingModel::cached(cfg).run().phase_series();
-        prop_assert_eq!(fresh.informed_cum.len(), cached.informed_cum.len());
-        for (x, y) in fresh.informed_cum.iter().zip(&cached.informed_cum) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in fresh.broadcasts_cum.iter().zip(&cached.broadcasts_cum) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    /// Success-rate tracking is also preserved by the cached path.
-    #[test]
-    fn cached_success_tracking_identical(
-        rho in 5.0f64..150.0,
-        prob in 0.05f64..1.0,
-    ) {
-        let mut cfg = RingModelConfig::paper(rho, prob);
-        cfg.quad_points = 24;
-        let fresh = RingModel::new(cfg).with_success_rate_tracking().run();
-        let cached = RingModel::cached(cfg).with_success_rate_tracking().run();
-        prop_assert_eq!(
-            fresh.success_rate_by_phase.len(),
-            cached.success_rate_by_phase.len()
-        );
-        for (&(r1, w1), &(r2, w2)) in fresh
-            .success_rate_by_phase
-            .iter()
-            .zip(&cached.success_rate_by_phase)
-        {
-            prop_assert_eq!(r1.to_bits(), r2.to_bits());
-            prop_assert_eq!(w1.to_bits(), w2.to_bits());
-        }
     }
 }

@@ -7,7 +7,7 @@ use nss_analysis::mu::MuMode;
 use nss_analysis::optimize::{Objective, Optimum, ProbabilitySweep};
 use nss_analysis::ring_model::RingModelConfig;
 use nss_model::comm::{CollisionRule, CommunicationModel, MediumBackend};
-use nss_model::deployment::Deployment;
+use nss_model::deployment::{Deployment, DiskDeployment};
 use nss_model::error::ConfigError;
 use nss_sim::runner::{ReplicatedTraces, Replication};
 use nss_sim::slotted::GossipConfig;
@@ -17,6 +17,8 @@ use nss_sim::slotted::GossipConfig;
 #[derive(Debug, Clone)]
 pub struct DesignOptimizer {
     model: NetworkModel,
+    /// The model's disk deployment, the only one the analysis covers.
+    disk: DiskDeployment,
     grid: Vec<f64>,
     quad_points: usize,
 }
@@ -26,12 +28,12 @@ impl DesignOptimizer {
     /// deployment under CAM — the configuration the analysis covers).
     pub fn new(model: NetworkModel) -> Result<Self, ConfigError> {
         model.validate()?;
-        if model.rho().is_none() {
+        let Deployment::Disk(disk) = model.deployment else {
             return Err(ConfigError::Inconsistent {
                 what: "analytical optimization requires the disk deployment",
                 at: None,
             });
-        }
+        };
         if !model.comm.collisions_possible() {
             return Err(ConfigError::Inconsistent {
                 what: "PB_CAM optimization targets the Collision Aware Model",
@@ -40,6 +42,7 @@ impl DesignOptimizer {
         }
         Ok(DesignOptimizer {
             model,
+            disk,
             grid: ProbabilitySweep::paper_grid(),
             quad_points: 64,
         })
@@ -61,9 +64,7 @@ impl DesignOptimizer {
     /// The analytical ring-model configuration implied by the network
     /// model (with a placeholder probability).
     pub fn ring_config(&self) -> RingModelConfig {
-        let Deployment::Disk(d) = self.model.deployment else {
-            unreachable!("checked in constructor");
-        };
+        let d = self.disk;
         let collision = match self.model.comm {
             CommunicationModel::Cam(rule) => rule,
             CommunicationModel::Cfm => CollisionRule::TransmissionRange,

@@ -38,7 +38,7 @@ fn part_a_link_loss(ctx: &Ctx) {
         let mut cfg = RingModelConfig::paper(RHO, PROB);
         cfg.quad_points = ctx.quad_points();
         cfg.link_q = 1.0 - lambda;
-        let anal = RingModel::cached(cfg)
+        let anal = RingModel::new(cfg)
             .run()
             .phase_series()
             .reachability_at_latency(LATENCY);
@@ -92,7 +92,7 @@ fn part_b_alive_fraction(ctx: &Ctx) {
             let mut cfg = RingModelConfig::paper(RHO, p);
             cfg.quad_points = ctx.quad_points();
             cfg.alive_frac = alive;
-            let reach = RingModel::cached(cfg)
+            let reach = RingModel::new(cfg)
                 .run()
                 .phase_series()
                 .reachability_at_latency(LATENCY);

@@ -52,7 +52,7 @@ fn part_a_overlay(ctx: &Ctx) {
     for (pi, &p) in probs.iter().enumerate() {
         let mut cfg = RingModelConfig::paper(RHO, p);
         cfg.quad_points = ctx.quad_points();
-        let anal = RingModel::cached(cfg)
+        let anal = RingModel::new(cfg)
             .run()
             .phase_series()
             .reachability_at_latency(LATENCY);

@@ -257,7 +257,7 @@ pub fn ext_survival(ctx: &Ctx) {
             let mut cfg = ctx.ring_base();
             cfg.rho = rho;
             cfg.prob = p;
-            let est = survival_estimate(&RingModel::cached(cfg).run());
+            let est = survival_estimate(&RingModel::new(cfg).run());
             let sim = reach.iter().map(|r| r[pi]).sum::<f64>() / f64::from(runs);
             csv.push(format!(
                 "{rho},{p},{},{},{},{sim}",
@@ -523,7 +523,7 @@ pub fn ext_slots(ctx: &Ctx) {
         let flooding = {
             let mut f = cfg;
             f.prob = 1.0;
-            nss_analysis::ring_model::RingModel::cached(f)
+            nss_analysis::ring_model::RingModel::new(f)
                 .run()
                 .phase_series()
                 .reachability_at_latency(LATENCY_BUDGET)

@@ -20,8 +20,10 @@
 //!
 //! A cold (ρ, quad) query runs the ring model over the paper's full
 //! 100-point probability grid (~milliseconds); a warm query evaluates an
-//! objective over the cached [`PhaseSeries`] (~microseconds). The service
-//! therefore keeps per-ρ sweeps in a
+//! objective over the cached [`ProbabilitySweep`]'s
+//! [`nss_model::metrics::PhaseSeries`] (~microseconds) and picks its best
+//! point with [`Objective::best`]'s tie rule. The service therefore keeps
+//! per-ρ sweeps in a
 //! [`nss_analysis::sharded::ShardedCache`] — sharded by the
 //! FNV-64 fingerprint of ([`KernelKey`], ρ), cold-miss-coalescing so a
 //! storm of identical uncached queries computes the sweep once, and
@@ -42,11 +44,10 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use nss_analysis::optimize::{Objective, Optimum, ProbabilitySweep};
+use nss_analysis::optimize::{Objective, ProbabilitySweep};
 use nss_analysis::ring_model::RingModelConfig;
 use nss_analysis::sharded::{CacheWeight, Fingerprint, OutcomeKind, ShardedCache};
 use nss_analysis::tables::KernelKey;
-use nss_model::metrics::PhaseSeries;
 use nss_obs::export::json_escape;
 use nss_obs::http::{HttpServer, Request, Response, Router, ServerOptions};
 use nss_obs::jsonval::Json;
@@ -109,31 +110,6 @@ impl Fingerprint for RhoKey {
     }
 }
 
-/// One resident sweep: the paper's 100-point probability grid and the
-/// phase series computed at each point for a fixed ρ.
-#[derive(Debug)]
-pub struct RhoEntry {
-    /// The probability grid ([`ProbabilitySweep::paper_grid`]).
-    pub probs: Vec<f64>,
-    /// Phase series aligned with `probs`.
-    pub series: Vec<PhaseSeries>,
-}
-
-impl CacheWeight for RhoEntry {
-    fn cache_bytes(&self) -> usize {
-        let series_heap: usize = self
-            .series
-            .iter()
-            .map(|s| {
-                (s.informed_cum.capacity() + s.broadcasts_cum.capacity())
-                    * std::mem::size_of::<f64>()
-                    + std::mem::size_of::<PhaseSeries>()
-            })
-            .sum();
-        self.probs.capacity() * std::mem::size_of::<f64>() + series_heap
-    }
-}
-
 /// A request-level failure, rendered as `{"error": …}` with an HTTP
 /// status code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,6 +127,16 @@ impl ApiError {
             message: message.into(),
         }
     }
+
+    /// The `{"error": …, "status": …}` body of an error response, and of a
+    /// failed query inside a batch.
+    fn body(&self) -> String {
+        format!(
+            "{{\"error\":\"{}\",\"status\":{}}}",
+            json_escape(&self.message),
+            self.status
+        )
+    }
 }
 
 /// The query engine: parameter validation, the resident sweep cache, and
@@ -158,7 +144,7 @@ impl ApiError {
 /// batch endpoint call it directly.
 pub struct QueryService {
     base: RingModelConfig,
-    cache: ShardedCache<RhoKey, RhoEntry>,
+    cache: ShardedCache<RhoKey, ProbabilitySweep>,
 }
 
 impl std::fmt::Debug for QueryService {
@@ -252,7 +238,7 @@ impl QueryService {
     /// The resident sweep for `rho`, building (and possibly coalescing or
     /// evicting) on a miss. Mirrors the outcome into the `serve.cache.*`
     /// metrics. `Err(503)` when the sweep exceeds the per-shard budget.
-    fn sweep_for(&self, rho: f64) -> Result<(Arc<RhoEntry>, OutcomeKind), ApiError> {
+    fn sweep_for(&self, rho: f64) -> Result<(Arc<ProbabilitySweep>, OutcomeKind), ApiError> {
         let mut base = self.base;
         base.rho = rho;
         let key = RhoKey {
@@ -260,11 +246,7 @@ impl QueryService {
             kernel: KernelKey::of(&base),
         };
         let out = self.cache.get_or_build(&key, || {
-            let sweep = ProbabilitySweep::run(base, &ProbabilitySweep::paper_grid());
-            RhoEntry {
-                probs: sweep.probs,
-                series: sweep.series,
-            }
+            ProbabilitySweep::run(base, &ProbabilitySweep::paper_grid())
         });
         match out.kind {
             OutcomeKind::Hit => nss_obs::counter!("serve.cache.hit").inc(),
@@ -298,24 +280,7 @@ impl QueryService {
         let (entry, kind) = self.sweep_for(rho)?;
         // Evaluate in place over the cached series — cloning the sweep
         // would copy ~300 KB per request and sink the warm-path SLO.
-        let mut best: Option<(f64, f64)> = None;
-        for (&p, s) in entry.probs.iter().zip(&entry.series) {
-            let Some(v) = obj.evaluate(s) else { continue };
-            let better = match best {
-                None => true,
-                Some((_, incumbent)) => {
-                    if obj.is_max() {
-                        v > incumbent
-                    } else {
-                        v < incumbent
-                    }
-                }
-            };
-            if better {
-                best = Some((p, v));
-            }
-        }
-        let body = match best.map(|(prob, value)| Optimum { prob, value }) {
+        let body = match entry.optimum(obj) {
             Some(opt) => format!(
                 "{{\"rho\":{rho},\"metric\":\"{metric}\",\"constraint\":{constraint},\
                  \"feasible\":true,\"p\":{},\"value\":{},\"cache\":\"{}\"}}",
@@ -415,11 +380,7 @@ impl QueryService {
             })();
             match answer {
                 Ok(json) => results.push_str(&json),
-                Err(e) => results.push_str(&format!(
-                    "{{\"error\":\"{}\",\"status\":{}}}",
-                    json_escape(&e.message),
-                    e.status
-                )),
+                Err(e) => results.push_str(&e.body()),
             }
         }
         Ok(format!("{{\"results\":[{results}]}}"))
@@ -440,14 +401,7 @@ fn respond(result: Result<String, ApiError>) -> Response {
         Ok(body) => Response::json(200, body),
         Err(e) => {
             nss_obs::counter!("serve.errors").inc();
-            Response::json(
-                e.status,
-                format!(
-                    "{{\"error\":\"{}\",\"status\":{}}}",
-                    json_escape(&e.message),
-                    e.status
-                ),
-            )
+            Response::json(e.status, e.body())
         }
     }
 }
