@@ -34,7 +34,7 @@
 //! | `rng-discipline` | no literal-seeded `SmallRng` outside tests — every RNG originates from a labeled `Stream` |
 //! | `float-safety` | no `==`/`!=` against float literals and no unguarded `.sqrt()`/`.acos()`/`.asin()` in `analysis`/`core` |
 //! | `feature-hygiene` | obs macros must be `nss_obs::`-qualified and carry effect-free arguments, so `--no-default-features` builds stay identical |
-//! | `atomic-protocol` | `Relaxed` only for counter accumulate; claim/CAS RMWs and load/store in fence-bearing files need the proven ordering or a pragma citing a loom/Miri proof |
+//! | `atomic-protocol` | `Relaxed` only for counter accumulate; claim/CAS RMWs, `fetch_add` elections and load/store in fence-bearing files need the proven ordering or a pragma citing a loom/Miri proof |
 //! | `blocking-in-handler` | route handlers hold no lock guard across kernel computation |
 //!
 //! `nss-lint rules --check` keeps `docs/LINTS.md` in sync with this

@@ -4,17 +4,21 @@
 //! The workspace's atomics fall into two camps. Statistical counters
 //! (`fetch_add`/`fetch_sub` accumulate, `load`/`store` publish a tally)
 //! are order-free by construction and `Relaxed` is correct. Everything
-//! else is a *protocol*: a `fetch_or` claim election, a
-//! `compare_exchange` CAS loop, a seqlock's fenced payload accesses. Those
-//! are exactly the shapes the loom models under `tests/loom_*.rs` pin
-//! down, and a `Relaxed` there is either (a) proven sound by such a model
-//! — say so in a pragma — or (b) a latent reordering bug.
+//! else is a *protocol*: a `fetch_or` claim election, a `fetch_add`
+//! whose old value elects an owner, a `compare_exchange` CAS loop, a
+//! seqlock's fenced payload accesses. Those are exactly the shapes the
+//! loom models under `tests/loom_*.rs` pin down, and a `Relaxed` there is
+//! either (a) proven sound by such a model — say so in a pragma — or (b)
+//! a latent reordering bug.
 //!
 //! Concretely the rule flags, outside test code:
 //!
 //! * any read-modify-write other than `fetch_add`/`fetch_sub` (`fetch_or`,
 //!   `swap`, `compare_exchange[_weak]`, `fetch_update`, …) that passes
 //!   `Relaxed`;
+//! * a `Relaxed` `fetch_add`/`fetch_sub` whose result is compared on the
+//!   spot (`… == 0`): the old value decides something, so the add is an
+//!   election, not a tally;
 //! * a `Relaxed` `load`/`store` in a **protocol file** — one that uses
 //!   `fence` or `Acquire`/`Release`/`AcqRel` orderings anywhere, meaning
 //!   its payload accesses participate in a happens-before protocol and
@@ -38,6 +42,13 @@ const RMW_METHODS: &[&str] = &[
     "compare_exchange_weak",
 ];
 
+/// Counter accumulates: plain tallies unless their old value is compared.
+const ACCUMULATE_METHODS: &[&str] = &["fetch_add", "fetch_sub"];
+
+/// Operators that, right after an accumulate's call, turn its old value
+/// into a decision (`<` and `>` also open `<=` and `>=`).
+const COMPARISONS: &[&str] = &["==", "!=", "<", ">"];
+
 /// Orderings whose presence marks a file as protocol-bearing.
 const PROTOCOL_MARKS: &[&str] = &["Acquire", "Release", "AcqRel", "fence"];
 
@@ -49,9 +60,10 @@ impl Rule for AtomicProtocol {
     }
 
     fn describe(&self) -> &'static str {
-        "Relaxed is allowed only for counter accumulate (fetch_add/fetch_sub) and \
-         plain tallies; claim/CAS RMWs and load/store in fence-bearing files need \
-         Acquire/Release or a pragma citing a loom/Miri proof"
+        "Relaxed is allowed only for counter accumulate (fetch_add/fetch_sub, old value \
+         not compared) and plain tallies; claim/CAS RMWs, fetch_add elections and \
+         load/store in fence-bearing files need Acquire/Release or a pragma citing a \
+         loom/Miri proof"
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Violation>) {
@@ -65,8 +77,9 @@ impl Rule for AtomicProtocol {
             }
             let name = t.text.as_str();
             let is_rmw = RMW_METHODS.contains(&name);
+            let is_accumulate = ACCUMULATE_METHODS.contains(&name);
             let is_plain = name == "load" || name == "store";
-            if !(is_rmw || is_plain && protocol_file) {
+            if !(is_rmw || is_accumulate || is_plain && protocol_file) {
                 continue;
             }
             // Method-call shape with a `Relaxed` argument.
@@ -80,10 +93,19 @@ impl Rule for AtomicProtocol {
                 continue;
             };
             let relaxed = toks[i + 2..close].iter().any(|a| a.is_ident("Relaxed"));
-            if !relaxed {
+            let compared = toks
+                .get(close + 1)
+                .is_some_and(|n| COMPARISONS.iter().any(|op| n.is_punct(op)));
+            if !relaxed || is_accumulate && !compared {
                 continue;
             }
-            let msg = if is_rmw {
+            let msg = if is_accumulate {
+                format!(
+                    "`{name}(…, Relaxed)` compared on the spot elects by its old value; \
+                     pragma this line citing the model that proves the election sound \
+                     at Relaxed, or use the protocol ordering"
+                )
+            } else if is_rmw {
                 format!(
                     "`{name}(…, Relaxed)` is a read-modify-write protocol step; use the \
                      Acquire/Release pairing the loom model checks, or pragma this line \
@@ -126,6 +148,18 @@ mod tests {
         let vs = lint(
             "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); c.fetch_sub(1, Ordering::Relaxed); }\n",
         );
+        assert!(vs.is_empty(), "{vs:?}");
+    }
+
+    #[test]
+    fn relaxed_fetch_add_election_flagged() {
+        let vs = lint("fn f(w: &AtomicU64) -> bool { w.fetch_add(1, Ordering::Relaxed) == 0 }\n");
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(vs[0].message.contains("elects"));
+        let vs = lint("fn f(w: &AtomicU64) -> bool { w.fetch_sub(1, Ordering::Relaxed) <= 1 }\n");
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        // The old value used as an index or returned is not an election.
+        let vs = lint("fn f(w: &AtomicU64) -> u64 { w.fetch_add(1, Ordering::Relaxed) + 1 }\n");
         assert!(vs.is_empty(), "{vs:?}");
     }
 

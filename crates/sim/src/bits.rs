@@ -4,11 +4,7 @@
 //! up to 10⁶ nodes; a packed bitset keeps a whole field's mask in
 //! `n / 8` bytes — 64 nodes per cache line instead of 8 — so the phase
 //! loop's working set scales with the *active* frontier rather than with
-//! `n` booleans. [`AtomicBitSet`] adds the lock-free claim used by the
-//! sharded phase engine: `fetch_or` on one bit decides exactly one winner
-//! per receiver regardless of thread interleaving.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! `n` booleans.
 
 const WORD_BITS: usize = 64;
 
@@ -160,70 +156,6 @@ impl BitSet {
     }
 }
 
-/// A fixed-length bitset with lock-free bit claims, for sharded phase
-/// execution.
-///
-/// The claim discipline mirrors the sweep collector's cursor protocol
-/// (loom-checked in `crates/sim/tests/loom_claim.rs`): `fetch_or` on a
-/// bit is the linearization point, and exactly one thread observes the
-/// 0→1 transition.
-#[derive(Debug)]
-pub struct AtomicBitSet {
-    words: Vec<AtomicU64>,
-    len: usize,
-}
-
-impl AtomicBitSet {
-    /// All-false atomic bitset of `len` bits.
-    pub fn new(len: usize) -> Self {
-        AtomicBitSet {
-            words: (0..word_count(len)).map(|_| AtomicU64::new(0)).collect(),
-            len,
-        }
-    }
-
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the bitset has zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Heap bytes held by the packed words (memory-footprint telemetry).
-    pub fn bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<AtomicU64>()
-    }
-
-    /// Atomically sets bit `i`; returns `true` iff this call flipped it
-    /// (the caller won the claim).
-    #[inline]
-    pub fn claim(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        let mask = 1u64 << (i % WORD_BITS);
-        // nss-lint: allow(atomic-protocol) — pure claim race: the winner publishes nothing through the bit (payload travels via the channel), and crates/sim/tests/loom_claim.rs model-checks that Relaxed suffices
-        self.words[i / WORD_BITS].fetch_or(mask, Ordering::Relaxed) & mask == 0
-    }
-
-    /// Reads bit `i` (relaxed; only meaningful after the writing threads
-    /// have joined).
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        self.words[i / WORD_BITS].load(Ordering::Relaxed) & (1u64 << (i % WORD_BITS)) != 0
-    }
-
-    /// Clears every bit. Requires `&mut self`, i.e. all claiming threads
-    /// have joined.
-    pub fn clear_all(&mut self) {
-        for w in &mut self.words {
-            *w.get_mut() = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,41 +239,5 @@ mod tests {
         assert_eq!(BitSet::new(1).bytes(), 8);
         assert_eq!(BitSet::new(64).bytes(), 8);
         assert_eq!(BitSet::new(65).bytes(), 16);
-        assert_eq!(AtomicBitSet::new(128).bytes(), 16);
-    }
-
-    #[test]
-    fn atomic_claim_is_exactly_once() {
-        let b = AtomicBitSet::new(80);
-        assert!(b.claim(70));
-        assert!(!b.claim(70), "second claim must lose");
-        assert!(b.get(70));
-        assert!(!b.get(71));
-        assert!(b.claim(71));
-    }
-
-    #[test]
-    fn atomic_clear_resets() {
-        let mut b = AtomicBitSet::new(65);
-        assert_eq!(b.len(), 65);
-        b.claim(64);
-        b.clear_all();
-        assert!(!b.get(64));
-        assert!(b.claim(64));
-    }
-
-    #[test]
-    fn concurrent_claims_have_one_winner_per_bit() {
-        let b = std::sync::Arc::new(AtomicBitSet::new(1024));
-        let winners: Vec<usize> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let b = std::sync::Arc::clone(&b);
-                    scope.spawn(move || (0..1024).filter(|&i| b.claim(i)).count())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(winners.iter().sum::<usize>(), 1024);
     }
 }

@@ -52,7 +52,7 @@ pub mod trace;
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
-    pub use crate::bits::{AtomicBitSet, BitSet};
+    pub use crate::bits::BitSet;
     pub use crate::events::{run_event_delivery, EventDeliveryReport};
     pub use crate::exact::{exact_expected_informed, exact_expected_reachability};
     pub use crate::executor::Executor;

@@ -20,11 +20,13 @@
 //! order, so results are bit-identical under any engine or thread count.
 //!
 //! Each rule is written once, here, as a crate-private pure function that
-//! both engines call — [`Medium::resolve_slot`] with plain counters, and
-//! the sharded engine's pass A / pass B with relaxed atomics:
+//! both engines call — [`Medium::resolve_slot`] with plain words, and the
+//! sharded engine's pass A / pass B with relaxed atomic words:
 //!
 //! * `expose` — which nodes one transmission reaches, and how;
-//! * `classify` — Assumption 6 / Appendix A at one receiver;
+//! * `exposure_add` — one such visit as an increment of the receiver's
+//!   packed exposure word (in-range count, annulus count, transmitter id);
+//! * `classify` — Assumption 6 / Appendix A at one receiver, from its word;
 //! * `sinr_decode` — the SINR threshold test at one receiver;
 //! * `gate` — the fault plan's hearing mask and link-loss coin.
 
@@ -35,11 +37,14 @@ use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
 
 /// Reusable scratch buffers for slot resolution (sized to the topology).
+///
+/// Each receiver's exposure is one packed word (`exposure_add`), the
+/// same encoding the sharded engine's atomic arbiter accumulates, so its
+/// 16-bit count fields cap a receiver at 65,535 in-range (and as many
+/// annulus) transmitters per slot.
 #[derive(Debug)]
 pub struct MediumScratch {
-    rx_count: Vec<u16>,
-    cs_count: Vec<u16>,
-    last_tx: Vec<u32>,
+    exposure: Vec<u64>,
     touched: Vec<u32>,
     tx_bits: BitSet,
 }
@@ -48,9 +53,7 @@ impl MediumScratch {
     /// Allocates scratch space for an `n`-node topology.
     pub fn new(n: usize) -> Self {
         MediumScratch {
-            rx_count: vec![0; n],
-            cs_count: vec![0; n],
-            last_tx: vec![0; n],
+            exposure: vec![0; n],
             touched: Vec::with_capacity(256),
             tx_bits: BitSet::new(n),
         }
@@ -58,25 +61,22 @@ impl MediumScratch {
 
     fn reset(&mut self) {
         for &v in &self.touched {
-            self.rx_count[v as usize] = 0;
-            self.cs_count[v as usize] = 0;
+            self.exposure[v as usize] = 0;
         }
         self.touched.clear();
     }
 
     /// Accumulates one [`expose`] visit: transmitter `t` reaches `v`.
     fn note(&mut self, v: u32, t: u32, reach: Reach) {
-        let vi = v as usize;
-        if self.rx_count[vi] == 0 && self.cs_count[vi] == 0 {
+        let w = &mut self.exposure[v as usize];
+        if *w == 0 {
             self.touched.push(v);
         }
-        match reach {
-            Reach::InRange => {
-                self.rx_count[vi] += 1;
-                self.last_tx[vi] = t;
-            }
-            Reach::Annulus => self.cs_count[vi] += 1,
-        }
+        debug_assert!(
+            *w & COUNT_MASK < COUNT_MASK && (*w >> 16) & COUNT_MASK < COUNT_MASK,
+            "exposure count overflows 16 bits"
+        );
+        *w = w.wrapping_add(exposure_add(t, reach));
     }
 }
 
@@ -207,13 +207,10 @@ impl Medium {
                 }
             }
             for &v in &scratch.touched {
-                let vi = v as usize;
                 let heard = if let Rule::Sinr(params) = rule {
                     sinr_decode(topo, v, &params, &scratch.tx_bits, &mut stats)
                 } else {
-                    let rx = u32::from(scratch.rx_count[vi]);
-                    let cs = u32::from(scratch.cs_count[vi]);
-                    classify(rx, cs, || scratch.last_tx[vi], &mut stats)
+                    classify(scratch.exposure[v as usize], &mut stats)
                 };
                 if let Some(t) = heard {
                     deliver(&mut stats, t, v);
@@ -320,21 +317,41 @@ pub(crate) fn expose(
     }
 }
 
-/// Unit-disk classification at one receiver that `rx` in-range and `cs`
-/// annulus transmitters reached: Assumption 6 garbles every reception
-/// when `rx ≥ 2`; Appendix A defers a single clean one when `cs ≥ 1`.
-/// Returns the transmitter heard (`last_tx`, read only for a clean
-/// reception) and tallies collisions and deferrals into `stats`.
+/// Mask of one 16-bit count field of an exposure word.
+const COUNT_MASK: u64 = 0xFFFF;
+
+/// One [`expose`] visit as an increment of the receiver's packed exposure
+/// word, the accumulator both arbiters keep per receiver:
+///
+/// * bits 0–15 count the in-range transmitters,
+/// * bits 16–31 count the carrier-sense annulus transmitters,
+/// * bits 32–63 hold the wrapping sum of the in-range transmitter ids.
+///
+/// Adding increments is commutative, so the word is the same under any
+/// visit order, and with exactly one in-range transmitter the id sum is
+/// that transmitter's id. The id sum overflows bit 63 by design; callers
+/// add with `wrapping_add` (atomic adds wrap anyway). The 16-bit counts
+/// hold up to 65,535 transmitters each, far past any slot's contention.
 #[inline]
-pub(crate) fn classify(
-    rx: u32,
-    cs: u32,
-    last_tx: impl FnOnce() -> u32,
-    stats: &mut SlotStats,
-) -> Option<u32> {
+pub(crate) fn exposure_add(t: u32, reach: Reach) -> u64 {
+    match reach {
+        Reach::InRange => (u64::from(t) << 32) | 1,
+        Reach::Annulus => 1 << 16,
+    }
+}
+
+/// Unit-disk classification at one receiver from its packed exposure word
+/// ([`exposure_add`]): Assumption 6 garbles every reception when two or
+/// more in-range transmitters reached it; Appendix A defers a single clean
+/// one when any annulus transmitter did. Returns the transmitter heard and
+/// tallies collisions and deferrals into `stats`.
+#[inline]
+pub(crate) fn classify(exposure: u64, stats: &mut SlotStats) -> Option<u32> {
+    let rx = exposure & COUNT_MASK;
+    let cs = (exposure >> 16) & COUNT_MASK;
     match (rx, cs) {
         (0, _) => None,
-        (1, 0) => Some(last_tx()),
+        (1, 0) => Some((exposure >> 32) as u32),
         (1, _) => {
             stats.cs_deferrals += 1;
             None
@@ -560,6 +577,50 @@ mod tests {
                 .filter(|&(rx, _)| rx == 3)
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// Exposure words at the id extremes: the id sums of two high ids
+    /// overflow bit 63, which must leave both count fields intact.
+    #[test]
+    fn exposure_word_keeps_counts_at_id_extremes() {
+        let word = |hits: &[(u32, Reach)]| {
+            hits.iter().fold(0u64, |w, &(t, reach)| {
+                w.wrapping_add(exposure_add(t, reach))
+            })
+        };
+        let mut st = SlotStats::default();
+        let top = u32::MAX;
+        assert_eq!(classify(word(&[(top, Reach::InRange)]), &mut st), Some(top));
+        assert_eq!(classify(word(&[(0, Reach::InRange)]), &mut st), Some(0));
+        let pair = [(top - 1, Reach::InRange), (top - 2, Reach::InRange)];
+        let w = word(&pair);
+        assert_eq!((w & COUNT_MASK, (w >> 16) & COUNT_MASK), (2, 0));
+        assert_eq!(classify(w, &mut st), None);
+        assert_eq!(st.collisions, 1);
+        // An annulus hit in any order lands in its own field.
+        for hits in [
+            [pair[0], pair[1], (7, Reach::Annulus)],
+            [(7, Reach::Annulus), pair[1], pair[0]],
+        ] {
+            let w = word(&hits);
+            assert_eq!((w & COUNT_MASK, (w >> 16) & COUNT_MASK), (2, 1));
+        }
+        // A sole in-range transmitter behind an annulus hit is deferred.
+        let w = word(&[(top, Reach::Annulus), (top - 1, Reach::InRange)]);
+        assert_eq!(
+            (w & COUNT_MASK, (w >> 16) & COUNT_MASK, (w >> 32) as u32),
+            (1, 1, top - 1)
+        );
+        assert_eq!(classify(w, &mut st), None);
+        assert_eq!(
+            st,
+            SlotStats {
+                collisions: 1,
+                cs_deferrals: 1,
+                ..SlotStats::default()
+            }
+        );
+        assert_eq!(classify(0, &mut st), None);
     }
 
     #[test]

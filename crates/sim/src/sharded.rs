@@ -13,16 +13,17 @@
 //!    hash of `(seed, phase, node)` (`stateless_draw`, the same
 //!    counter-based discipline [`crate::faults`] uses for link-loss coins),
 //!    so no decision depends on an order.
-//! 2. **Atomic-claim contention.** `Arbiter::resolve_slot` holds the claim
-//!    protocol. Pass A walks each transmitter's exposure
-//!    (`medium::expose`), accumulates `rx_count`/`cs_count` with relaxed
-//!    atomic adds (commutative, so thread order cannot matter) and elects
-//!    exactly one discoverer per touched receiver through an
-//!    [`AtomicBitSet`] claim; pass B then re-walks the touched set, each
-//!    receiver owned by exactly one worker, which drains its counters and
+//! 2. **One packed word per receiver.** `Arbiter::resolve_slot` holds the
+//!    claim protocol. Pass A walks each transmitter's exposure
+//!    (`medium::expose`) and adds each visit to the receiver's packed
+//!    exposure word (`medium::exposure_add`: in-range count, annulus count
+//!    and the sum of in-range transmitter ids) with one relaxed
+//!    `fetch_add` — commutative, so thread order cannot matter. The same
+//!    add elects the receiver's owner: the one worker that reads the old
+//!    word as 0 lists it as touched. Pass B then re-walks the touched set,
+//!    each receiver owned by exactly one worker, which drains its word and
 //!    applies `medium::classify` (or `medium::sinr_decode`) and
-//!    `medium::gate`. The claim protocol is modelled in
-//!    `tests/loom_claim.rs`.
+//!    `medium::gate`. The election is modelled in `tests/loom_claim.rs`.
 //! 3. **Canonical order.** Per-worker partial outputs are merged in shard
 //!    order, and the slot's deliveries are handed to the loop sorted by
 //!    receiver, collapsing every schedule to one trace.
@@ -30,14 +31,16 @@
 //! The reception rules themselves are the sequential medium's — the same
 //! functions, called in the same order — so the two arbiters agree slot
 //! for slot (a property test pins this for random fields and transmitter
-//! sets). Only the accumulator differs: plain counters there, atomics and
-//! claims here. The coin streams differ too, so whole traces of the two
-//! engines agree only where randomness is immaterial (CFM or single-slot
-//! SINR flooding with `p = 1`), which the tests pin down.
+//! sets). Only the access to the packed exposure words differs: plain
+//! there, atomic here. The coin streams differ too, so whole traces of the
+//! two engines agree only where randomness is immaterial (CFM or
+//! single-slot SINR flooding with `p = 1`), which the tests pin down.
 
-use crate::bits::{AtomicBitSet, BitSet};
+use crate::bits::BitSet;
 use crate::faults::SlotFaults;
-use crate::medium::{classify, expose, gate, record_obs, sinr_decode, Reach, Rule, SlotStats};
+use crate::medium::{
+    classify, expose, exposure_add, gate, record_obs, sinr_decode, Reach, Rule, SlotStats,
+};
 use crate::slotted::GossipConfig;
 use nss_model::error::ConfigError;
 use nss_model::faults::hash_unit;
@@ -45,7 +48,7 @@ use nss_model::ids::NodeId;
 use nss_model::par;
 use nss_model::rng::splitmix64;
 use nss_model::topology::Topology;
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Salt separating the rebroadcast-coin stream from everything else.
 const COIN_SALT: u64 = 0x8E44_55B6_ACD3_F1A9;
@@ -112,20 +115,27 @@ fn canonical(deliveries: &mut Vec<u64>) {
     deliveries.dedup_by_key(|d| *d >> 32);
 }
 
+/// Pass A's visit: adds transmitter `t`'s [`exposure_add`] to receiver
+/// word `word` and returns whether this call found the word 0, i.e. won
+/// the receiver's ownership for pass B.
+#[inline]
+fn accumulate(word: &AtomicU64, t: u32, reach: Reach) -> bool {
+    // nss-lint: allow(atomic-protocol) — the add doubles as the owner election: the adds commute and exactly one reads the old word 0; no payload rides on the word before the pass-A join, and crates/sim/tests/loom_claim.rs model-checks that Relaxed suffices
+    word.fetch_add(exposure_add(t, reach), Relaxed) == 0
+}
+
 /// The sharded engine's arbitration state: the [`Rule`] plus the scratch
 /// its two passes share.
 ///
-/// Unit-disk CAM accumulates `rx_count`/`cs_count`/`last_tx` with relaxed
-/// atomics in pass A; each touched receiver's single owner (elected
-/// through `claim`) drains them in pass B. SINR needs no counters — pass B
-/// recomputes exposure from the per-slot transmitter set `tx_bits` — and
-/// CFM needs no state at all.
+/// CAM keeps one packed exposure word per receiver ([`exposure_add`]).
+/// Pass A adds every visit to it with one relaxed `fetch_add`, which also
+/// elects the receiver's single owner; the owner drains the word in pass
+/// B. SINR uses the word only for that election — pass B recomputes
+/// exposure from the per-slot transmitter set `tx_bits` — and CFM needs
+/// no state at all.
 pub(crate) struct Arbiter {
     rule: Rule,
-    rx_count: Vec<AtomicU32>,
-    cs_count: Vec<AtomicU32>,
-    last_tx: Vec<AtomicU32>,
-    claim: AtomicBitSet,
+    exposure: Vec<AtomicU64>,
     tx_bits: BitSet,
 }
 
@@ -133,25 +143,20 @@ impl Arbiter {
     /// Sizes each buffer for an `n`-node topology, or empty when `rule`
     /// never touches it.
     pub(crate) fn new(rule: Rule, n: usize) -> Self {
-        let atomics = |len: usize| (0..len).map(|_| AtomicU32::new(0)).collect::<Vec<_>>();
-        let unit_disk = if let Rule::Cam { .. } = rule { n } else { 0 };
+        let words = if let Rule::Cfm = rule { 0 } else { n };
         Arbiter {
             rule,
-            rx_count: atomics(unit_disk),
-            cs_count: atomics(if rule.cs_factor().is_some() { n } else { 0 }),
-            last_tx: atomics(unit_disk),
-            claim: AtomicBitSet::new(if let Rule::Cfm = rule { 0 } else { n }),
+            exposure: (0..words).map(|_| AtomicU64::new(0)).collect(),
             tx_bits: BitSet::new(if let Rule::Sinr(_) = rule { n } else { 0 }),
         }
     }
 
-    /// Memory-footprint gauges: protocol bitsets vs. CAM arbitration
-    /// scratch, so a scrape of a live million-node run shows where the
+    /// Memory-footprint gauges: the informed bitset vs. the exposure
+    /// words, so a scrape of a live million-node run shows where the
     /// resident bytes are.
     pub(crate) fn record_footprint(&self, informed: &BitSet) {
-        let scratch = (self.rx_count.len() + self.cs_count.len() + self.last_tx.len())
-            * std::mem::size_of::<AtomicU32>();
-        nss_obs::gauge!("sim.bitset.bytes").set((informed.bytes() + self.claim.bytes()) as f64);
+        let scratch = self.exposure.len() * std::mem::size_of::<AtomicU64>();
+        nss_obs::gauge!("sim.bitset.bytes").set(informed.bytes() as f64);
         nss_obs::gauge!("sim.scratch.bytes").set(scratch as f64);
     }
 
@@ -183,14 +188,14 @@ impl Arbiter {
     /// CFM possibly several per receiver).
     ///
     /// CFM shards the transmitters and gates every `(tx, rx)` pair. CAM
-    /// runs two passes. Pass A shards the transmitters over [`expose`]:
-    /// the first worker to reach a receiver claims it into its local
-    /// `touched` list, and unit-disk CAM also accumulates the exposure
-    /// counters. Pass B shards the touched set: the claim guarantees each
-    /// receiver appears exactly once, so its owner can drain the counters
-    /// and run [`classify`] (or [`sinr_decode`]) and [`gate`] without
-    /// further synchronization — the same functions, in the same order, as
-    /// [`crate::medium::Medium::resolve_slot`].
+    /// runs two passes. Pass A shards the transmitters over [`expose`] and
+    /// [`accumulate`]s each visit into the receiver's exposure word; the
+    /// worker whose add finds the word 0 claims the receiver into its
+    /// local `touched` list. Pass B shards the touched set: the election
+    /// guarantees each receiver appears exactly once, so its owner can
+    /// drain the word and run [`classify`] (or [`sinr_decode`]) and
+    /// [`gate`] without further synchronization — the same functions, in
+    /// the same order, as [`crate::medium::Medium::resolve_slot`].
     fn resolve_slot(
         &mut self,
         topo: &Topology,
@@ -221,11 +226,10 @@ impl Arbiter {
             }
         }
         let this = &*self;
-        let counting = matches!(rule, Rule::Cam { .. });
 
-        // Pass A: claim touched receivers and accumulate exposure. The
-        // per-chunk `lost` tally counts claim elections this worker lost
-        // (bit already set) — the contention the atomic-claim protocol
+        // Pass A: accumulate exposure and elect each touched receiver's
+        // owner. The per-chunk `lost` tally counts elections this worker
+        // lost (word already non-zero) — the contention the protocol
         // absorbs; the `enabled()` guards const-fold the bookkeeping away
         // in uninstrumented builds.
         let touched_parts = map_chunks("sim.slot.expose", txs, workers, |chunk| {
@@ -233,23 +237,10 @@ impl Arbiter {
             let mut lost: u64 = 0;
             for &t in chunk {
                 expose(topo, t, rule.cs_factor(), |v, reach| {
-                    let vi = v as usize;
-                    if this.claim.claim(vi) {
+                    if accumulate(&this.exposure[v as usize], t, reach) {
                         touched.push(v);
                     } else if nss_obs::enabled() {
                         lost += 1;
-                    }
-                    if !counting {
-                        return;
-                    }
-                    match reach {
-                        Reach::InRange => {
-                            this.rx_count[vi].fetch_add(1, Relaxed);
-                            this.last_tx[vi].store(t, Relaxed);
-                        }
-                        Reach::Annulus => {
-                            this.cs_count[vi].fetch_add(1, Relaxed);
-                        }
                     }
                 });
             }
@@ -270,18 +261,12 @@ impl Arbiter {
             let mut newly: Vec<u64> = Vec::new();
             for &v in chunk {
                 let vi = v as usize;
+                // nss-lint: allow(atomic-protocol) — drain-and-reset after the phase barrier: joining pass A's scope ordered every election add before this swap, and crates/sim/tests/loom_claim.rs checks the drained word under every schedule
+                let word = this.exposure[vi].swap(0, Relaxed);
                 let heard = if let Rule::Sinr(params) = rule {
                     sinr_decode(topo, v, &params, &this.tx_bits, &mut st)
                 } else {
-                    // nss-lint: allow(atomic-protocol) — drain-and-reset after the phase barrier: joining pass A's scope already ordered every fetch_add before these swaps
-                    let rx = this.rx_count[vi].swap(0, Relaxed);
-                    let cs = if rule.cs_factor().is_some() {
-                        // nss-lint: allow(atomic-protocol) — same barrier argument as the rx_count drain above
-                        this.cs_count[vi].swap(0, Relaxed)
-                    } else {
-                        0
-                    };
-                    classify(rx, cs, || this.last_tx[vi].load(Relaxed), &mut st)
+                    classify(word, &mut st)
                 };
                 if let Some(t) = heard {
                     if gate(&mut st, sf, t, v) && !informed.get(vi) {
@@ -291,7 +276,6 @@ impl Arbiter {
             }
             (st, newly)
         });
-        self.claim.clear_all();
         if let Rule::Sinr(_) = rule {
             for &t in txs {
                 self.tx_bits.clear_bit(t as usize);
@@ -664,6 +648,63 @@ mod tests {
         // schedule (just the source) is identical.
         let c = run_gossip_sharded_faulty(&topo, &cfg, &plan, 2, 21, 3);
         assert_eq!(a.broadcasts_by_phase[0], c.broadcasts_by_phase[0]);
+    }
+
+    /// Concurrent pass-A elections on shared exposure words: each touched
+    /// word has exactly one owner, the drained words equal the sequential
+    /// sum of the same visits, and a receiver with one in-range
+    /// transmitter decodes that transmitter's id.
+    #[test]
+    fn exposure_election_has_one_owner_per_receiver() {
+        const WORDS: u32 = 256;
+        // Worker w transmits as `u32::MAX - w`. Worker 0 reaches every
+        // receiver in range, worker 1 the even ones; workers 2 and 3 reach
+        // receivers ≡ 1 (mod 4) in the annulus.
+        let reach = |w: u32, v: u32| match w {
+            0 => Some(Reach::InRange),
+            1 => v.is_multiple_of(2).then_some(Reach::InRange),
+            _ => (v % 4 == 1).then_some(Reach::Annulus),
+        };
+        let words: Vec<AtomicU64> = (0..WORDS).map(|_| AtomicU64::new(0)).collect();
+        let owners: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|w| {
+                    let words = &words;
+                    scope.spawn(move || {
+                        (0..WORDS)
+                            .filter(|&v| {
+                                reach(w, v).is_some_and(|r| {
+                                    accumulate(&words[v as usize], u32::MAX - w, r)
+                                })
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        });
+        let mut owned = owners.concat();
+        owned.sort_unstable();
+        assert_eq!(
+            owned,
+            (0..WORDS).collect::<Vec<_>>(),
+            "election not exclusive"
+        );
+        let mut st = SlotStats::default();
+        for (v, word) in (0..WORDS).zip(&words) {
+            let word = word.swap(0, Relaxed);
+            let expect = (0..4)
+                .filter_map(|w| reach(w, v).map(|r| exposure_add(u32::MAX - w, r)))
+                .fold(0u64, u64::wrapping_add);
+            assert_eq!(word, expect, "receiver {v}");
+            let heard = classify(word, &mut st);
+            assert_eq!(heard, (v % 4 == 3).then_some(u32::MAX), "receiver {v}");
+        }
+        let quarter = u64::from(WORDS / 4);
+        assert_eq!((st.collisions, st.cs_deferrals), (2 * quarter, quarter));
     }
 
     /// Resolves one slot through the sequential medium: its statistics and

@@ -18,7 +18,7 @@
 //!   the sequential engine's `SmallRng` stream, drawn in `pending` order,
 //!   or the sharded engine's stateless hashes of `(seed, phase, node)`.
 //! * `SlotArbiter` — how a slot is resolved: [`Medium::resolve_slot`]
-//!   with plain counters, or the sharded engine's two-pass atomic arbiter
+//!   with plain exposure words, or the sharded engine's two-pass atomic arbiter
 //!   ([`crate::sharded`]) on its worker threads.
 
 use crate::bits::BitSet;
@@ -166,7 +166,7 @@ impl Coins {
 
 /// How the loop resolves one slot.
 pub(crate) enum SlotArbiter {
-    /// [`Medium::resolve_slot`] with plain counters: reports every
+    /// [`Medium::resolve_slot`] with plain exposure words: reports every
     /// delivery, duplicates included, in the medium's order.
     Plain(Medium, MediumScratch),
     /// The sharded engine's two-pass atomic arbiter on this many workers.

@@ -122,8 +122,11 @@ fn trace_digest(t: &SimTrace) -> u64 {
 /// the crash-outage and async entries were recorded before per-phase node
 /// deaths became `FaultPlan` crash outages and before async gossip moved
 /// onto the medium's exposure walk and fault gate (with the same outage
-/// list built by hand). Any change to reception semantics, RNG consumption
-/// order, or fault gating shows up here as a changed digest.
+/// list built by hand). The `flood-dense` entries — flooding a
+/// 14,000-node field at `sim_scale`'s density, where pass-A claims contend
+/// — were recorded while the sharded arbiter still elected receivers
+/// through a separate claim bitset. Any change to reception semantics, RNG
+/// consumption order, or fault gating shows up here as a changed digest.
 const RECORDED_DIGESTS: &[(&str, u64)] = &[
     ("seq/tr", 0x6af188e8108bc4cf),
     ("seq/cs", 0xa8ebbab8935b5bc3),
@@ -143,6 +146,8 @@ const RECORDED_DIGESTS: &[(&str, u64)] = &[
     ("sharded2/faults", 0xd37bf9f36963bc68),
     ("sharded1/crash-outages", 0x5421b38454fd3566),
     ("sharded2/crash-outages", 0x5421b38454fd3566),
+    ("sharded1/flood-dense", 0x5d78166fbe80e383),
+    ("sharded2/flood-dense", 0x5d78166fbe80e383),
     ("async/tr", 0xc78dac471e84493d),
     ("async/tr-faults", 0x56b17d679183991e),
     ("async/cs", 0x085c9ba3420d1185),
@@ -230,6 +235,16 @@ fn reference_digests() -> Vec<(String, u64)> {
                 .faults_seed(7)
                 .sharded(threads)
                 .run(42),
+        ));
+    }
+    let dense = Topology::build(&Deployment::disk(10, 1.0, 140.0).sample(2005));
+    for threads in [1, 2] {
+        out.push((
+            format!("sharded{threads}/flood-dense"),
+            Executor::new(&dense)
+                .gossip(GossipConfig::flooding_cam())
+                .sharded(threads)
+                .run(2005),
         ));
     }
     let async_cs = AsyncGossipConfig {
