@@ -8,6 +8,7 @@
 use crate::error::ConfigError;
 use crate::geometry::Point2;
 use crate::ids::NodeId;
+use std::ops::Range;
 
 /// The build widens its cells when the bounding box would need more than
 /// this many cells per point (or [`MIN_CELL_LIMIT`], if larger).
@@ -227,30 +228,63 @@ impl GridIndex {
         })
     }
 
-    /// Calls `f(id)` for every indexed point within distance `radius` of
-    /// `center` (inclusive), in the stencil's order (see `for_each_row`).
+    /// Calls `f(id)` for every indexed point with an id in `ids` within
+    /// distance `radius` of `center` (inclusive), in the stencil's cell
+    /// order (see `for_each_row`), ascending by id within a cell.
     ///
     /// Radii up to the cell size scan at most a 3×3 block (a 4×4 one when
     /// the query square ends within the rounding margin of a cell edge);
     /// larger radii (e.g. the carrier-sense range `2r` over an index built
     /// with cell `r`) scan a proportionally larger block.
-    pub fn for_each_within(&self, center: &Point2, radius: f64, mut f: impl FnMut(NodeId)) {
+    ///
+    /// Ids ascend within a cell, so each cell is cut to its sub-run in
+    /// `ids` (two binary searches, skipped when `ids` holds the whole run)
+    /// before any distance test: queries over disjoint id ranges test
+    /// disjoint points, and together they visit, in the same order,
+    /// exactly what one query over every id does.
+    pub fn for_each_within(
+        &self,
+        center: &Point2,
+        radius: f64,
+        ids: &Range<u32>,
+        mut f: impl FnMut(NodeId),
+    ) {
         let r2 = radius * radius;
-        self.for_each_row(center, radius, |ids, xs, ys| {
-            for ((&id, &x), &y) in ids.iter().zip(xs).zip(ys) {
-                if Point2::new(x, y).dist_sq(center) <= r2 {
-                    f(NodeId(id));
+        let [x_lo, x_hi, y_lo, y_hi] = self.stencil(center, radius);
+        for y in y_lo..=y_hi {
+            for c in y * self.nx + x_lo..=y * self.nx + x_hi {
+                let (lo, hi) = (self.starts[c] as usize, self.starts[c + 1] as usize);
+                let cut = ascending_in(&self.ids[lo..hi], ids);
+                let (lo, hi) = (lo + cut.start, lo + cut.end);
+                let run = self.ids[lo..hi].iter().zip(&self.xs[lo..hi]);
+                for ((&id, &x), &y) in run.zip(&self.ys[lo..hi]) {
+                    if Point2::new(x, y).dist_sq(center) <= r2 {
+                        f(NodeId(id));
+                    }
                 }
             }
-        });
+        }
     }
 
     /// Collects the ids within `radius` of `center` into a vector.
     pub fn within(&self, center: &Point2, radius: f64) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.for_each_within(center, radius, |id| out.push(id));
+        self.for_each_within(center, radius, &(0..u32::MAX), |id| out.push(id));
         out
     }
+}
+
+/// The positions of `run`, an ascending id list, whose ids lie in `ids`:
+/// one contiguous sub-range, found by two binary searches unless `ids`
+/// holds the whole run (the full range of a single-threaded caller).
+#[inline]
+pub(crate) fn ascending_in(run: &[u32], ids: &Range<u32>) -> Range<usize> {
+    let inside = |v: Option<&u32>| v.is_none_or(|v| ids.contains(v));
+    if inside(run.first()) && inside(run.last()) {
+        return 0..run.len();
+    }
+    let lo = run.partition_point(|&v| v < ids.start);
+    lo..lo + run[lo..].partition_point(|&v| v < ids.end)
 }
 
 /// Index along one axis of the cell holding grid coordinate `f` (in cells
@@ -303,6 +337,41 @@ mod tests {
             let mut got = idx.within(&c, 1.0);
             got.sort_unstable();
             assert_eq!(got, brute_force(&pts, &c, 1.0));
+        }
+    }
+
+    /// An id-restricted query keeps the full query's order and visits
+    /// exactly its points inside the range; over the whole id space it is
+    /// the full query.
+    #[test]
+    fn id_restricted_queries_filter_the_full_query_in_order() {
+        let mut rng = SmallRng::seed_from_u64(30);
+        let pts: Vec<Point2> = (0..400)
+            .map(|_| Point2::new(rng.random_range(-4.0..4.0), rng.random_range(-4.0..4.0)))
+            .collect();
+        let idx = GridIndex::build(&pts, 1.0).unwrap();
+        for _ in 0..30 {
+            let c = Point2::new(rng.random_range(-5.0..5.0), rng.random_range(-5.0..5.0));
+            let radius = rng.random_range(0.5..2.5);
+            let full = idx.within(&c, radius);
+            for ids in [
+                0..400,
+                0..0,
+                0..1,
+                57..58,
+                100..250,
+                399..400,
+                250..u32::MAX,
+            ] {
+                let mut got = Vec::new();
+                idx.for_each_within(&c, radius, &ids, |id| got.push(id));
+                let expect: Vec<NodeId> = full
+                    .iter()
+                    .copied()
+                    .filter(|id| ids.contains(&id.0))
+                    .collect();
+                assert_eq!(got, expect, "ids {ids:?}");
+            }
         }
     }
 

@@ -9,8 +9,9 @@ use crate::error::ConfigError;
 use crate::geometry::Point2;
 use crate::ids::NodeId;
 use crate::par;
-use crate::spatial::GridIndex;
+use crate::spatial::{ascending_in, GridIndex};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Below this node count the builder stays sequential: thread spawn/join
 /// overhead exceeds the grid-query work itself.
@@ -222,6 +223,11 @@ impl Topology {
         self.index.len()
     }
 
+    /// Every node id, `0..len`.
+    pub fn ids(&self) -> Range<u32> {
+        0..self.len() as u32
+    }
+
     /// True when the topology has no nodes (never produced by deployments,
     /// which always include the source).
     pub fn is_empty(&self) -> bool {
@@ -247,6 +253,14 @@ impl Topology {
         &self.adj[lo..hi]
     }
 
+    /// The neighbors of `u` whose ids lie in `ids`: a sub-slice of its
+    /// row, cut by two binary searches since rows ascend by id.
+    #[inline]
+    pub fn neighbors_in(&self, u: NodeId, ids: &Range<u32>) -> &[u32] {
+        let row = self.neighbors(u);
+        &row[ascending_in(row, ids)]
+    }
+
     /// Degree of `u`.
     #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
@@ -266,11 +280,18 @@ impl Topology {
         self.adj.len() as f64 / self.len() as f64
     }
 
-    /// Calls `f` for each node within distance `radius ≤ r` of an arbitrary
-    /// point (used by the carrier-sense medium, which needs 2r-range queries
-    /// performed as two hops — see `nss-sim`).
-    pub fn for_each_within(&self, center: &Point2, radius: f64, f: impl FnMut(NodeId)) {
-        self.index.for_each_within(center, radius, f);
+    /// Calls `f` for each node with an id in `ids` within distance
+    /// `radius` of an arbitrary point, in the grid's canonical order (see
+    /// [`GridIndex::for_each_within`]); pass [`Self::ids`] for every node.
+    /// The media use it for carrier-sense and SINR interference ranges.
+    pub fn for_each_within(
+        &self,
+        center: &Point2,
+        radius: f64,
+        ids: &Range<u32>,
+        f: impl FnMut(NodeId),
+    ) {
+        self.index.for_each_within(center, radius, ids, f);
     }
 
     /// BFS hop distance from `src` to every node; `u32::MAX` marks

@@ -24,7 +24,7 @@
 //! the builder only picks its coin source and slot arbiter. The
 //! sequential engine (the default) draws from one `SmallRng` and resolves
 //! slots through [`crate::medium::Medium`]; [`Executor::threads`] switches
-//! to the sharded engine's stateless coins and atomic arbiter
+//! to the sharded engine's stateless coins and receiver-range arbiter
 //! (thread-count-invariant, but a distinct coin stream — see
 //! [`crate::sharded`]). The tests here pin the builder bitwise against
 //! the loop, so the removed legacy free functions stay reproducible
@@ -43,7 +43,7 @@ enum Engine {
     /// One `SmallRng` stream and the plain [`crate::medium::Medium`]
     /// arbiter, on one thread.
     Sequential,
-    /// Stateless coins and the atomic arbiter ([`crate::sharded`]) on
+    /// Stateless coins and the receiver-range arbiter ([`crate::sharded`]) on
     /// this many workers; `0` uses all available cores.
     Sharded(usize),
 }
@@ -172,9 +172,10 @@ impl<'a> Executor<'a> {
         let (topo, cfg, n) = (self.topo, &self.cfg, self.topo.len());
         let (coins, arbiter) = match self.engine {
             Engine::Sequential => (Coins::rng(seed), SlotArbiter::plain(cfg, n)),
-            Engine::Sharded(threads) => {
-                (Coins::Stateless(seed), SlotArbiter::atomic(cfg, n, threads))
-            }
+            Engine::Sharded(threads) => (
+                Coins::Stateless(seed),
+                SlotArbiter::sharded(cfg, n, threads),
+            ),
         };
         match self.probs.as_deref() {
             None => run_gossip_with(topo, cfg, &mut |_| cfg.prob, coins, arbiter, faults),
@@ -231,7 +232,7 @@ mod tests {
         faults: Option<(&FaultPlan, u64)>,
         threads: usize,
     ) -> SimTrace {
-        let arbiter = SlotArbiter::atomic(cfg, topo.len(), threads);
+        let arbiter = SlotArbiter::sharded(cfg, topo.len(), threads);
         let coins = Coins::Stateless(seed);
         run_gossip_with(topo, cfg, &mut |_| cfg.prob, coins, arbiter, faults)
     }

@@ -20,12 +20,14 @@
 //! order, so results are bit-identical under any engine or thread count.
 //!
 //! Each rule is written once, here, as a crate-private pure function that
-//! both engines call — [`Medium::resolve_slot`] with plain words, and the
-//! sharded engine's pass A / pass B with relaxed atomic words:
+//! both engines call — [`Medium::resolve_slot`] over every receiver, and
+//! each worker of the sharded engine over the receivers it owns:
 //!
-//! * `expose` — which nodes one transmission reaches, and how;
+//! * `expose` — which nodes of an id range one transmission reaches, and
+//!   how;
 //! * `exposure_add` — one such visit as an increment of the receiver's
-//!   packed exposure word (in-range count, annulus count, transmitter id);
+//!   packed exposure word (in-range count, annulus count, transmitter id),
+//!   which `add_visit` applies;
 //! * `classify` — Assumption 6 / Appendix A at one receiver, from its word;
 //! * `sinr_decode` — the SINR threshold test at one receiver;
 //! * `gate` — the fault plan's hearing mask and link-loss coin.
@@ -35,16 +37,18 @@ use crate::faults::SlotFaults;
 use nss_model::comm::{CollisionRule, CommunicationModel, MediumBackend, SinrParams};
 use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
+use std::ops::Range;
 
 /// Reusable scratch buffers for slot resolution (sized to the topology).
 ///
 /// Each receiver's exposure is one packed word (`exposure_add`), the
-/// same encoding the sharded engine's atomic arbiter accumulates, so its
-/// 16-bit count fields cap a receiver at 65,535 in-range (and as many
+/// same encoding the sharded engine's workers accumulate, so its 16-bit
+/// count fields cap a receiver at 65,535 in-range (and as many
 /// annulus) transmitters per slot.
 #[derive(Debug)]
 pub struct MediumScratch {
     exposure: Vec<u64>,
+    /// Backing for the slot's [`Touched`] list.
     touched: Vec<u32>,
     tx_bits: BitSet,
 }
@@ -54,29 +58,43 @@ impl MediumScratch {
     pub fn new(n: usize) -> Self {
         MediumScratch {
             exposure: vec![0; n],
-            touched: Vec::with_capacity(256),
+            touched: vec![0; n + 1],
             tx_bits: BitSet::new(n),
         }
     }
+}
 
-    fn reset(&mut self) {
-        for &v in &self.touched {
-            self.exposure[v as usize] = 0;
-        }
-        self.touched.clear();
+/// The receivers whose exposure words a slot's walks made nonzero, in
+/// first-visit order: the list both engines drain.
+///
+/// Each visit writes its receiver's id at the end of the list and moves
+/// the end past it only on the receiver's first visit. A branch on the
+/// word would wait for its cache miss and, mispredicted, discard the
+/// misses issued behind it; so the list needs one slot more than it can
+/// hold receivers.
+pub(crate) struct Touched<'a> {
+    slots: &'a mut [u32],
+    len: usize,
+}
+
+impl<'a> Touched<'a> {
+    /// An empty list over `slots`, which has room for `slots.len() - 1`
+    /// receivers.
+    pub(crate) fn new(slots: &'a mut [u32]) -> Self {
+        Touched { slots, len: 0 }
     }
 
-    /// Accumulates one [`expose`] visit: transmitter `t` reaches `v`.
-    fn note(&mut self, v: u32, t: u32, reach: Reach) {
-        let w = &mut self.exposure[v as usize];
-        if *w == 0 {
-            self.touched.push(v);
-        }
-        debug_assert!(
-            *w & COUNT_MASK < COUNT_MASK && (*w >> 16) & COUNT_MASK < COUNT_MASK,
-            "exposure count overflows 16 bits"
-        );
-        *w = w.wrapping_add(exposure_add(t, reach));
+    /// Adds transmitter `t`'s visit to receiver `v`'s exposure `word`
+    /// ([`add_visit`]) and lists `v` if this is its first visit.
+    #[inline]
+    pub(crate) fn visit(&mut self, word: &mut u64, v: u32, t: u32, reach: Reach) {
+        self.slots[self.len] = v;
+        self.len += usize::from(add_visit(word, t, reach));
+    }
+
+    /// The listed receivers, in first-visit order.
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.slots[..self.len]
     }
 }
 
@@ -190,27 +208,35 @@ impl Medium {
             }
         };
         let rule = Rule::of(self.model, self.backend);
+        let ids = topo.ids();
         if let Rule::Cfm = rule {
             // Reliable: every neighbor hears every transmission.
             for &t in transmitters {
-                expose(topo, t, None, |v, _| deliver(&mut stats, t, v));
+                expose(topo, t, None, &ids, |v, _| deliver(&mut stats, t, v));
             }
         } else {
             let sinr = matches!(rule, Rule::Sinr(_));
-            scratch.reset();
+            let MediumScratch {
+                exposure,
+                touched,
+                tx_bits,
+            } = scratch;
+            let mut touched = Touched::new(touched);
             for &t in transmitters {
-                expose(topo, t, rule.cs_factor(), |v, reach| {
-                    scratch.note(v, t, reach)
+                expose(topo, t, rule.cs_factor(), &ids, |v, reach| {
+                    touched.visit(&mut exposure[v as usize], v, t, reach)
                 });
                 if sinr {
-                    scratch.tx_bits.set(t as usize);
+                    tx_bits.set(t as usize);
                 }
             }
-            for &v in &scratch.touched {
+            for &v in touched.ids() {
+                // Taking the word leaves it 0 for the next slot.
+                let word = std::mem::take(&mut exposure[v as usize]);
                 let heard = if let Rule::Sinr(params) = rule {
-                    sinr_decode(topo, v, &params, &scratch.tx_bits, &mut stats)
+                    sinr_decode(topo, v, &params, tx_bits, &mut stats)
                 } else {
-                    classify(scratch.exposure[v as usize], &mut stats)
+                    classify(word, &mut stats)
                 };
                 if let Some(t) = heard {
                     deliver(&mut stats, t, v);
@@ -218,7 +244,7 @@ impl Medium {
             }
             if sinr {
                 for &t in transmitters {
-                    scratch.tx_bits.clear_bit(t as usize);
+                    tx_bits.clear_bit(t as usize);
                 }
             }
         }
@@ -292,24 +318,31 @@ pub(crate) enum Reach {
     Annulus,
 }
 
-/// Exposure walk for transmitter `t`: visits its in-range neighbors in
-/// adjacency order, then — with a carrier-sense factor `f` — every node of
-/// the annulus `(r, f·r]` in the grid's canonical order.
+/// Exposure walk for transmitter `t` over the receivers whose ids lie in
+/// `ids`: visits its in-range neighbors in adjacency order, then — with a
+/// carrier-sense factor `f` — every node of the annulus `(r, f·r]` in the
+/// grid's canonical order.
+///
+/// Rows and grid cells ascend by id, so the walk cuts each to its sub-run
+/// in `ids` before visiting or testing a distance. Walks over disjoint
+/// ranges therefore visit disjoint receivers, and a walk over
+/// `topo.ids()` visits, in the same order, everything they visit together.
 #[inline]
 pub(crate) fn expose(
     topo: &Topology,
     t: u32,
     cs_factor: Option<f64>,
+    ids: &Range<u32>,
     mut visit: impl FnMut(u32, Reach),
 ) {
-    for &v in topo.neighbors(NodeId(t)) {
+    for &v in topo.neighbors_in(NodeId(t), ids) {
         visit(v, Reach::InRange);
     }
     if let Some(factor) = cs_factor {
         let pos = topo.position(NodeId(t));
         let r = topo.comm_radius();
         let r2 = r * r;
-        topo.for_each_within(&pos, factor * r, |v| {
+        topo.for_each_within(&pos, factor * r, ids, |v| {
             if v.0 != t && topo.position(v).dist_sq(&pos) > r2 {
                 visit(v.0, Reach::Annulus);
             }
@@ -329,8 +362,8 @@ const COUNT_MASK: u64 = 0xFFFF;
 ///
 /// Adding increments is commutative, so the word is the same under any
 /// visit order, and with exactly one in-range transmitter the id sum is
-/// that transmitter's id. The id sum overflows bit 63 by design; callers
-/// add with `wrapping_add` (atomic adds wrap anyway). The 16-bit counts
+/// that transmitter's id. The id sum overflows bit 63 by design, so
+/// [`add_visit`] adds with `wrapping_add`. The 16-bit counts
 /// hold up to 65,535 transmitters each, far past any slot's contention.
 #[inline]
 pub(crate) fn exposure_add(t: u32, reach: Reach) -> u64 {
@@ -338,6 +371,20 @@ pub(crate) fn exposure_add(t: u32, reach: Reach) -> u64 {
         Reach::InRange => (u64::from(t) << 32) | 1,
         Reach::Annulus => 1 << 16,
     }
+}
+
+/// Adds one [`expose`] visit of transmitter `t` to the exposure word
+/// `word` and returns whether the word was 0 before, i.e. whether this is
+/// the receiver's first visit of the slot.
+#[inline]
+pub(crate) fn add_visit(word: &mut u64, t: u32, reach: Reach) -> bool {
+    let old = *word;
+    debug_assert!(
+        old & COUNT_MASK < COUNT_MASK && (old >> 16) & COUNT_MASK < COUNT_MASK,
+        "exposure count overflows 16 bits"
+    );
+    *word = old.wrapping_add(exposure_add(t, reach));
+    old == 0
 }
 
 /// Unit-disk classification at one receiver from its packed exposure word
@@ -390,7 +437,7 @@ pub(crate) fn sinr_decode(
     let mut best_p = -1.0f64;
     let mut best_tx = u32::MAX;
     let mut candidates = 0u32;
-    topo.for_each_within(&pos, params.interference_factor * r, |u| {
+    topo.for_each_within(&pos, params.interference_factor * r, &topo.ids(), |u| {
         if u.0 == v || !tx_bits.get(u.index()) {
             return;
         }
@@ -888,6 +935,48 @@ mod tests {
         let a = m.resolve_slot(&topo, &[0, 4], &mut scratch, None, |_, _| {});
         let b = m.resolve_slot(&topo, &[0, 4], &mut scratch, None, |_, _| {});
         assert_eq!(a, b);
+    }
+
+    proptest::proptest! {
+        /// Ranged exposure walks: over any split of `0..n` into ranges,
+        /// each ranged walk of every transmitter visits exactly the full
+        /// walk's visits inside its range, in the full walk's order, so
+        /// the ranged walks taken together visit the full walk's multiset.
+        /// Under transmission range and under carrier sense.
+        #[test]
+        fn ranged_walks_split_the_full_walk(
+            nodes in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..150),
+            side in 1.0f64..10.0,
+            cs_factor in proptest::option::of(1.0f64..3.0),
+            cuts in proptest::collection::vec(0.0f64..1.0, 0..6),
+        ) {
+            let pts = nodes.iter().map(|&(x, y)| Point2::new(x * side, y * side)).collect();
+            let topo = Topology::build(&DeployedNetwork::from_positions(pts, 1.0));
+            let n = topo.len() as u32;
+            let mut bounds: Vec<u32> = cuts.iter().map(|c| (c * f64::from(n)) as u32).collect();
+            bounds.extend([0, n]);
+            bounds.sort_unstable();
+            let walk = |t: u32, ids: &Range<u32>| {
+                let mut seen = Vec::new();
+                expose(&topo, t, cs_factor, ids, |v, reach| seen.push((v, reach == Reach::InRange)));
+                seen
+            };
+            for t in 0..n {
+                let full = walk(t, &topo.ids());
+                let mut joined = Vec::new();
+                for pair in bounds.windows(2) {
+                    let ids = pair[0]..pair[1];
+                    let part = walk(t, &ids);
+                    let inside: Vec<_> = full.iter().copied().filter(|(v, _)| ids.contains(v)).collect();
+                    proptest::prop_assert_eq!(&part, &inside, "transmitter {}, ids {:?}", t, ids);
+                    joined.extend(part);
+                }
+                let mut whole = full.clone();
+                whole.sort_unstable();
+                joined.sort_unstable();
+                proptest::prop_assert_eq!(joined, whole, "transmitter {}", t);
+            }
+        }
     }
 
     #[test]

@@ -147,6 +147,7 @@ fn run_async_with(
         MediumBackend::UnitDisk,
     )
     .cs_factor();
+    let ids = topo.ids();
     let mut queue: EventQueue<Ev> = EventQueue::new();
     let horizon = cfg.window * cfg.max_windows;
 
@@ -198,7 +199,7 @@ fn run_async_with(
                 }
                 windows[w].0 += 1;
                 latest_tx = t.as_f64();
-                expose(topo, u, cs_factor, |v, reach| {
+                expose(topo, u, cs_factor, &ids, |v, reach| {
                     let slot = &mut audible[v as usize];
                     let idle = slot.is_empty() && interference[v as usize] == 0;
                     // Any arrival corrupts the receptions in progress.
@@ -223,7 +224,7 @@ fn run_async_with(
                     .as_ref()
                     .map(|fs| fs.slot(fault_phase, seq_of[u as usize]));
                 let stats = &mut windows[w].1;
-                expose(topo, u, cs_factor, |v, reach| {
+                expose(topo, u, cs_factor, &ids, |v, reach| {
                     if reach == Reach::Annulus {
                         interference[v as usize] -= 1;
                         return;

@@ -50,7 +50,10 @@ pub struct Replication {
     /// discipline differs from the sequential engine's — traces are
     /// reproducible per seed and thread count but not comparable across
     /// the two engines. Meant for few huge fields, where replication-level
-    /// parallelism has nothing left to amortize.
+    /// parallelism has nothing left to amortize. Its workers split each
+    /// slot's receivers into id ranges cut at the slot's transmitter ids,
+    /// so they share the work under any numbering of the nodes (random in
+    /// a disk field, outwards from the centre in a grid).
     pub intra_threads: usize,
 }
 

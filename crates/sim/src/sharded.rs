@@ -13,34 +13,32 @@
 //!    hash of `(seed, phase, node)` (`stateless_draw`, the same
 //!    counter-based discipline [`crate::faults`] uses for link-loss coins),
 //!    so no decision depends on an order.
-//! 2. **One packed word per receiver.** `Arbiter::resolve_slot` holds the
-//!    claim protocol. Pass A walks each transmitter's exposure
-//!    (`medium::expose`) and adds each visit to the receiver's packed
-//!    exposure word (`medium::exposure_add`: in-range count, annulus count
-//!    and the sum of in-range transmitter ids) with one relaxed
-//!    `fetch_add` — commutative, so thread order cannot matter. The same
-//!    add elects the receiver's owner: the one worker that reads the old
-//!    word as 0 lists it as touched. Pass B then re-walks the touched set,
-//!    each receiver owned by exactly one worker, which drains its word and
-//!    applies `medium::classify` (or `medium::sinr_decode`) and
-//!    `medium::gate`. The election is modelled in `tests/loom_claim.rs`.
+//! 2. **Each receiver has one owner.** CAM's reception rule is a predicate
+//!    on one receiver, so `Arbiter::resolve_slot` gives worker `w` the
+//!    receivers of one contiguous id range together with that range's
+//!    packed exposure words (`medium::exposure_add`: in-range count,
+//!    annulus count and the sum of in-range transmitter ids). The ranges
+//!    are cut per slot at the quantiles of its transmitter ids
+//!    (`receiver_ranges`), so they share the work whether or not ids
+//!    follow position. Each worker walks every transmitter of the slot
+//!    over its own range (`medium::expose`), adds each visit to its own
+//!    plain words, then drains the receivers it touched through
+//!    `medium::classify` (or `medium::sinr_decode`) and `medium::gate` —
+//!    one fan-out per slot, with no shared word and so no atomics.
 //! 3. **Canonical order.** Per-worker partial outputs are merged in shard
 //!    order, and the slot's deliveries are handed to the loop sorted by
 //!    receiver, collapsing every schedule to one trace.
 //!
 //! The reception rules themselves are the sequential medium's — the same
-//! functions, called in the same order — so the two arbiters agree slot
+//! functions, on the same word encoding — so the two arbiters agree slot
 //! for slot (a property test pins this for random fields and transmitter
-//! sets). Only the access to the packed exposure words differs: plain
-//! there, atomic here. The coin streams differ too, so whole traces of the
-//! two engines agree only where randomness is immaterial (CFM or
-//! single-slot SINR flooding with `p = 1`), which the tests pin down.
+//! sets). The coin streams differ, so whole traces of the two engines
+//! agree only where randomness is immaterial (CFM or single-slot SINR
+//! flooding with `p = 1`), which the tests pin down.
 
 use crate::bits::BitSet;
 use crate::faults::SlotFaults;
-use crate::medium::{
-    classify, expose, exposure_add, gate, record_obs, sinr_decode, Reach, Rule, SlotStats,
-};
+use crate::medium::{classify, expose, gate, record_obs, sinr_decode, Rule, SlotStats, Touched};
 use crate::slotted::GossipConfig;
 use nss_model::error::ConfigError;
 use nss_model::faults::hash_unit;
@@ -48,7 +46,7 @@ use nss_model::ids::NodeId;
 use nss_model::par;
 use nss_model::rng::splitmix64;
 use nss_model::topology::Topology;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::ops::Range;
 
 /// Salt separating the rebroadcast-coin stream from everything else.
 const COIN_SALT: u64 = 0x8E44_55B6_ACD3_F1A9;
@@ -74,7 +72,7 @@ pub(crate) fn stateless_draw(seed: u64, phase: u32, u: u32, p: f64, s: u32) -> O
 /// Checks the config feature the sharded engine deliberately omits.
 ///
 /// `track_success_rate` tallies every delivery, duplicates included, but
-/// the atomic arbiter reports only the deliveries to receivers not yet
+/// the sharded arbiter reports only the deliveries to receivers not yet
 /// informed. Use the sequential engine (`Executor::sequential`) for that
 /// study. Node failures need no such check: they are `FaultPlan`
 /// outages, which both engines interpret through the same `FaultState`.
@@ -89,20 +87,6 @@ pub fn validate_sharded(cfg: &GossipConfig) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Runs `f` over contiguous chunks of `items` on up to `workers` threads
-/// and returns the per-chunk results **in chunk order**, so downstream
-/// merges see the same partial sequence under any actual parallelism.
-/// `stage` labels the fan-out's telemetry ([`par::map_units`]).
-fn map_chunks<T: Send>(
-    stage: &'static str,
-    items: &[u32],
-    workers: usize,
-    f: impl Fn(&[u32]) -> T + Sync,
-) -> Vec<T> {
-    let chunk = items.len().div_ceil(workers).max(1);
-    par::map_units(stage, items.chunks(chunk).collect(), f)
-}
-
 /// One delivery `tx → rx`, packed so that sorting orders by receiver.
 fn delivery(rx: u32, tx: u32) -> u64 {
     (u64::from(rx) << 32) | u64::from(tx)
@@ -115,64 +99,65 @@ fn canonical(deliveries: &mut Vec<u64>) {
     deliveries.dedup_by_key(|d| *d >> 32);
 }
 
-/// Pass A's visit: adds transmitter `t`'s [`exposure_add`] to receiver
-/// word `word` and returns whether this call found the word 0, i.e. won
-/// the receiver's ownership for pass B.
-#[inline]
-fn accumulate(word: &AtomicU64, t: u32, reach: Reach) -> bool {
-    // nss-lint: allow(atomic-protocol) — the add doubles as the owner election: the adds commute and exactly one reads the old word 0; no payload rides on the word before the pass-A join, and crates/sim/tests/loom_claim.rs model-checks that Relaxed suffices
-    word.fetch_add(exposure_add(t, reach), Relaxed) == 0
-}
-
-/// The sharded engine's arbitration state: the [`Rule`] plus the scratch
-/// its two passes share.
+/// The sharded engine's arbitration state: the [`Rule`], the worker
+/// count, and the per-receiver scratch its workers own in disjoint parts.
 ///
-/// CAM keeps one packed exposure word per receiver ([`exposure_add`]).
-/// Pass A adds every visit to it with one relaxed `fetch_add`, which also
-/// elects the receiver's single owner; the owner drains the word in pass
-/// B. SINR uses the word only for that election — pass B recomputes
-/// exposure from the per-slot transmitter set `tx_bits` — and CFM needs
-/// no state at all.
+/// CAM keeps one packed exposure word per receiver ([`exposure_add`]
+/// encoding) and backing for the workers' [`Touched`] lists, one slot more
+/// per worker than there are receivers. Each slot hands every worker one
+/// contiguous range of receivers, their words and a part of the backing
+/// ([`receiver_ranges`]). SINR uses the words only to list each touched
+/// receiver once — the decode recomputes exposure from the per-slot
+/// transmitter set `tx_bits` — and CFM needs no state at all.
+///
+/// [`exposure_add`]: crate::medium::exposure_add
 pub(crate) struct Arbiter {
     rule: Rule,
-    exposure: Vec<AtomicU64>,
+    workers: usize,
+    exposure: Vec<u64>,
+    touched: Vec<u32>,
+    /// The slot's transmitter ids, reordered to find the range cuts.
+    cuts: Vec<u32>,
     tx_bits: BitSet,
 }
 
 impl Arbiter {
-    /// Sizes each buffer for an `n`-node topology, or empty when `rule`
-    /// never touches it.
-    pub(crate) fn new(rule: Rule, n: usize) -> Self {
-        let words = if let Rule::Cfm = rule { 0 } else { n };
+    /// Sizes each buffer for an `n`-node topology resolved on `workers`
+    /// threads, or empty when `rule` never touches it.
+    pub(crate) fn new(rule: Rule, n: usize, workers: usize) -> Self {
+        let cam = !matches!(rule, Rule::Cfm);
         Arbiter {
             rule,
-            exposure: (0..words).map(|_| AtomicU64::new(0)).collect(),
+            workers,
+            exposure: vec![0; if cam { n } else { 0 }],
+            touched: vec![0; if cam { n + workers } else { 0 }],
+            cuts: Vec::new(),
             tx_bits: BitSet::new(if let Rule::Sinr(_) = rule { n } else { 0 }),
         }
     }
 
-    /// Memory-footprint gauges: the informed bitset vs. the exposure
-    /// words, so a scrape of a live million-node run shows where the
-    /// resident bytes are.
+    /// Memory-footprint gauges: the informed bitset vs. the exposure words
+    /// and touched lists, so a scrape of a live million-node run shows
+    /// where the resident bytes are.
     pub(crate) fn record_footprint(&self, informed: &BitSet) {
-        let scratch = self.exposure.len() * std::mem::size_of::<AtomicU64>();
+        let scratch = std::mem::size_of_val(self.exposure.as_slice())
+            + std::mem::size_of_val(self.touched.as_slice());
         nss_obs::gauge!("sim.bitset.bytes").set(informed.bytes() as f64);
         nss_obs::gauge!("sim.scratch.bytes").set(scratch as f64);
     }
 
-    /// Resolves one slot for the phase loop on `workers` threads: calls
-    /// `deliver(rx, tx, false)` once per receiver not yet `informed` that
-    /// got a delivery, in ascending receiver order, marking it informed.
+    /// Resolves one slot for the phase loop: calls `deliver(rx, tx, false)`
+    /// once per receiver not yet `informed` that got a delivery, in
+    /// ascending receiver order, marking it informed.
     pub(crate) fn resolve(
         &mut self,
         topo: &Topology,
         txs: &[u32],
         sf: Option<&SlotFaults<'_>>,
         informed: &mut BitSet,
-        workers: usize,
         mut deliver: impl FnMut(NodeId, NodeId, bool),
     ) -> SlotStats {
-        let (stats, mut deliveries) = self.resolve_slot(topo, txs, informed, sf, workers);
+        let (stats, mut deliveries) = self.resolve_slot(topo, txs, informed, sf);
         record_obs(&stats, matches!(self.rule, Rule::Sinr(_)), sf.is_some());
         canonical(&mut deliveries);
         for d in deliveries {
@@ -188,29 +173,37 @@ impl Arbiter {
     /// CFM possibly several per receiver).
     ///
     /// CFM shards the transmitters and gates every `(tx, rx)` pair. CAM
-    /// runs two passes. Pass A shards the transmitters over [`expose`] and
-    /// [`accumulate`]s each visit into the receiver's exposure word; the
-    /// worker whose add finds the word 0 claims the receiver into its
-    /// local `touched` list. Pass B shards the touched set: the election
-    /// guarantees each receiver appears exactly once, so its owner can
-    /// drain the word and run [`classify`] (or [`sinr_decode`]) and
-    /// [`gate`] without further synchronization — the same functions, in
-    /// the same order, as [`crate::medium::Medium::resolve_slot`].
+    /// shards the receivers, in one fan-out: each worker walks every
+    /// transmitter over its own id range with [`expose`], adds each visit
+    /// to its own exposure words ([`Touched::visit`]), then drains the
+    /// words it touched through [`classify`] (or [`sinr_decode`]) and
+    /// [`gate`] — the same functions, in the same order, as
+    /// [`crate::medium::Medium::resolve_slot`]. No word is shared, so no
+    /// worker waits for another until the join.
     fn resolve_slot(
         &mut self,
         topo: &Topology,
         txs: &[u32],
         informed: &BitSet,
         sf: Option<&SlotFaults<'_>>,
-        workers: usize,
     ) -> (SlotStats, Vec<u64>) {
-        let rule = self.rule;
+        let Arbiter {
+            rule,
+            workers,
+            exposure,
+            touched,
+            cuts,
+            tx_bits,
+        } = self;
+        let rule = *rule;
         if let Rule::Cfm = rule {
-            let partials = map_chunks("sim.slot.cfm", txs, workers, |chunk| {
+            let per = txs.len().div_ceil(*workers).max(1);
+            let all = topo.ids();
+            let partials = par::map_units("sim.slot.cfm", txs.chunks(per).collect(), |part| {
                 let mut st = SlotStats::default();
                 let mut newly: Vec<u64> = Vec::new();
-                for &t in chunk {
-                    expose(topo, t, None, |v, _| {
+                for &t in part {
+                    expose(topo, t, None, &all, |v, _| {
                         if gate(&mut st, sf, t, v) && !informed.get(v as usize) {
                             newly.push(delivery(v, t));
                         }
@@ -222,54 +215,40 @@ impl Arbiter {
         }
         if let Rule::Sinr(_) = rule {
             for &t in txs {
-                self.tx_bits.set(t as usize);
+                tx_bits.set(t as usize);
             }
         }
-        let this = &*self;
-
-        // Pass A: accumulate exposure and elect each touched receiver's
-        // owner. The per-chunk `lost` tally counts elections this worker
-        // lost (word already non-zero) — the contention the protocol
-        // absorbs; the `enabled()` guards const-fold the bookkeeping away
-        // in uninstrumented builds.
-        let touched_parts = map_chunks("sim.slot.expose", txs, workers, |chunk| {
-            let mut touched: Vec<u32> = Vec::new();
-            let mut lost: u64 = 0;
-            for &t in chunk {
-                expose(topo, t, rule.cs_factor(), |v, reach| {
-                    if accumulate(&this.exposure[v as usize], t, reach) {
-                        touched.push(v);
-                    } else if nss_obs::enabled() {
-                        lost += 1;
-                    }
+        let sent = &*tx_bits;
+        let (mut words, mut lists) = (exposure.as_mut_slice(), touched.as_mut_slice());
+        let units: Vec<_> = receiver_ranges(txs, topo.len() as u32, *workers, cuts)
+            .into_iter()
+            .map(|ids| {
+                let (mine, rest) = std::mem::take(&mut words).split_at_mut(ids.len());
+                words = rest;
+                let (list, rest) = std::mem::take(&mut lists).split_at_mut(ids.len() + 1);
+                lists = rest;
+                (ids, mine, list)
+            })
+            .collect();
+        let partials = par::map_units("sim.slot.expose", units, |(ids, words, list)| {
+            let first = ids.start;
+            let mut touched = Touched::new(list);
+            for &t in txs {
+                expose(topo, t, rule.cs_factor(), &ids, |v, reach| {
+                    touched.visit(&mut words[(v - first) as usize], v, t, reach);
                 });
             }
-            (touched, lost)
-        });
-        let mut touched: Vec<u32> = Vec::new();
-        let mut lost_total: u64 = 0;
-        for (mut part, lost) in touched_parts {
-            touched.append(&mut part);
-            lost_total += lost;
-        }
-        nss_obs::counter!("sim.claim.won").add(touched.len() as u64);
-        nss_obs::counter!("sim.claim.contended").add(lost_total);
-
-        // Pass B: decide and gate, each receiver owned by one worker.
-        let partials = map_chunks("sim.slot.classify", &touched, workers, |chunk| {
             let mut st = SlotStats::default();
             let mut newly: Vec<u64> = Vec::new();
-            for &v in chunk {
-                let vi = v as usize;
-                // nss-lint: allow(atomic-protocol) — drain-and-reset after the phase barrier: joining pass A's scope ordered every election add before this swap, and crates/sim/tests/loom_claim.rs checks the drained word under every schedule
-                let word = this.exposure[vi].swap(0, Relaxed);
+            for &v in touched.ids() {
+                let word = std::mem::take(&mut words[(v - first) as usize]);
                 let heard = if let Rule::Sinr(params) = rule {
-                    sinr_decode(topo, v, &params, &this.tx_bits, &mut st)
+                    sinr_decode(topo, v, &params, sent, &mut st)
                 } else {
                     classify(word, &mut st)
                 };
                 if let Some(t) = heard {
-                    if gate(&mut st, sf, t, v) && !informed.get(vi) {
+                    if gate(&mut st, sf, t, v) && !informed.get(v as usize) {
                         newly.push(delivery(v, t));
                     }
                 }
@@ -278,11 +257,43 @@ impl Arbiter {
         });
         if let Rule::Sinr(_) = rule {
             for &t in txs {
-                self.tx_bits.clear_bit(t as usize);
+                tx_bits.clear_bit(t as usize);
             }
         }
         merge_partials(partials)
     }
+}
+
+/// Cuts the receivers `0..n` into `workers` contiguous id ranges, one per
+/// worker, at the quantiles of the slot's transmitter ids `txs` (reordered
+/// in `cuts`).
+///
+/// A transmitter's receivers are its neighbors, so each range gets about
+/// an equal share of the slot's visits whether ids are unrelated to
+/// position (a disk field: the quantiles sit near `w·n/workers`) or
+/// ordered by it (a grid, numbered outwards from the centre: the ranges
+/// follow the wavefront). Ranges fixed per run would leave a grid's
+/// wavefront to one worker at a time. Any cut gives the same slot.
+fn receiver_ranges(txs: &[u32], n: u32, workers: usize, cuts: &mut Vec<u32>) -> Vec<Range<u32>> {
+    cuts.clear();
+    cuts.extend_from_slice(txs);
+    let (mut lo, mut done) = (0, 0);
+    (1..=workers)
+        .map(|w| {
+            let hi = if w == workers || cuts.is_empty() {
+                n
+            } else {
+                // Everything before `done` is at most the last cut.
+                let k = w * cuts.len() / workers;
+                let (_, &mut q, _) = cuts[done..].select_nth_unstable(k - done);
+                done = k;
+                q
+            };
+            let ids = lo..hi;
+            lo = hi;
+            ids
+        })
+        .collect()
 }
 
 /// Folds per-worker `(stats, deliveries)` partials in shard order. The
@@ -518,8 +529,8 @@ mod tests {
     }
 
     /// With live instrumentation, a sharded run must leave a coherent
-    /// telemetry footprint: claim elections won/contended, per-stage shard
-    /// timings, imbalance and memory gauges, and flight-recorder events.
+    /// telemetry footprint: per-stage shard timings, imbalance and memory
+    /// gauges, and flight-recorder events.
     #[cfg(feature = "obs")]
     #[test]
     fn telemetry_footprint_is_coherent() {
@@ -528,22 +539,7 @@ mod tests {
         let topo = Topology::build(&Deployment::disk(5, 1.0, 60.0).sample(21));
         let t = run_gossip_sharded(&topo, &GossipConfig::flooding_cam(), 17, 4);
         let delta = reg.snapshot().delta_since(&before);
-        let counter = |name: &str| {
-            delta
-                .counters
-                .iter()
-                .find(|(k, _)| k == name)
-                .map_or(0, |&(_, v)| v)
-        };
-        let won = counter("sim.claim.won");
-        let contended = counter("sim.claim.contended");
-        // Every delivery/collision/deferral receiver was claimed exactly
-        // once; flooding a dense disk must also lose some elections.
-        assert!(
-            won >= t.total_deliveries() + t.total_collisions(),
-            "won={won}"
-        );
-        assert!(contended > 0, "dense flooding must contend claims");
+        assert!(t.total_collisions() > 0, "dense flooding must collide");
         let hist = |name: &str| {
             delta
                 .histograms
@@ -650,63 +646,6 @@ mod tests {
         assert_eq!(a.broadcasts_by_phase[0], c.broadcasts_by_phase[0]);
     }
 
-    /// Concurrent pass-A elections on shared exposure words: each touched
-    /// word has exactly one owner, the drained words equal the sequential
-    /// sum of the same visits, and a receiver with one in-range
-    /// transmitter decodes that transmitter's id.
-    #[test]
-    fn exposure_election_has_one_owner_per_receiver() {
-        const WORDS: u32 = 256;
-        // Worker w transmits as `u32::MAX - w`. Worker 0 reaches every
-        // receiver in range, worker 1 the even ones; workers 2 and 3 reach
-        // receivers ≡ 1 (mod 4) in the annulus.
-        let reach = |w: u32, v: u32| match w {
-            0 => Some(Reach::InRange),
-            1 => v.is_multiple_of(2).then_some(Reach::InRange),
-            _ => (v % 4 == 1).then_some(Reach::Annulus),
-        };
-        let words: Vec<AtomicU64> = (0..WORDS).map(|_| AtomicU64::new(0)).collect();
-        let owners: Vec<Vec<u32>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|w| {
-                    let words = &words;
-                    scope.spawn(move || {
-                        (0..WORDS)
-                            .filter(|&v| {
-                                reach(w, v).is_some_and(|r| {
-                                    accumulate(&words[v as usize], u32::MAX - w, r)
-                                })
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        let mut owned = owners.concat();
-        owned.sort_unstable();
-        assert_eq!(
-            owned,
-            (0..WORDS).collect::<Vec<_>>(),
-            "election not exclusive"
-        );
-        let mut st = SlotStats::default();
-        for (v, word) in (0..WORDS).zip(&words) {
-            let word = word.swap(0, Relaxed);
-            let expect = (0..4)
-                .filter_map(|w| reach(w, v).map(|r| exposure_add(u32::MAX - w, r)))
-                .fold(0u64, u64::wrapping_add);
-            assert_eq!(word, expect, "receiver {v}");
-            let heard = classify(word, &mut st);
-            assert_eq!(heard, (v % 4 == 3).then_some(u32::MAX), "receiver {v}");
-        }
-        let quarter = u64::from(WORDS / 4);
-        assert_eq!((st.collisions, st.cs_deferrals), (2 * quarter, quarter));
-    }
-
     /// Resolves one slot through the sequential medium: its statistics and
     /// its deliveries in [`canonical`] order.
     fn sequential_slot(
@@ -729,11 +668,12 @@ mod tests {
 
         /// Per-slot engine agreement: on random fields and transmitter
         /// sets, under every reception rule, with and without a fault
-        /// context, the sharded resolver at 1, 2 and 3 workers reports
-        /// the same `SlotStats` and canonical deliveries as the
-        /// sequential medium, down to the transmitter each receiver is
-        /// handed. One arbiter serves all three runs, so its scratch must
-        /// also come back clean after every slot.
+        /// context, the sharded resolver at 1 to 5 workers reports the
+        /// same `SlotStats` and canonical deliveries as the sequential
+        /// medium, down to the transmitter each receiver is handed. The
+        /// worker counts cover ranges of unequal length and ranges with no
+        /// receiver. Each arbiter resolves the slot twice, so its scratch
+        /// must also come back clean.
         #[test]
         fn slot_resolution_matches_sequential_medium(
             nodes in collection::vec((0.0f64..1.0, 0.0f64..1.0, 0u32..4), 1..200),
@@ -769,13 +709,34 @@ mod tests {
             let sf = faults.map(|(loss, seed)| SlotFaults::new(&hearing, loss, seed, 3, 1));
             let medium = Medium::with_backend(model, backend);
             let expect = sequential_slot(&medium, &topo, &txs, sf.as_ref());
-            let mut arbiter = Arbiter::new(Rule::of(model, backend), topo.len());
             let nobody = BitSet::new(topo.len());
-            for workers in 1..=3 {
-                let (stats, mut heard) =
-                    arbiter.resolve_slot(&topo, &txs, &nobody, sf.as_ref(), workers);
-                canonical(&mut heard);
-                prop_assert_eq!((stats, heard), expect.clone(), "rule {kind}, {workers} workers");
+            for workers in 1..=5 {
+                let mut arbiter = Arbiter::new(Rule::of(model, backend), topo.len(), workers);
+                for _ in 0..2 {
+                    let (stats, mut heard) = arbiter.resolve_slot(&topo, &txs, &nobody, sf.as_ref());
+                    canonical(&mut heard);
+                    prop_assert_eq!((stats, heard), expect.clone(), "rule {kind}, {workers} workers");
+                }
+            }
+        }
+
+        /// `receiver_ranges` tiles `0..n` with one range per worker, in id
+        /// order, every inner cut at one of the slot's transmitter ids.
+        #[test]
+        fn receiver_ranges_tile_the_ids(
+            n in 1u32..500,
+            picks in collection::vec(0.0f64..1.0, 0..60),
+            workers in 1usize..9,
+        ) {
+            let txs: Vec<u32> = picks.iter().map(|p| (p * f64::from(n)) as u32).collect();
+            let ranges = receiver_ranges(&txs, n, workers, &mut Vec::new());
+            prop_assert_eq!(ranges.len(), workers);
+            prop_assert_eq!(ranges[0].start, 0);
+            prop_assert_eq!(ranges[workers - 1].end, n);
+            prop_assert!(ranges.iter().all(|r| r.start <= r.end));
+            for pair in ranges.windows(2) {
+                prop_assert_eq!(pair[0].end, pair[1].start);
+                prop_assert!(txs.is_empty() || txs.contains(&pair[0].end));
             }
         }
     }

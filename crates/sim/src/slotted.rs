@@ -18,8 +18,8 @@
 //!   the sequential engine's `SmallRng` stream, drawn in `pending` order,
 //!   or the sharded engine's stateless hashes of `(seed, phase, node)`.
 //! * `SlotArbiter` — how a slot is resolved: [`Medium::resolve_slot`]
-//!   with plain exposure words, or the sharded engine's two-pass atomic arbiter
-//!   ([`crate::sharded`]) on its worker threads.
+//!   over every receiver, or the sharded engine's arbiter
+//!   ([`crate::sharded`]), whose worker threads each own a range of them.
 
 use crate::bits::BitSet;
 use crate::faults::{FaultState, SlotFaults};
@@ -169,8 +169,8 @@ pub(crate) enum SlotArbiter {
     /// [`Medium::resolve_slot`] with plain exposure words: reports every
     /// delivery, duplicates included, in the medium's order.
     Plain(Medium, MediumScratch),
-    /// The sharded engine's two-pass atomic arbiter on this many workers.
-    Atomic(Arbiter, usize),
+    /// The sharded engine's arbiter, its workers owning receiver ranges.
+    Sharded(Arbiter),
 }
 
 impl SlotArbiter {
@@ -184,11 +184,12 @@ impl SlotArbiter {
 
     /// The sharded engine's arbiter for an `n`-node run of `cfg` on
     /// `threads` workers (`0` = all available cores).
-    pub(crate) fn atomic(cfg: &GossipConfig, n: usize, threads: usize) -> Self {
-        SlotArbiter::Atomic(
-            Arbiter::new(Rule::of(cfg.model, cfg.backend), n),
+    pub(crate) fn sharded(cfg: &GossipConfig, n: usize, threads: usize) -> Self {
+        SlotArbiter::Sharded(Arbiter::new(
+            Rule::of(cfg.model, cfg.backend),
+            n,
             par::workers(threads, n),
-        )
+        ))
     }
 
     /// Resolves the slot in which `txs` transmit. Marks every receiver it
@@ -210,9 +211,7 @@ impl SlotArbiter {
                     deliver(rx, tx, dup);
                 })
             }
-            SlotArbiter::Atomic(arbiter, workers) => {
-                arbiter.resolve(topo, txs, sf, informed, *workers, deliver)
-            }
+            SlotArbiter::Sharded(arbiter) => arbiter.resolve(topo, txs, sf, informed, deliver),
         }
     }
 }
@@ -224,7 +223,7 @@ impl SlotArbiter {
 /// `(coins, arbiter)` pair; the counter- and distance-based schemes and
 /// the per-node probe call it directly.
 ///
-/// The atomic arbiter reports only the deliveries to receivers not yet
+/// The sharded arbiter reports only the deliveries to receivers not yet
 /// informed when the slot starts, so a policy run on it must not read
 /// duplicates: success-rate tracking is rejected there
 /// ([`validate_sharded`]), and the counter and distance
@@ -239,7 +238,7 @@ pub(crate) fn run_gossip_with(
 ) -> SimTrace {
     let checked = match arbiter {
         SlotArbiter::Plain(..) => cfg.validate(),
-        SlotArbiter::Atomic(..) => validate_sharded(cfg),
+        SlotArbiter::Sharded(..) => validate_sharded(cfg),
     };
     #[expect(
         clippy::panic,
@@ -260,8 +259,8 @@ pub(crate) fn run_gossip_with(
     // `None` path below is byte-for-byte the pre-fault executor.
     let mut fault_state = faults.map(|(plan, fseed)| FaultState::new(plan, fseed, n));
     let sinr = matches!(Rule::of(cfg.model, cfg.backend), Rule::Sinr(_));
-    let sharded = matches!(arbiter, SlotArbiter::Atomic(..));
-    if let SlotArbiter::Atomic(arbiter, _) = &arbiter {
+    let sharded = matches!(arbiter, SlotArbiter::Sharded(..));
+    if let SlotArbiter::Sharded(arbiter) = &arbiter {
         arbiter.record_footprint(&informed);
     }
 

@@ -159,7 +159,9 @@ const RECORDED_DIGESTS: &[(&str, u64)] = &[
     ("distance/cfm", 0x80db993d2881d744),
 ];
 
-fn reference_digests() -> Vec<(String, u64)> {
+/// Digests of the reference executions, with the sharded engine's entries
+/// run at each of `sharded_threads` worker counts.
+fn reference_digests(sharded_threads: &[usize]) -> Vec<(String, u64)> {
     let topo = Topology::build(&Deployment::disk(4, 1.0, 40.0).sample(11));
     let cs = CommunicationModel::Cam(CollisionRule::CARRIER_SENSE_2R);
     let sinr = MediumBackend::Sinr(SinrParams {
@@ -213,20 +215,20 @@ fn reference_digests() -> Vec<(String, u64)> {
         ),
     ];
     for (name, cfg) in [("cfm", cfm), ("tr", tr), ("cs", cs_cfg), ("sinr", sinr_cfg)] {
-        for threads in [1, 2] {
+        for &threads in sharded_threads {
             out.push((
                 format!("sharded{threads}/{name}"),
                 sharded(cfg, threads).run(42),
             ));
         }
     }
-    for threads in [1, 2] {
+    for &threads in sharded_threads {
         out.push((
             format!("sharded{threads}/faults"),
             faulty(tr).sharded(threads).run(42),
         ));
     }
-    for threads in [1, 2] {
+    for &threads in sharded_threads {
         out.push((
             format!("sharded{threads}/crash-outages"),
             Executor::new(&topo)
@@ -238,7 +240,7 @@ fn reference_digests() -> Vec<(String, u64)> {
         ));
     }
     let dense = Topology::build(&Deployment::disk(10, 1.0, 140.0).sample(2005));
-    for threads in [1, 2] {
+    for &threads in sharded_threads {
         out.push((
             format!("sharded{threads}/flood-dense"),
             Executor::new(&dense)
@@ -301,7 +303,7 @@ fn reference_digests() -> Vec<(String, u64)> {
 
 #[test]
 fn traces_match_recorded_digests() {
-    let actual = reference_digests();
+    let actual = reference_digests(&[1, 2]);
     let table: String = actual
         .iter()
         .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
@@ -311,6 +313,21 @@ fn traces_match_recorded_digests() {
         actual, RECORDED_DIGESTS,
         "trace digests moved; current table:\n{table}"
     );
+}
+
+/// At 3 and 5 workers the sharded engine splits the receivers into
+/// ranges of unequal length, some touched by no transmitter in a slot; its
+/// traces must still be the recorded single-worker ones.
+#[test]
+fn sharded_traces_match_recorded_digests_at_more_workers() {
+    let recorded = |name: &str| RECORDED_DIGESTS.iter().find(|(n, _)| *n == name);
+    for (name, digest) in reference_digests(&[3, 5]) {
+        if let Some(entry) = name.strip_prefix("sharded") {
+            let (_, rest) = entry.split_once('/').expect("sharded<threads>/<name>");
+            let one = recorded(&format!("sharded1/{rest}")).map(|&(_, d)| d);
+            assert_eq!(one, Some(digest), "{name}");
+        }
+    }
 }
 
 #[test]
