@@ -286,6 +286,23 @@ impl RingModel {
     /// assert!(reach > 0.5 && reach <= 1.0);
     /// ```
     pub fn run(&self) -> RingProfile {
+        let (mut mu, mut mu_cs) = self.memos();
+        self.run_with(&mut mu, &mut mu_cs)
+    }
+
+    /// Empty μ and μ′ lattices for this model's evaluators.
+    pub(crate) fn memos(&self) -> (MuMemo, MuCsMemo) {
+        (
+            MuMemo::new(self.kernel.mu),
+            MuCsMemo::new(self.kernel.mu_cs),
+        )
+    }
+
+    /// [`RingModel::run`] over μ and μ′ lattices that outlive the run. The
+    /// lattice values depend only on `s` and the μ mode, so every run of a
+    /// [`crate::optimize::ProbabilitySweep`] shares one pair of memos; they
+    /// must come from [`RingModel::memos`] of a model with the same two.
+    pub(crate) fn run_with(&self, mu_memo: &mut MuMemo, mu_cs_memo: &mut MuCsMemo) -> RingProfile {
         let cfg = &self.config;
         let kernel = &*self.kernel;
         let tables = &kernel.tables;
@@ -299,14 +316,13 @@ impl RingModel {
             .map(|&c| delta * c * cfg.alive_frac)
             .collect();
 
-        // Per-run μ memos: lattice values are pure, so caching them changes
-        // nothing but the cost of the inner loop.
-        let mut mu_memo = MuMemo::new(kernel.mu);
-        let mut mu_cs_memo = MuCsMemo::new(kernel.mu_cs);
-        // Per-abscissa transmitter-count scratch, reused across rings/phases.
+        let stats_before = (mu_memo.stats(), mu_cs_memo.stats());
+        // Per-abscissa scratch, reused across rings and phases: transmitter
+        // counts g(x_i)·p, carrier-annulus counts h(x_i)·p, and μ at each.
         let n_abs = tables.abscissae().len();
         let mut gtx = vec![0.0f64; n_abs];
         let mut hcs = vec![0.0f64; n_abs];
+        let mut success = vec![0.0f64; n_abs];
 
         // Phase 1: the source's broadcast informs all of (the live part of)
         // ring R_1, thinned by the per-link delivery probability.
@@ -375,33 +391,34 @@ impl RingModel {
                 }
 
                 if need_main {
-                    // Carrier sense also needs h(x_i): expected informed count
-                    // in the carrier annulus (one ring further each way).
-                    if let CollisionRule::CarrierSense { .. } = cfg.collision {
-                        let lo = j.saturating_sub(2).max(1);
-                        let hi = (j + 2).min(cfg.p);
-                        hcs.fill(0.0);
-                        for k in lo..=hi {
-                            let ki = k as usize - 1;
-                            if prev[ki] > 0.0 {
-                                let (pk, area) = (prev[ki], ring_areas[ki]);
-                                for (h, &b) in hcs.iter_mut().zip(tables.b_row(j, k)) {
-                                    *h += pk * b / area;
+                    // μ at every abscissa in one pass over the lattice.
+                    match cfg.collision {
+                        CollisionRule::TransmissionRange => mu_memo.eval_into(&gtx, &mut success),
+                        CollisionRule::CarrierSense { .. } => {
+                            // Carrier sense also needs h(x_i)·p: the expected
+                            // informed count in the carrier annulus (one ring
+                            // further each way), thinned like g.
+                            let lo = j.saturating_sub(2).max(1);
+                            let hi = (j + 2).min(cfg.p);
+                            hcs.fill(0.0);
+                            for k in lo..=hi {
+                                let ki = k as usize - 1;
+                                if prev[ki] > 0.0 {
+                                    let (pk, area) = (prev[ki], ring_areas[ki]);
+                                    for (h, &b) in hcs.iter_mut().zip(tables.b_row(j, k)) {
+                                        *h += pk * b / area;
+                                    }
                                 }
                             }
+                            for h in hcs.iter_mut() {
+                                *h *= cfg.prob;
+                            }
+                            mu_cs_memo.eval_into(&gtx, &hcs, &mut success);
                         }
                     }
-                    let integral = tables.integrate(|i, x| {
-                        let k_tx = gtx[i];
-                        let success = match cfg.collision {
-                            CollisionRule::TransmissionRange => mu_memo.eval(k_tx),
-                            CollisionRule::CarrierSense { .. } => {
-                                mu_cs_memo.eval(k_tx, hcs[i] * cfg.prob)
-                            }
-                        };
-                        // A collision-free slot still delivers only w.p. q.
-                        (inner_radius + x) * (success * cfg.link_q)
-                    });
+                    // A collision-free slot still delivers only w.p. q.
+                    let integral =
+                        tables.integrate(|i, x| (inner_radius + x) * (success[i] * cfg.link_q));
                     new[ji] = (2.0 * PI * integral * remaining / ring_areas[ji]).min(remaining);
                 }
 
@@ -450,16 +467,16 @@ impl RingModel {
             }
         }
 
-        // Flush the per-run memo statistics into the global registry once —
+        // Flush this run's memo statistics into the global registry once —
         // the inner loop only touches plain (non-atomic) fields.
         if nss_obs::enabled() {
+            let ((h0, m0), (ch0, cm0)) = stats_before;
+            let ((h, m), (ch, cm)) = (mu_memo.stats(), mu_cs_memo.stats());
             nss_obs::counter!("analysis.ring_runs").inc();
-            let (h, m) = mu_memo.stats();
-            nss_obs::counter!("analysis.mu_memo.hit").add(h);
-            nss_obs::counter!("analysis.mu_memo.miss").add(m);
-            let (h, m) = mu_cs_memo.stats();
-            nss_obs::counter!("analysis.mu_cs_memo.hit").add(h);
-            nss_obs::counter!("analysis.mu_cs_memo.miss").add(m);
+            nss_obs::counter!("analysis.mu_memo.hit").add(h - h0);
+            nss_obs::counter!("analysis.mu_memo.miss").add(m - m0);
+            nss_obs::counter!("analysis.mu_cs_memo.hit").add(ch - ch0);
+            nss_obs::counter!("analysis.mu_cs_memo.miss").add(cm - cm0);
         }
 
         RingProfile {

@@ -1,12 +1,13 @@
 //! Parallel (density × probability) parameter sweeps.
 //!
 //! Every figure of the paper's evaluation is a grid over densities
-//! ρ ∈ {20..140} and probabilities p. Grid points are independent, so they
-//! parallelize embarrassingly; this module fans them out with
+//! ρ ∈ {20..140} and probabilities p. Each density is one
+//! [`ProbabilitySweep`] row, which shares one μ lattice across its
+//! probabilities; rows are independent, so this module fans them out with
 //! [`nss_model::par::map_indexed`] and reassembles the grid in order.
 
-use crate::optimize::Objective;
-use crate::ring_model::{RingModel, RingModelConfig};
+use crate::optimize::{Objective, ProbabilitySweep};
+use crate::ring_model::RingModelConfig;
 use nss_model::metrics::PhaseSeries;
 use nss_model::par;
 
@@ -30,32 +31,27 @@ impl DensitySweep {
     }
 
     /// Runs the sweep on up to `threads` worker threads (0 = available
-    /// parallelism). Every cell shares one interned kernel: the geometry
-    /// tables and μ evaluators do not depend on ρ or p, so workers only run
-    /// the phase recursion.
+    /// parallelism), one [`ProbabilitySweep`] row per density. Every cell
+    /// shares one interned kernel, and every cell of a row one μ lattice,
+    /// so workers only run the phase recursion.
     pub fn run(base: RingModelConfig, rhos: &[f64], probs: &[f64], threads: usize) -> Self {
-        let cells = rhos.len() * probs.len();
-        // Cell i is (ρ index i / |probs|, p index i % |probs|): row-major,
-        // so the results chunk straight into the grid's rows.
-        let mut series = par::map_indexed(cells, par::workers(threads, cells), |i| {
-            let mut cfg = base;
-            cfg.rho = rhos[i / probs.len()];
-            cfg.prob = probs[i % probs.len()];
+        let grid = par::map_indexed(rhos.len(), par::workers(threads, rhos.len()), |ri| {
             // Gate the clock reads themselves on the obs feature so
             // uninstrumented builds pay nothing.
-            let cell_start = nss_obs::enabled().then(std::time::Instant::now);
-            let series = RingModel::new(cfg).run().phase_series();
-            if let Some(start) = cell_start {
-                nss_obs::observe!("analysis.sweep.cell_seconds", start.elapsed().as_secs_f64());
-                nss_obs::counter!("analysis.sweep.cells").inc();
+            let row_start = nss_obs::enabled().then(std::time::Instant::now);
+            let row = ProbabilitySweep::run(
+                RingModelConfig {
+                    rho: rhos[ri],
+                    ..base
+                },
+                probs,
+            );
+            if let Some(start) = row_start {
+                nss_obs::observe!("analysis.sweep.row_seconds", start.elapsed().as_secs_f64());
+                nss_obs::counter!("analysis.sweep.cells").add(probs.len() as u64);
             }
-            series
-        })
-        .into_iter();
-        let grid = rhos
-            .iter()
-            .map(|_| series.by_ref().take(probs.len()).collect())
-            .collect();
+            row.series
+        });
         DensitySweep {
             base,
             rhos: rhos.to_vec(),

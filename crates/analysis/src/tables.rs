@@ -19,14 +19,55 @@
 //! * [`KernelCache`] — interns `SharedKernel`s by config fingerprint
 //!   ([`KernelKey`]); repeated sweeps over the same base configuration reuse
 //!   the same kernel, including across threads.
-//! * [`MuMemo`] / [`MuCsMemo`] — per-run memoization of the closed-form μ
-//!   lattice values behind the interpolating evaluators. `mu_closed_form`
-//!   is a pure function, so caching its integer-lattice values and
-//!   replicating the interpolation arithmetic preserves results bitwise
-//!   while removing the `O(s)` `powf` chain from the inner loop.
+//! * [`MuMemo`] / [`MuCsMemo`] — one sweep's memo of the closed-form μ
+//!   and μ′ values at integer contender counts, behind the interpolating
+//!   evaluators. The closed forms are pure, so caching them and replaying
+//!   the interpolation arithmetic preserves results bitwise while removing
+//!   the `O(s)` `powf` chain from the inner loop. One pair of memos serves
+//!   every probability of a [`crate::optimize::ProbabilitySweep`].
+//!
+//! # The μ pass
+//!
+//! Each step of the ring recursion needs `μ(g(x)·p, s)` at every Simpson
+//! abscissa of the ring. Once `g` is filled for a ring, [`MuMemo::eval_into`]
+//! grows the lattice to the ring's largest `⌊k⌋ + 1` and evaluates every
+//! abscissa in one pass into a scratch slice, which the integral then
+//! reads. Per point the pass reads `μ(⌊k⌋)` and `μ(⌊k⌋ + 1)` with no
+//! `floor`, no `ceil` and no branch on `k`. The lattice still fills lazily
+//! (`NaN` marks an entry not yet computed), so a ρ = 10⁶ sweep computes
+//! only the points it reads.
+//!
+//! Two steps make the pass bitwise equal to [`MuEvaluator::eval`], which
+//! takes `floor`/`ceil` and returns `μ(⌊k⌋)` early when `k` is integral:
+//!
+//! * **The cast floor.** Both clamp with `k.max(0.0)` first, which maps
+//!   NaN and negatives to 0. For finite `k` in `[0, 2⁶⁴)`, `k.floor()` is
+//!   an integral `f64` in the same range; `k as u64` truncates to exactly
+//!   that integer and converts back without rounding. So the fraction
+//!   `k − (k as u64) as f64` is the evaluator's `k − lo` bit for bit. Every
+//!   `f64` at or above 2⁵² is integral, so there the fraction is exactly 0
+//!   and the cast is exact too. From 2⁶⁴ up, both saturate to `u64::MAX`,
+//!   and so does `⌊k⌋ + 1`.
+//! * **No integral-`k` branch.** For integral `k` the pass computes
+//!   `μ_lo + 0·(μ_hi − μ_lo)`. Lattice values are finite and in `[0, 1]`,
+//!   so the product is ±0. A lattice value is never −0: the closed form's
+//!   sum starts at +0, and its clamp maps negatives to +0. So
+//!   `μ_lo + ±0 = μ_lo` bitwise. The bilinear μ′ applies the same argument
+//!   per axis.
+//!
+//! Measured cost, on a 2-vCPU Xeon with the default x86-64 target, which
+//! has no SSE4.1 `roundsd`, so `floor` and `ceil` are libm calls. A
+//! 100-point p-sweep at quad 64, over densities 20–147, took 4.7–5.5 ms
+//! (medians of three passes) with one memo per run and per-point
+//! `floor`/`ceil`; it takes 2.7–3.0 ms with the pass. A warm lattice read
+//! fell from 17–21 ns to 7–8 ns per abscissa under load, and 5 ns on an
+//! idle host. The pass is now about half the sweep, at 3.4·10⁵ abscissae
+//! per sweep. The rest is the `g(x)` accumulation, whose `pk·a/area`
+//! divisions stay per point to keep the bits, and the Simpson sum, a
+//! serial chain of 65 additions per ring.
 
-use crate::mu::{MuEvaluator, MuMode};
-use crate::mu_cs::{lattice, mu_cs_closed_form, MuCsEvaluator};
+use crate::mu::{mu_closed_form, MuEvaluator, MuMode};
+use crate::mu_cs::{mu_cs_closed_form, MuCsEvaluator};
 use crate::ring_geometry::RingGeometry;
 use crate::ring_model::RingModelConfig;
 use nss_model::comm::CollisionRule;
@@ -195,22 +236,54 @@ impl GeometryTables {
     }
 }
 
-/// Per-run memo of the interpolating μ evaluator.
+/// Most entries the dense μ lattice holds: 2²² `f64`s, 32 MiB. A sweep at
+/// `nss-serve`'s largest density, ρ = 10⁶, spans about 4·10⁵ entries.
+/// Points past the cap go to a hash map, so memory follows the points a
+/// sweep reads rather than the span of its contender counts.
+const MU_LATTICE_CAP: usize = 1 << 22;
+
+/// Most entries the dense μ′ rectangle holds: 2¹⁶ `f64`s, 512 KiB. A
+/// carrier-sense sweep at ρ = 140 spans 63 × 94 entries and computes 44%
+/// of them; at ρ = 10³ it would span 474 × 778 and compute 6%. Sparser
+/// sweeps than that spill to a hash map, as in [`MU_LATTICE_CAP`].
+const MU_CS_LATTICE_CAP: usize = 1 << 16;
+
+/// Splits `k` into its cast floor and fractional offset: `(⌊k⌋, k − ⌊k⌋)`
+/// for the clamped `k.max(0.0)`. Both memos index their lattices this way;
+/// the module docs show why it is bitwise the evaluators' `floor`/`ceil`.
+#[inline]
+fn split(k: f64) -> (u64, f64) {
+    let k = k.max(0.0);
+    let lo = k as u64;
+    (lo, k - lo as f64)
+}
+
+/// The entry count a lattice needs to cover `⌊k⌋ + 1` for every `k` in `ks`.
+fn extent(ks: &[f64]) -> usize {
+    let top = ks.iter().fold(0.0f64, |m, &k| m.max(k));
+    usize::try_from(split(top).0.saturating_add(2)).unwrap_or(usize::MAX)
+}
+
+/// A sweep's memo of the interpolating μ evaluator.
 ///
 /// [`MuEvaluator::eval`] in `Interpolate` mode calls the `O(s)` closed form
 /// at `⌊k⌋` and `⌈k⌉` for every quadrature point of every ring of every
-/// phase. The lattice values are pure, so this memo caches them in a flat
-/// vector and replays the evaluator's interpolation arithmetic verbatim —
-/// results are bitwise identical to `MuEvaluator::eval`. `Poisson` mode has
-/// no lattice structure and delegates to the evaluator unchanged.
+/// phase. The lattice values are pure, so this memo keeps them in a flat
+/// vector, filled lazily (`NaN` marks an entry not yet computed), and
+/// replays the interpolation arithmetic. One memo serves every run of a
+/// [`crate::optimize::ProbabilitySweep`]: the values depend only on `s`.
+/// Results are bitwise identical to `MuEvaluator::eval`. `Poisson` mode
+/// has no lattice structure and delegates to the evaluator unchanged.
 #[derive(Debug, Clone)]
 pub struct MuMemo {
     ev: MuEvaluator,
     /// `vals[k] = μ(k, s)`; `NaN` marks a not-yet-computed entry.
     vals: Vec<f64>,
-    /// Lattice lookups served from the memo (maintained in `obs` builds).
-    hits: u64,
-    /// Lattice lookups that ran the `O(s)` closed form.
+    /// Computed values at `k ≥ MU_LATTICE_CAP`.
+    spill: HashMap<u64, f64>,
+    /// Lattice reads, counted per pass.
+    reads: u64,
+    /// Closed forms computed, counted on the cold fill path.
     misses: u64,
 }
 
@@ -220,65 +293,108 @@ impl MuMemo {
         MuMemo {
             ev,
             vals: Vec::new(),
-            hits: 0,
+            spill: HashMap::new(),
+            reads: 0,
             misses: 0,
         }
     }
 
-    /// `(hits, misses)` of the lattice memo. Zero in non-`obs` builds —
-    /// maintaining the counts costs two branches per quadrature point, so
-    /// they are compiled out with the rest of the instrumentation.
+    /// `(hits, misses)` over the memo's lifetime. Every lattice read is one
+    /// or the other: a miss computes the closed form, a hit reads a value
+    /// computed before.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        (self.reads - self.misses, self.misses)
     }
 
-    #[inline]
+    /// Number of lattice points holding a computed value.
+    #[cfg(test)]
+    pub(crate) fn computed(&self) -> usize {
+        self.vals.iter().filter(|v| !v.is_nan()).count() + self.spill.len()
+    }
+
+    /// Number of dense lattice entries, computed or not.
+    #[cfg(test)]
+    pub(crate) fn span(&self) -> usize {
+        self.vals.len()
+    }
+
+    /// `μ(k, s)` from the lattice: a read when the entry is computed,
+    /// otherwise [`MuMemo::fill`].
+    #[inline(always)]
     fn lattice(&mut self, k: u64) -> f64 {
-        let idx = k as usize;
-        if idx >= self.vals.len() {
-            self.vals.resize(idx + 1, f64::NAN);
-        }
-        let v = self.vals[idx];
-        if v.is_nan() {
-            if nss_obs::enabled() {
-                self.misses += 1;
-            }
-            let fresh = crate::mu::mu_closed_form(k, self.ev.slots());
-            self.vals[idx] = fresh;
-            fresh
-        } else {
-            if nss_obs::enabled() {
-                self.hits += 1;
-            }
-            v
+        match usize::try_from(k).ok().and_then(|i| self.vals.get(i)) {
+            Some(&v) if !v.is_nan() => v,
+            _ => self.fill(k),
         }
     }
 
-    /// `μ(k, s)` for real `k`; bitwise equal to [`MuEvaluator::eval`].
-    #[inline]
-    pub fn eval(&mut self, k: f64) -> f64 {
+    /// Computes `μ(k, s)` by the closed form into the dense lattice, or
+    /// looks it up in the spill map past the lattice (computing it there on
+    /// first use). Kept out of line so the read path stays small.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, k: u64) -> f64 {
+        let s = self.ev.slots();
+        let Some(v) = usize::try_from(k).ok().and_then(|i| self.vals.get_mut(i)) else {
+            return *self.spill.entry(k).or_insert_with(|| {
+                self.misses += 1;
+                mu_closed_form(k, s)
+            });
+        };
+        self.misses += 1;
+        *v = mu_closed_form(k, s);
+        *v
+    }
+
+    /// Writes `μ(ks[i], s)` to `out[i]`, bitwise equal to
+    /// [`MuEvaluator::eval`] at each point. The lattice first grows to
+    /// cover the largest `⌊k⌋ + 1`, so the pass reads two entries per
+    /// point with no floor, ceil or integral-`k` branch.
+    pub fn eval_into(&mut self, ks: &[f64], out: &mut [f64]) {
         if self.ev.mode() != MuMode::Interpolate {
-            return self.ev.eval(k);
+            for (o, &k) in out.iter_mut().zip(ks) {
+                *o = self.ev.eval(k);
+            }
+            return;
         }
-        let k = k.max(0.0);
-        let lo = k.floor();
-        let hi = k.ceil();
-        let mu_lo = self.lattice(lo as u64);
-        if lo == hi {
-            return mu_lo;
+        let need = extent(ks).min(MU_LATTICE_CAP);
+        if need > self.vals.len() {
+            self.vals.resize(need, f64::NAN);
         }
-        let mu_hi = self.lattice(hi as u64);
-        mu_lo + (k - lo) * (mu_hi - mu_lo)
+        self.reads += 2 * ks.len().min(out.len()) as u64;
+        for (o, &k) in out.iter_mut().zip(ks) {
+            let (lo, frac) = split(k);
+            let mu_lo = self.lattice(lo);
+            let mu_hi = self.lattice(lo.saturating_add(1));
+            *o = mu_lo + frac * (mu_hi - mu_lo);
+        }
+    }
+
+    /// `μ(k, s)` at one point; see [`MuMemo::eval_into`].
+    pub fn eval(&mut self, k: f64) -> f64 {
+        let mut out = [0.0];
+        self.eval_into(&[k], &mut out);
+        out[0]
     }
 }
 
-/// Per-run memo of the bilinear carrier-sense μ′ evaluator; the 2-D
+/// A sweep's memo of the bilinear carrier-sense μ′ evaluator; the 2-D
 /// analogue of [`MuMemo`], bitwise equal to [`MuCsEvaluator::eval`].
+///
+/// The lattice is a dense `rows × width` rectangle, row `k1`, column `k2`,
+/// filled lazily. It grows to the largest `(⌊k1⌋ + 1, ⌊k2⌋ + 1)` a pass
+/// needs, up to 2¹⁶ entries; points outside it go to a hash map.
 #[derive(Debug, Clone)]
 pub struct MuCsMemo {
     ev: MuCsEvaluator,
-    vals: HashMap<(u64, u64), f64>,
-    hits: u64,
+    /// `vals[k1·width + k2] = μ′(k1, k2, s)`; `NaN` marks a not-yet-computed
+    /// entry.
+    vals: Vec<f64>,
+    rows: usize,
+    width: usize,
+    /// Computed values outside the rectangle.
+    spill: HashMap<(u64, u64), f64>,
+    reads: u64,
     misses: u64,
 }
 
@@ -287,54 +403,127 @@ impl MuCsMemo {
     pub fn new(ev: MuCsEvaluator) -> Self {
         MuCsMemo {
             ev,
-            vals: HashMap::new(),
-            hits: 0,
+            vals: Vec::new(),
+            rows: 0,
+            width: 0,
+            spill: HashMap::new(),
+            reads: 0,
             misses: 0,
         }
     }
 
-    /// `(hits, misses)` of the lattice memo; zero in non-`obs` builds
-    /// (see [`MuMemo::stats`]).
+    /// `(hits, misses)` over the memo's lifetime; see [`MuMemo::stats`].
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        (self.reads - self.misses, self.misses)
     }
 
-    #[inline]
-    fn lattice(&mut self, k1: u64, k2: u64) -> f64 {
-        let s = self.ev.slots();
-        let mut fresh = false;
-        let v = *self.vals.entry((k1, k2)).or_insert_with(|| {
-            fresh = true;
-            mu_cs_closed_form(k1, k2, s)
-        });
-        if nss_obs::enabled() {
-            if fresh {
-                self.misses += 1;
+    /// Number of lattice points holding a computed value.
+    #[cfg(test)]
+    pub(crate) fn computed(&self) -> usize {
+        self.vals.iter().filter(|v| !v.is_nan()).count() + self.spill.len()
+    }
+
+    /// Grows the rectangle to at least `rows × width`, keeping every
+    /// computed entry, unless that would pass [`MU_CS_LATTICE_CAP`]. A short
+    /// dimension grows by at least half where the cap allows, so a sweep
+    /// whose counts rise with `p` re-lays the rectangle out only a
+    /// logarithmic number of times.
+    fn cover(&mut self, rows: usize, width: usize) {
+        if rows <= self.rows && width <= self.width {
+            return;
+        }
+        let grow = |need: usize, have: usize| {
+            if need > have {
+                need.max(have + have / 2)
             } else {
-                self.hits += 1;
+                have
+            }
+        };
+        let exact = (rows.max(self.rows), width.max(self.width));
+        let roomy = (grow(rows, self.rows), grow(width, self.width));
+        let fits =
+            |&(r, w): &(usize, usize)| r.checked_mul(w).is_some_and(|n| n <= MU_CS_LATTICE_CAP);
+        let Some((rows, width)) = [roomy, exact].into_iter().find(fits) else {
+            return;
+        };
+        let mut vals = vec![f64::NAN; rows * width];
+        if self.width > 0 {
+            for (new, old) in vals
+                .chunks_exact_mut(width)
+                .zip(self.vals.chunks_exact(self.width))
+            {
+                new[..self.width].copy_from_slice(old);
             }
         }
-        v
+        (self.vals, self.rows, self.width) = (vals, rows, width);
     }
 
-    /// `μ'(k1, k2, s)` for real arguments; bitwise equal to
-    /// [`MuCsEvaluator::eval`].
-    #[inline]
-    pub fn eval(&mut self, k1: f64, k2: f64) -> f64 {
-        if self.ev.mode() != MuMode::Interpolate {
-            return self.ev.eval(k1, k2);
+    /// The index of `(k1, k2)` in `vals`, if the rectangle holds it.
+    #[inline(always)]
+    fn index(&self, k1: u64, k2: u64) -> Option<usize> {
+        (k1 < self.rows as u64 && k2 < self.width as u64)
+            .then(|| k1 as usize * self.width + k2 as usize)
+    }
+
+    /// `μ′(k1, k2, s)` from the lattice; see [`MuMemo::lattice`].
+    #[inline(always)]
+    fn lattice(&mut self, k1: u64, k2: u64) -> f64 {
+        match self.index(k1, k2).and_then(|i| self.vals.get(i)) {
+            Some(&v) if !v.is_nan() => v,
+            _ => self.fill(k1, k2),
         }
-        let k1 = k1.max(0.0);
-        let k2 = k2.max(0.0);
-        let (a0, a1, fa) = lattice(k1);
-        let (b0, b1, fb) = lattice(k2);
-        let f00 = self.lattice(a0, b0);
-        let f10 = self.lattice(a1, b0);
-        let f01 = self.lattice(a0, b1);
-        let f11 = self.lattice(a1, b1);
-        let fx0 = f00 + fa * (f10 - f00);
-        let fx1 = f01 + fa * (f11 - f01);
-        fx0 + fb * (fx1 - fx0)
+    }
+
+    /// Computes `μ′(k1, k2, s)` by the closed form; see [`MuMemo::fill`].
+    /// A point spilled before the rectangle grew over it moves in rather
+    /// than being computed again.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, k1: u64, k2: u64) -> f64 {
+        let s = self.ev.slots();
+        let Some(i) = self.index(k1, k2) else {
+            return *self.spill.entry((k1, k2)).or_insert_with(|| {
+                self.misses += 1;
+                mu_cs_closed_form(k1, k2, s)
+            });
+        };
+        self.vals[i] = self.spill.remove(&(k1, k2)).unwrap_or_else(|| {
+            self.misses += 1;
+            mu_cs_closed_form(k1, k2, s)
+        });
+        self.vals[i]
+    }
+
+    /// Writes `μ′(k1s[i], k2s[i], s)` to `out[i]`, bitwise equal to
+    /// [`MuCsEvaluator::eval`] at each point (see [`MuMemo::eval_into`]).
+    pub fn eval_into(&mut self, k1s: &[f64], k2s: &[f64], out: &mut [f64]) {
+        if self.ev.mode() != MuMode::Interpolate {
+            for ((o, &k1), &k2) in out.iter_mut().zip(k1s).zip(k2s) {
+                *o = self.ev.eval(k1, k2);
+            }
+            return;
+        }
+        self.cover(extent(k1s), extent(k2s));
+        self.reads += 4 * out.len().min(k1s.len()).min(k2s.len()) as u64;
+        for ((o, &k1), &k2) in out.iter_mut().zip(k1s).zip(k2s) {
+            let (a0, fa) = split(k1);
+            let (b0, fb) = split(k2);
+            let (a1, b1) = (a0.saturating_add(1), b0.saturating_add(1));
+            let f00 = self.lattice(a0, b0);
+            let f10 = self.lattice(a1, b0);
+            let f01 = self.lattice(a0, b1);
+            let f11 = self.lattice(a1, b1);
+            let fx0 = f00 + fa * (f10 - f00);
+            let fx1 = f01 + fa * (f11 - f01);
+            *o = fx0 + fb * (fx1 - fx0);
+        }
+    }
+
+    /// `μ′(k1, k2, s)` at one point; see [`MuCsMemo::eval_into`].
+    pub fn eval(&mut self, k1: f64, k2: f64) -> f64 {
+        let mut out = [0.0];
+        self.eval_into(&[k1], &[k2], &mut out);
+        out[0]
     }
 }
 
@@ -682,17 +871,57 @@ mod tests {
     }
 
     #[test]
-    fn memo_stats_reflect_obs_feature() {
+    fn memo_stats_split_reads_into_hits_and_closed_forms() {
         let mut memo = MuMemo::new(MuEvaluator::new(3, MuMode::Interpolate));
         let _ = memo.eval(1.5);
         let _ = memo.eval(1.5);
-        let (hits, misses) = memo.stats();
-        if nss_obs::enabled() {
-            assert_eq!(misses, 2); // lattice points 1 and 2
-            assert_eq!(hits, 2); // revisited on the second eval
-        } else {
-            assert_eq!((hits, misses), (0, 0));
+        // Lattice points 1 and 2 are computed once, then read again.
+        assert_eq!(memo.stats(), (2, 2));
+        assert_eq!(memo.computed(), 2);
+        // An integral k reads ⌊k⌋ + 1 too: its weight is zero.
+        let _ = memo.eval(3.0);
+        assert_eq!(memo.stats(), (2, 4));
+        // Poisson mode reads no lattice.
+        let mut poisson = MuMemo::new(MuEvaluator::new(3, MuMode::Poisson));
+        let _ = poisson.eval(1.5);
+        assert_eq!(poisson.stats(), (0, 0));
+    }
+
+    #[test]
+    fn points_past_the_dense_lattice_spill_and_match_the_evaluator() {
+        let ev = MuEvaluator::new(3, MuMode::Interpolate);
+        let mut memo = MuMemo::new(ev);
+        let cap = MU_LATTICE_CAP as f64;
+        for k in [cap + 0.25, cap - 0.5, cap + 0.25, 2f64.powi(53), 1e300] {
+            assert_eq!(memo.eval(k).to_bits(), ev.eval(k).to_bits(), "k = {k}");
         }
+        assert_eq!(memo.span(), MU_LATTICE_CAP);
+        // cap − 1 and cap + 1 join cap, 2⁵³ and 2⁵³ + 1, and u64::MAX once.
+        assert_eq!(memo.stats().1, 6);
+        assert_eq!(memo.computed(), 6);
+    }
+
+    #[test]
+    fn spilled_carrier_sense_points_move_into_a_grown_rectangle() {
+        let ev = MuCsEvaluator::new(3, MuMode::Interpolate);
+        let mut memo = MuCsMemo::new(ev);
+        let mut out = [0.0; 2];
+        // 302 × 302 entries do not fit: all eight corners spill.
+        memo.eval_into(&[300.5, 2.5], &[300.5, 2.5], &mut out);
+        assert_eq!(out[0].to_bits(), ev.eval(300.5, 300.5).to_bits());
+        assert_eq!(memo.stats().1, 8);
+        // A 4 × 4 pass fits; its corners move in rather than recompute.
+        memo.eval_into(&[2.5], &[2.5], &mut out[..1]);
+        assert_eq!(out[0].to_bits(), ev.eval(2.5, 2.5).to_bits());
+        assert_eq!(memo.stats().1, 8);
+        assert_eq!(memo.computed(), 8);
+        // Growing the rectangle keeps what it holds.
+        memo.eval_into(&[40.5], &[3.5], &mut out[..1]);
+        let closed_forms = memo.stats().1;
+        memo.eval_into(&[2.5], &[2.5], &mut out[..1]);
+        assert_eq!(out[0].to_bits(), ev.eval(2.5, 2.5).to_bits());
+        assert_eq!(memo.stats().1, closed_forms);
+        assert_eq!(memo.stats().1 as usize, memo.computed());
     }
 
     #[test]
